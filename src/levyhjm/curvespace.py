@@ -20,10 +20,8 @@ curves, second to last for vector curves).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -50,7 +48,6 @@ __all__ = [
     "random_curves",
     "random_vector_curves",
     "rescale_to_norm",
-    "curves_to_csv",
 ]
 
 # Relative slack for detecting node-aligned shifts; shifts within this
@@ -518,12 +515,3 @@ def rescale_to_norm(
         factor = factor.reshape(factor.shape + (1,) * extra)
     return values * factor
 
-
-def curves_to_csv(path, grid: WeightGrid, columns: dict[str, Iterable[float]]) -> None:
-    """Write curves in wide format: node column x, one column per curve."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", *columns.keys()])
-        cols = [np.asarray(c, dtype=float) for c in columns.values()]
-        for i, x in enumerate(grid.nodes):
-            writer.writerow([repr(float(x))] + [repr(float(c[i])) for c in cols])

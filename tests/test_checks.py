@@ -7,6 +7,7 @@ import pytest
 
 import levyhjm as lh
 from levyhjm.checks import (
+    _quadratic_forms,
     identity_report,
     inequality_report,
     report_row,
@@ -16,6 +17,7 @@ from levyhjm.checks import (
     verify_convolution_inequality,
     verify_isometry_predictability_control,
 )
+from levyhjm.curvespace import _shift_values
 
 BETA = 0.1
 
@@ -131,6 +133,129 @@ class TestMaximalInequalities:
         F = step_integrands(grid, 1, 4, seed=25)
         with pytest.raises(ValueError, match="p_max"):
             verify_bichteler_jacod(grid, drivers["gamma"], F, 8.0, 1.0, 50, seed=1)
+
+
+def _loop_reference(grid, driver, F, p, horizon, n_paths, seed):
+    """(lhs, rhs) of the isometry, Bichteler-Jacod and convolution checks, and
+    the mean p-th power of the unconvolved |.|_* sup, by the per-step loop.
+
+    Builds every running integral on the grid at every step and takes its
+    norm, the direct evaluation the quadratic-form checks must reproduce.
+    """
+    m = F.shape[0]
+    dt = horizon / m
+    dM = lh.increment_table(driver, dt, m, n_paths, seed)
+    X = np.zeros((n_paths, grid.n_nodes))
+    conv = np.zeros((n_paths, grid.n_nodes))
+    sup_H = np.zeros(n_paths)
+    sup_conv = np.zeros(n_paths)
+    sup_plain = np.zeros(n_paths)
+    for i in range(m):
+        term = np.einsum("nd,pd->pn", F[i], dM[i])
+        X = X + term
+        conv = _shift_values(conv + term, dt, grid)
+        sup_H = np.maximum(sup_H, lh.norm_H(X, grid))
+        sup_conv = np.maximum(sup_conv, lh.norm_star(conv, grid))
+        sup_plain = np.maximum(sup_plain, lh.norm_star(X, grid))
+    comps_H = lh.norm_H(F.transpose(0, 2, 1), grid)  # (m, d)
+    comps_star = lh.norm_star(F.transpose(0, 2, 1), grid)
+    iso = (
+        float(np.square(lh.norm_H(X, grid)).mean()),
+        float((np.square(comps_H) @ driver.covariance_diag).sum() * dt),
+    )
+    mp = lh.moment_mp(driver, p)
+    bj = (
+        float((sup_H**p).mean()),
+        float(mp * (np.sqrt(np.square(comps_H).sum(-1)) ** p).sum() * dt),
+    )
+    cv = (
+        float((sup_conv**p).mean()),
+        float(mp * (np.sqrt(np.square(comps_star).sum(-1)) ** p).sum() * dt),
+    )
+    return iso, bj, cv, float((sup_plain**p).mean())
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+class TestQuadraticFormEquivalence:
+    """Gram-matrix evaluation against the per-step curve loop."""
+
+    @pytest.fixture(scope="class")
+    def fine_grid(self):
+        return lh.make_grid(4.0, 129, BETA)  # h = 1/32
+
+    @pytest.fixture(scope="class")
+    def two_component(self):
+        return lh.build_driver(
+            [lh.WienerComponent(1.0), lh.GammaComponent(0.5, 3.0)], r_ball=0.5, delta=1.5
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("horizon", [6 / 32, 0.5], ids=["aligned", "dt_1_12"])
+    def test_matches_loop(self, fine_grid, drivers, two_component, dim, horizon):
+        driver = drivers["gamma"] if dim == 1 else two_component
+        g, m, n_paths, seed, p = fine_grid, 6, 400, 31, 4.0
+        F = step_integrands(g, dim, m, seed=32, vanish_at_end=True)
+        (iso_l, iso_r), (bj_l, bj_r), (cv_l, cv_r), plain_l = _loop_reference(
+            g, driver, F, p, horizon, n_paths, seed
+        )
+        iso = lh.verify_isometry(g, driver, F, horizon, n_paths, seed)
+        bj = verify_bichteler_jacod(g, driver, F, p, horizon, n_paths, seed)
+        cv, vs_plain = verify_convolution_inequality(g, driver, F, p, horizon, n_paths, seed)
+        for rep, lhs, rhs in ((iso, iso_l, iso_r), (bj, bj_l, bj_r), (cv, cv_l, cv_r)):
+            assert _rel(rep.lhs, lhs) <= 1e-12, rep.name
+            assert _rel(rep.rhs, rhs) <= 1e-12, rep.name
+            assert _rel(rep.ratio, lhs / rhs) <= 1e-12, rep.name
+        assert _rel(vs_plain.rhs, 1.5 * plain_l) <= 1e-12
+
+    def test_tiny_integrand_gives_finite_nonnegative_lhs(self, grid, drivers):
+        F = 1e-150 * step_integrands(grid, 1, 8, seed=33, vanish_at_end=True)
+        driver = drivers["gamma"]
+        reps = [
+            lh.verify_isometry(grid, driver, F, 1.0, 200, seed=3),
+            verify_bichteler_jacod(grid, driver, F, 2.0, 1.0, 200, seed=3),
+            verify_convolution_inequality(grid, driver, F, 2.0, 1.0, 200, seed=3)[0],
+        ]
+        for rep in reps:
+            assert math.isfinite(rep.lhs) and rep.lhs >= 0.0, rep.name
+
+    def test_round_off_clamped_and_nan_propagates(self):
+        # coefficients in the null space of a rank-one Gram: exact forms are 0,
+        # computed ones scatter around it in round-off
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=6)
+        c = rng.normal(size=(1000, 6))
+        c -= np.outer(c @ v / (v @ v), v)
+        c[7, 2] = np.nan
+        q = _quadratic_forms(c, [np.outer(v, v)])[:, 0]
+        assert np.isnan(q[7])
+        q = np.delete(q, 7)
+        assert (q >= 0.0).all() and (q == 0.0).any() and q.max() < 1e-14
+
+    def test_nan_integrand_fails_loudly(self, grid, drivers):
+        F = step_integrands(grid, 1, 4, seed=34, vanish_at_end=True)
+        F[2, 40, 0] = np.nan
+        driver = drivers["gamma"]
+        reps = [
+            lh.verify_isometry(grid, driver, F, 1.0, 100, seed=4),
+            verify_bichteler_jacod(grid, driver, F, 2.0, 1.0, 100, seed=4),
+            verify_convolution_inequality(grid, driver, F, 2.0, 1.0, 100, seed=4)[0],
+        ]
+        for rep in reps:
+            assert not rep.passed, rep.name
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_rhs_fails_with_finite_lhs(self, grid, drivers):
+        # |F|^4 overflows in the rhs while the short-horizon lhs stays finite
+        F = 1e78 * step_integrands(grid, 1, 4, seed=35, vanish_at_end=True)
+        driver = drivers["gamma"]
+        bj = verify_bichteler_jacod(grid, driver, F, 4.0, 1e-6, 100, seed=5)
+        cv, _ = verify_convolution_inequality(grid, driver, F, 4.0, 1e-6, 100, seed=5)
+        for rep in (bj, cv):
+            assert math.isfinite(rep.lhs) and rep.rhs == math.inf, rep.name
+            assert not rep.passed, rep.name
 
 
 @pytest.fixture(scope="module")

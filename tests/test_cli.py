@@ -259,6 +259,22 @@ class TestMainEntry:
         assert not (out / "curves.csv").exists()
         assert (out / "checks.csv").exists()
 
+    def test_bundled_gamma_checks_csv_fields_parse_as_plain_numbers(self, tmp_path):
+        out = tmp_path / "gamma"
+        code = main(
+            ["verify", "--config", str(CONFIG_DIR / "gamma_hjm.yaml"), "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        with open(out / "checks.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "cumulant_grad_fd" in {r["name"] for r in rows}
+        for r in rows:
+            for col in ("lhs", "rhs", "ratio", "standard_error", "tolerance"):
+                float(r[col])
+            int(r["n_samples"])
+            assert int(r["passed"]) == 1, r["name"]
+            json.loads(r["config"])
+
     def test_sweep_subcommand(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "sweep"
