@@ -11,7 +11,6 @@ from .curvespace import (
     Curve,
     EmbeddingRatios,
     HarmonicFamily,
-    VectorCurve,
     WeightGrid,
     check_embeddings,
     cumulative_integral,

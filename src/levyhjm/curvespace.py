@@ -13,9 +13,9 @@ equivalent norm ``norm_star`` that replaces the u(0) boundary term by
 u(x_max); the right-shift semigroup ``shift`` is a contraction in the latter
 on curves that vanish at ``x_max``.
 
-All norm/integral helpers accept either a ``Curve``/``VectorCurve`` or a bare
-ndarray, and broadcast over leading batch axes (node axis last for scalar
-curves, second to last for vector curves).
+All norm/integral helpers accept either a ``Curve`` or a bare ndarray, and
+broadcast over leading batch axes (node axis last for scalar curves, second
+to last for vector curves).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "WeightGrid",
     "Curve",
-    "VectorCurve",
     "EmbeddingRatios",
     "make_grid",
     "integrate",
@@ -178,23 +177,6 @@ class Curve:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class VectorCurve:
-    """R^d valued curve sampled at the grid nodes, shape (n_nodes, d)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("VectorCurve values must have shape (n_nodes, d)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
 def _values(curve) -> np.ndarray:
     return np.asarray(getattr(curve, "values", curve), dtype=float)
 
@@ -220,13 +202,15 @@ def cumulative_integral(curve, grid: WeightGrid, axis: int = -1) -> np.ndarray:
     """Running trapezoid integral int_0^{x_i} along the node axis."""
     v = _values(curve)
     _check_nodes(v, grid, axis)
-    v = np.moveaxis(v, axis, -1)
-    dx = np.diff(grid.nodes)
-    cells = 0.5 * (v[..., 1:] + v[..., :-1]) * dx
-    out = np.concatenate(
-        [np.zeros(v.shape[:-1] + (1,)), np.cumsum(cells, axis=-1)], axis=-1
-    )
-    return np.moveaxis(out, -1, axis)
+    axis %= v.ndim
+    lead = (slice(None),) * axis
+    half_dx = 0.5 * np.diff(grid.nodes).reshape((-1,) + (1,) * (v.ndim - 1 - axis))
+    cells = v[lead + (slice(1, None),)] + v[lead + (slice(None, -1),)]
+    cells *= half_dx
+    out = np.empty_like(v)
+    out[lead + (0,)] = 0.0
+    np.cumsum(cells, axis=axis, out=out[lead + (slice(1, None),)])
+    return out
 
 
 def partial_integral(curve, grid: WeightGrid, upper: float) -> np.ndarray | float:

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .curvespace import (
     WeightGrid,
+    cumulative_integral,
     norm_H,
     norm_frak_H,
     random_harmonic_family,
@@ -92,6 +92,11 @@ class VolatilitySpec:
     r_budget: float = math.inf
     uses_fd: bool = False
     params: dict = field(default_factory=dict)
+
+    @property
+    def state_free(self) -> bool:
+        """``gamma_seq`` declared all zero: sigma ignores u (audited by check_hypotheses)."""
+        return self.gamma_seq is not None and not np.any(self.gamma_seq)
 
     def sigma_at(self, t: float, x, u) -> np.ndarray:
         out = np.asarray(self.sigma(t, np.asarray(x, float), np.asarray(u, float)), float)
@@ -316,7 +321,7 @@ def hs_norm_B(model: HjmModel, t: float, u) -> np.ndarray | float:
 
 def running_volatility_integral(model: HjmModel, sig: np.ndarray) -> np.ndarray:
     """S(x_i) = int_0^{x_i} sigma dy by cumulative trapezoid, shape (..., n, d)."""
-    return cumulative_trapezoid(sig, model.grid.nodes, axis=-2, initial=0.0)
+    return cumulative_integral(sig, model.grid, axis=-2)
 
 
 def drift_functional(
@@ -553,7 +558,7 @@ def _vector_pairs_in_ball(
         )
         nu = fam.derivative_at(grid.nodes).reshape(n, d, grid.n_nodes).transpose(0, 2, 1)
         nu = rescale_to_norm(nu, grid, radius * rng.uniform(0.4, 1.0, n), norm="frak")
-        S = cumulative_trapezoid(nu, grid.nodes, axis=-2, initial=0.0)
+        S = cumulative_integral(nu, grid, axis=-2)
         s_max = np.sqrt(np.square(S).sum(axis=-1)).max(axis=-1)
         over = s_max > r_safe
         if np.any(over):

@@ -18,6 +18,10 @@ freezes at the first time index where its curve norm exceeds ``r_local`` or
 the running volatility integral leaves the cumulant ball, and keeps its
 frozen value afterwards, so ensemble estimators stay well defined.
 
+Both schemes take sigma and the drift of each step from one kernel, which
+evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
+drift once per step for all paths, bitwise as the per-path evaluation would.
+
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
 bitwise, and rerunning with the same seed reproduces every curve bitwise.
@@ -173,6 +177,18 @@ def _noise(model: HjmModel, cfg: SolverConfig, increments) -> np.ndarray:
     return increments
 
 
+def _volatility_and_drift(model: HjmModel, t: float, U: np.ndarray) -> tuple:
+    """Step kernel: left-endpoint sigma, drift f and ball flag ok of the paths U.
+
+    A state-free sigma is evaluated once, on the zero curve (finite whatever
+    the paths hold); its (1, n, d) values, f and ok broadcast over the paths.
+    """
+    u = np.zeros((1, model.grid.n_nodes)) if model.vol.state_free else U
+    sig = model.vol.sigma_at(t, model.grid.nodes, u)
+    f, ok = drift_functional(model, sig)
+    return sig, f, ok
+
+
 def euler_transitions(
     model: HjmModel, u0, cfg: SolverConfig, increments=None
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
@@ -196,8 +212,7 @@ def euler_transitions(
         too_big = active & (norm_H(U, grid) > cfg.r_local)
         exit_index[too_big] = j
         active &= ~too_big
-        sig = model.vol.sigma_at(t_j, grid.nodes, U)
-        f, ok = drift_functional(model, sig)
+        sig, f, ok = _volatility_and_drift(model, t_j, U)
         ball_bad = active & ~ok
         exit_index[ball_bad] = j
         active &= ~ball_bad
@@ -280,9 +295,7 @@ def picard_solve(
         for j in range(1, m + 1):
             i = j - 1
             t_i = float(times[i])
-            U_i = prev[:, i]
-            sig = model.vol.sigma_at(t_i, grid.nodes, U_i)
-            f, ok = drift_functional(model, sig)
+            sig, f, ok = _volatility_and_drift(model, t_i, prev[:, i])
             newly = ~ok & ~frozen
             exit_index[newly] = i
             frozen |= newly

@@ -219,6 +219,30 @@ class TestIntegrals:
                 lh.partial_integral(u, grid, float(grid.nodes[idx])), rel=1e-12
             )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_cumulative_matches_scipy_bitwise(self, d, uniform):
+        from scipy.integrate import cumulative_trapezoid
+
+        g = lh.make_grid(10.0, 77, BETA)
+        if not uniform:
+            nodes = 10.0 * np.linspace(0.0, 1.0, 77) ** 2
+            weights = np.zeros(77)
+            weights[1:] += 0.5 * np.diff(nodes)
+            weights[:-1] += 0.5 * np.diff(nodes)
+            g = lh.WeightGrid(nodes=nodes, weight_beta=BETA, quad_weights=weights)
+        rng = np.random.default_rng(d)
+        vec = rng.normal(size=(5, g.n_nodes, d))
+        np.testing.assert_array_equal(
+            lh.cumulative_integral(vec, g, axis=-2),
+            cumulative_trapezoid(vec, g.nodes, axis=-2, initial=0.0),
+        )
+        scalar = vec[..., 0]
+        np.testing.assert_array_equal(
+            lh.cumulative_integral(scalar, g),
+            cumulative_trapezoid(scalar, g.nodes, axis=-1, initial=0.0),
+        )
+
     def test_negative_upper_rejected(self, grid):
         with pytest.raises(ValueError):
             lh.partial_integral(np.zeros(grid.n_nodes), grid, -0.5)

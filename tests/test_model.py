@@ -1,5 +1,6 @@
 """Volatility specs, noise operator, no-arbitrage drift, regularity audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,13 @@ class TestVolatilityBuiltins:
         )
         got = vol.sigma_u_at(0.0, 0.0, 0.3)
         assert got[0] == pytest.approx(math.cos(0.3), rel=1e-5)
+
+    def test_state_free_read_from_gamma_seq(self):
+        assert lh.constant_volatility([0.1, 0.2]).state_free
+        assert lh.exp_decay_volatility([0.3], [0.7]).state_free
+        assert not lh.tanh_volatility([0.4], [1.0]).state_free
+        bare = _custom_spec("bare", 1, lambda t, x, u: np.zeros(_shape(x, u) + (1,)))
+        assert not bare.state_free  # undeclared gamma_seq
 
 
 class TestApplyB:
@@ -326,6 +334,18 @@ class TestHypothesesAudit:
         check = report["u_derivatives_bounded"]
         assert not check.passed
         assert check.worst_margin > 1.0  # violation grows with the sampled |u|
+
+    def test_false_state_free_declaration_fails(self, grid):
+        # gamma_seq = 0 claims sigma ignores u (the solvers then evaluate it
+        # once per step); a tanh(u) volatility breaks that claim
+        tanh = lh.tanh_volatility([0.2], [1.0])
+        spec = dataclasses.replace(tanh, name="tanh_state_free", gamma_seq=np.zeros(1))
+        assert spec.state_free
+        driver = lh.build_driver([lh.WienerComponent(1.0)], r_ball=3.0, delta=1.5)
+        m = lh.HjmModel(grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=spec)
+        check = lh.check_hypotheses(m, 2000, seed=2)["u_derivatives_bounded"]
+        assert not check.passed
+        assert check.worst_margin > 0.1  # |sigma_u| reaches 0.2 near u = 0
 
 
 class TestLipschitzEstimates:

@@ -1,5 +1,6 @@
 """Solver schemes: transport exactness, oracles, localization, norms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -361,3 +362,153 @@ class TestInitialDatumLipschitz:
             for d in dirs
         ]
         assert max(ratios) < 5.0
+
+
+def _solve(solver, model, u0, cfg, increments=None):
+    if solver == "euler":
+        return lh.euler_solve(model, u0, cfg, increments=increments)
+    return lh.picard_solve(model, u0, cfg, increments=increments).ensemble
+
+
+def _model(grid, vol, r_ball=1.0):
+    comps = [lh.WienerComponent(1.0), lh.GammaComponent(1.0, 2.0)][: vol.dim]
+    driver = lh.build_driver(comps, r_ball=r_ball, delta=1.5)
+    return lh.HjmModel(grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=vol)
+
+
+def _linear_vol(c):
+    """sigma = c u: state dependent, so paths leave the ball one by one."""
+    sig = lambda t, x, u: (c * np.asarray(u, float))[..., None]
+    return lh.VolatilitySpec(name="linear", dim=1, sigma=sig, gamma_seq=np.array([c]))
+
+
+def _ramp_vol(level, rate):
+    """sigma = level (1 + rate t): state-free, so every path leaves the ball at once."""
+
+    def sig(t, x, u):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(u)) + (1,)
+        return np.full(shape, level * (1.0 + rate * t))
+
+    return lh.VolatilitySpec(name="ramp", dim=1, sigma=sig, gamma_seq=np.zeros(1))
+
+
+def _assert_frozen_at_exit(ens, n_steps):
+    """Each exited path keeps its state at exit_index for every later time."""
+    for p in np.nonzero(ens.exit_index <= n_steps)[0]:
+        j = ens.exit_index[p]
+        for k in range(j, n_steps + 1):
+            np.testing.assert_array_equal(ens.curves[p, k], ens.curves[p, j])
+
+
+class TestStateFreeKernel:
+    """The once-per-step evaluation equals the per-path one bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("builder", ["constant", "exp_decay"])
+    def test_bitwise_equal_to_per_path(self, builder, d):
+        grid = aligned_grid(10.0, 1.0 / 16.0)
+        if builder == "constant":
+            vol = lh.constant_volatility([0.02, 0.01][:d])
+        else:
+            vol = lh.exp_decay_volatility([0.05, 0.03][:d], [0.5, 1.0][:d])
+        per_path = dataclasses.replace(vol, gamma_seq=None)
+        assert vol.state_free and not per_path.state_free
+        u0 = initial_curve(grid)
+        # r_local just above the initial norm, so some paths localize
+        cfg = lh.SolverConfig(
+            horizon=0.5, n_steps=8, n_paths=64, seed=4,
+            r_local=float(lh.norm_H(u0, grid) * 1.001),
+        )
+        runs = []
+        for v in (vol, per_path):
+            model = _model(grid, v)
+            euler = lh.euler_solve(model, u0, cfg)
+            picard = lh.picard_solve(model, u0, cfg)
+            bonds = lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
+            runs.append((euler, picard, bonds))
+        (e1, p1, b1), (e2, p2, b2) = runs
+        assert (e1.exit_index <= cfg.n_steps).any()
+        np.testing.assert_array_equal(e1.curves, e2.curves)
+        np.testing.assert_array_equal(e1.exit_index, e2.exit_index)
+        np.testing.assert_array_equal(p1.ensemble.curves, p2.ensemble.curves)
+        np.testing.assert_array_equal(p1.ensemble.exit_index, p2.ensemble.exit_index)
+        assert p1.residuals == p2.residuals
+        assert b1 == b2
+
+
+class TestExitConventions:
+    """The state at exit_index is kept; what triggered the exit holds there."""
+
+    @pytest.mark.parametrize("solver", ["euler", "picard"])
+    def test_norm_exit(self, solver, gamma_model):
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        r_local = float(lh.norm_H(u0, grid) * 1.0001)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=16, n_paths=32, seed=8, r_local=r_local)
+        ens = _solve(solver, gamma_model, u0, cfg)
+        exited = np.nonzero(ens.exit_index <= cfg.n_steps)[0]
+        assert exited.size > 0
+        _assert_frozen_at_exit(ens, cfg.n_steps)
+        norms = lh.norm_H(ens.curves, grid)
+        for p in exited:
+            j = ens.exit_index[p]
+            assert norms[p, j] > r_local
+            assert np.all(norms[p, :j] <= r_local)
+
+    @pytest.mark.parametrize("solver", ["euler", "picard"])
+    def test_ball_exit(self, solver):
+        grid = aligned_grid(10.0, 1.0 / 16.0)
+        u0 = initial_curve(grid)
+        vol = _linear_vol(1.0)
+        sig0 = vol.sigma_at(0.0, grid.nodes, u0)
+        s0 = float(lh.cumulative_integral(sig0, grid, axis=-2).max())
+        model = _model(grid, vol, r_ball=1.02 * s0)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=32, seed=2)
+        ens = _solve(solver, model, u0, cfg)
+        exited = np.nonzero(ens.exit_index <= cfg.n_steps)[0]
+        assert 0 < exited.size < cfg.n_paths
+        _assert_frozen_at_exit(ens, cfg.n_steps)
+        sig = vol.sigma_at(0.0, grid.nodes, ens.curves)
+        _, ok = lh.drift_functional(model, sig)
+        for p in exited:
+            j = ens.exit_index[p]
+            assert not ok[p, j]
+            assert ok[p, :j].all()
+
+    def test_nonfinite_exit(self):
+        # Euler warns and keeps the pre-step state; Picard keeps the
+        # non-finite candidate, so its residual is NaN and the solve raises
+        grid = aligned_grid(10.0, 0.1)
+        model = _model(grid, lh.constant_volatility([0.01]))
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=5, n_paths=4, seed=1)
+        inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=1)
+        inc[2, 1, 0] = np.inf
+        with pytest.warns(RuntimeWarning, match="non-finite"):
+            ens = lh.euler_solve(model, u0, cfg, increments=inc)
+        np.testing.assert_array_equal(ens.exit_index, [6, 2, 6, 6])
+        _assert_frozen_at_exit(ens, cfg.n_steps)
+        assert np.isfinite(ens.curves).all()
+        with np.errstate(invalid="ignore"), pytest.raises(PicardDivergenceError):
+            lh.picard_solve(model, u0, cfg, increments=inc)
+
+    @pytest.mark.parametrize("solver", ["euler", "picard"])
+    def test_state_free_ball_exit_is_common(self, solver):
+        # max|S| = 10 * 0.01 (1 + t) crosses r_ball between t_4 and t_5
+        grid = aligned_grid(10.0, 1.0 / 8.0)
+        vol = _ramp_vol(0.01, 1.0)
+        model = _model(grid, vol, r_ball=0.156)
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(
+            horizon=1.0, n_steps=8, n_paths=64, seed=3,
+            r_local=float(lh.norm_H(u0, grid) * 1.0005),
+        )
+        ens = _solve(solver, model, u0, cfg)
+        per_path_vol = dataclasses.replace(vol, gamma_seq=None)
+        per_path = _solve(solver, _model(grid, per_path_vol, r_ball=0.156), u0, cfg)
+        np.testing.assert_array_equal(ens.exit_index, per_path.exit_index)
+        np.testing.assert_array_equal(ens.curves, per_path.curves)
+        early = ens.exit_index < 5
+        assert early.any() and not early.all()
+        assert np.all(ens.exit_index[~early] == 5)
+        _assert_frozen_at_exit(ens, cfg.n_steps)
