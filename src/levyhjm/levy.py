@@ -507,12 +507,25 @@ def grad_components(model: CumulantModel, z: np.ndarray, clamp: bool = False) ->
     """
     z = np.asarray(z, dtype=float)
     if clamp:
-        norms = np.sqrt(np.square(z).sum(axis=-1, keepdims=True))
-        limit = model.r_ball * (1.0 - 1e-9)
-        factor = np.where(norms > limit, limit / np.maximum(norms, 1e-300), 1.0)
-        z = z * factor
-    else:
-        z = _check_domain(model, z)
+        return _clamped_grad(model, z, np.sqrt(np.square(z).sum(axis=-1)))
+    return _grad(model, _check_domain(model, z))
+
+
+def _clamped_grad(model: CumulantModel, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient at z radially projected onto the ball; ``norms`` holds |z|.
+
+    Only vectors beyond the ball are scaled; when there are none z is used as
+    is, which is exactly scaling by 1.0.  NaN norms compare false and keep
+    their vectors.
+    """
+    limit = model.r_ball * (1.0 - 1e-9)
+    over = norms > limit
+    if over.any():
+        z = z * np.where(over, limit / np.maximum(norms, 1e-300), 1.0)[..., None]
+    return _grad(model, z)
+
+
+def _grad(model: CumulantModel, z: np.ndarray) -> np.ndarray:
     cols = [
         _component_value(model, k, z[..., k], order=1) for k in range(model.driver.dim)
     ]

@@ -40,7 +40,7 @@ from .curvespace import (
     random_harmonic_family,
     rescale_to_norm,
 )
-from .levy import CumulantModel, LevyDriver, grad_components, moment_mp
+from .levy import CumulantModel, LevyDriver, _clamped_grad, moment_mp
 
 __all__ = [
     "BallViolationError",
@@ -340,7 +340,7 @@ def drift_functional(
     zeta = -S
     norms = np.sqrt(np.square(zeta).sum(axis=-1))
     ok = norms.max(axis=-1) <= model.driver.r_ball * (1.0 + 1e-9)
-    grad = grad_components(model.cumulant, zeta, clamp=True)
+    grad = _clamped_grad(model.cumulant, zeta, norms)
     g = np.einsum("...nd,...nd->...n", nu, grad)
     if signed:
         g = model.drift_sign * g

@@ -14,13 +14,24 @@ Two schemes on a shared time grid t_j = j * dt:
 Integrands are evaluated at the left endpoint of each step (predictable
 convention; anything else biases jump terms), and the drift time integral
 uses the matching left-endpoint rectangle rule.  Paths are localized: a path
-freezes at the first time index where its curve norm exceeds ``r_local`` or
-the running volatility integral leaves the cumulant ball, and keeps its
-frozen value afterwards, so ensemble estimators stay well defined.
+freezes at the first time index where its curve norm exceeds ``r_local``,
+the running volatility integral leaves the cumulant ball, or the next state
+is not finite, and keeps its frozen value afterwards, so ensemble estimators
+stay well defined.  A non-finite step freezes the path at its last finite
+state in both schemes, with a warning.
 
 Both schemes take sigma and the drift of each step from one kernel, which
 evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
 drift once per step for all paths, bitwise as the per-path evaluation would.
+
+Paths are independent, so both schemes step them in blocks of rows sized to
+stay in cache (Picard runs all time steps of a sweep on one block before the
+next).  Curves, exit indices and Picard residuals are bitwise those of
+stepping the whole ensemble at once: every operation is per path, and the
+residual's mean over paths is one reduction over all of them.  Only the
+localization norm's BLAS matrix-vector product may round a last bit
+differently with the block's row count, which could move an exit only for a
+norm equal to ``r_local`` to that bit.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -177,16 +188,51 @@ def _noise(model: HjmModel, cfg: SolverConfig, increments) -> np.ndarray:
     return increments
 
 
-def _volatility_and_drift(model: HjmModel, t: float, U: np.ndarray) -> tuple:
-    """Step kernel: left-endpoint sigma, drift f and ball flag ok of the paths U.
+# Float64 values in one (rows, n_nodes) block array, 512 KiB: the solvers
+# step the paths a block of rows at a time, so a step's temporaries stay in
+# cache instead of streaming whole-ensemble arrays through memory.
+_BLOCK_VALUES = 1 << 16
 
-    A state-free sigma is evaluated once, on the zero curve (finite whatever
-    the paths hold); its (1, n, d) values, f and ok broadcast over the paths.
+
+def _row_blocks(n_paths: int, n_nodes: int) -> Iterator[slice]:
+    """Consecutive slices of the path axis, about _BLOCK_VALUES / n_nodes rows each."""
+    rows = max(1, _BLOCK_VALUES // n_nodes)
+    for start in range(0, n_paths, rows):
+        yield slice(start, start + rows)
+
+
+def _step_kernel(model: HjmModel, times: np.ndarray):
+    """Step kernel ``kernel(j, U) -> (sigma, f, ok)`` at ``times[j]``.
+
+    Left-endpoint sigma, drift f and ball flag ok of the paths U.  A
+    state-free sigma is evaluated once per time, on the zero curve (finite
+    whatever the paths hold), and its (1, n, d) sigma, (1, n) drift and (1,)
+    ball flag broadcast over any block of paths.
     """
-    u = np.zeros((1, model.grid.n_nodes)) if model.vol.state_free else U
-    sig = model.vol.sigma_at(t, model.grid.nodes, u)
-    f, ok = drift_functional(model, sig)
-    return sig, f, ok
+
+    def per_path(j: int, U: np.ndarray) -> tuple:
+        sig = model.vol.sigma_at(float(times[j]), model.grid.nodes, U)
+        f, ok = drift_functional(model, sig)
+        return sig, f, ok
+
+    if not model.vol.state_free:
+        return per_path
+    zero = np.zeros((1, model.grid.n_nodes))
+    shared = [per_path(j, zero) for j in range(len(times))]
+    return lambda j, U: shared[j]
+
+
+def _mark_exits(
+    exit_index: np.ndarray, frozen: np.ndarray, trigger: np.ndarray, j: int
+) -> np.ndarray:
+    """Freeze the live paths where ``trigger`` holds, with exit time index j.
+
+    Updates ``exit_index`` and ``frozen`` in place; returns the newly frozen.
+    """
+    newly = trigger & ~frozen
+    exit_index[newly] = j
+    frozen |= newly
+    return newly
 
 
 def euler_transitions(
@@ -194,44 +240,45 @@ def euler_transitions(
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
     """Yield (j, t_j, states, exit_index) for j = 0 .. n_steps, streaming.
 
-    ``states`` is the live (n_paths, n_nodes) buffer; consumers must copy
-    anything they keep.  Localization follows the frozen-at-exit convention
-    described in the module docstring.
+    ``states`` is a live (n_paths, n_nodes) buffer that the step after next
+    overwrites; consumers must copy anything they keep.  Localization follows
+    the frozen-at-exit convention described in the module docstring; a path
+    exits with its pre-step state.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
     U = _initial_matrix(u0, cfg, grid)
+    nxt = np.empty_like(U)
     sentinel = cfg.n_steps + 1
     exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
     times = cfg.times
+    kernel = _step_kernel(model, times[:-1])
     yield 0, 0.0, U, exit_index
     for j in range(cfg.n_steps):
-        t_j = float(times[j])
-        active = exit_index == sentinel
-        # localization triggers evaluated on the pre-step state
-        too_big = active & (norm_H(U, grid) > cfg.r_local)
-        exit_index[too_big] = j
-        active &= ~too_big
-        sig, f, ok = _volatility_and_drift(model, t_j, U)
-        ball_bad = active & ~ok
-        exit_index[ball_bad] = j
-        active &= ~ball_bad
-        candidate = (
-            _shift_values(U, cfg.dt, grid)
-            + f * cfg.dt
-            + np.einsum("pnd,pd->pn", sig, dM[j])
-        )
-        bad = active & ~np.isfinite(candidate).all(axis=-1)
-        if bad.any():
+        n_bad = 0
+        for rows in _row_blocks(cfg.n_paths, grid.n_nodes):
+            u, exits = U[rows], exit_index[rows]
+            frozen = exits != sentinel
+            # localization triggers evaluated on the pre-step state
+            _mark_exits(exits, frozen, norm_H(u, grid) > cfg.r_local, j)
+            sig, f, ok = kernel(j, u)
+            _mark_exits(exits, frozen, ~ok, j)
+            candidate = (
+                _shift_values(u, cfg.dt, grid)
+                + f * cfg.dt
+                + np.einsum("pnd,pd->pn", sig, dM[j, rows])
+            )
+            bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), j)
+            n_bad += int(bad.sum())
+            nxt[rows] = np.where(frozen[:, None], u, candidate)
+        if n_bad:
             warnings.warn(
-                f"{int(bad.sum())} path(s) produced non-finite curves at step {j}; "
+                f"{n_bad} path(s) produced non-finite curves at step {j}; "
                 "localized at the offending step",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        exit_index[bad] = j
-        active &= ~bad
-        U = np.where(active[:, None], candidate, U)
+        U, nxt = nxt, U
         yield j + 1, float(times[j + 1]), U, exit_index
 
 
@@ -280,46 +327,55 @@ def picard_solve(
         transported[j] = _shift_values(u0_vals, float(times[j]), grid)
 
     prev = np.broadcast_to(transported, (cfg.n_paths, m + 1, grid.n_nodes)).copy()
+    new = np.empty_like(prev)
+    new[:, 0] = base
+    diff = np.empty((cfg.n_paths, m + 1))
+    kernel = _step_kernel(model, times[:-1])
     sentinel = m + 1
-    exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
+    nonfinite = np.zeros(cfg.n_paths, dtype=bool)
     residuals: list[float] = []
     converged = False
     sweeps = 0
 
     for sweep in range(cfg.n_picard):
-        new = np.empty_like(prev)
-        new[:, 0] = base
-        conv = np.zeros((cfg.n_paths, grid.n_nodes))
         exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
-        frozen = np.zeros(cfg.n_paths, dtype=bool)
-        for j in range(1, m + 1):
-            i = j - 1
-            t_i = float(times[i])
-            sig, f, ok = _volatility_and_drift(model, t_i, prev[:, i])
-            newly = ~ok & ~frozen
-            exit_index[newly] = i
-            frozen |= newly
-            G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i])
-            conv = _shift_values(conv + G, cfg.dt, grid)
-            candidate = transported[j] + conv
-            over = (norm_H(candidate, grid) > cfg.r_local) & ~frozen
-            bad = ~np.isfinite(candidate).all(axis=-1) & ~frozen
-            newly = over | bad
-            exit_index[newly] = j
-            frozen |= newly
-            new[:, j] = candidate
-            if frozen.any():
-                idx = np.nonzero(frozen)[0]
-                new[idx, j] = new[idx, np.minimum(exit_index[idx], j)]
-        diff = norm_H(new - prev, grid)  # (P, m+1)
+        # each block of paths runs the whole sweep while its rows stay in cache
+        for rows in _row_blocks(cfg.n_paths, grid.n_nodes):
+            old, cur, exits = prev[rows], new[rows], exit_index[rows]
+            conv = np.zeros((old.shape[0], grid.n_nodes))
+            frozen = np.zeros(old.shape[0], dtype=bool)
+            for j in range(1, m + 1):
+                i = j - 1
+                sig, f, ok = kernel(i, old[:, i])
+                _mark_exits(exits, frozen, ~ok, i)
+                G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i, rows])
+                conv = _shift_values(conv + G, cfg.dt, grid)
+                candidate = transported[j] + conv
+                # a non-finite candidate keeps the last finite state, as in Euler;
+                # a candidate over the norm radius is kept
+                bad = ~np.isfinite(candidate).all(axis=-1)
+                nonfinite[rows] |= _mark_exits(exits, frozen, bad, i)
+                _mark_exits(exits, frozen, norm_H(candidate, grid) > cfg.r_local, j)
+                cur[:, j] = candidate
+                if frozen.any():
+                    idx = np.nonzero(frozen)[0]
+                    cur[idx, j] = cur[idx, np.minimum(exits[idx], j)]
+            diff[rows] = norm_H(cur - old, grid)
         residual = float(np.sqrt(np.square(diff).mean(axis=0).max()))
         residuals.append(residual)
-        prev = new
+        prev, new = new, prev
         sweeps = sweep + 1
         if residual < cfg.picard_tol:
             converged = True
             break
 
+    if nonfinite.any():
+        warnings.warn(
+            f"{int(nonfinite.sum())} path(s) produced non-finite curves in the "
+            "Picard sweeps; localized at the step before",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if not converged:
         tail_decreasing = len(residuals) >= 2 and residuals[-1] < residuals[-2]
         if not tail_decreasing:

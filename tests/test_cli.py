@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,3 +328,11 @@ class TestMainEntry:
             ]
         )
         assert code == EXIT_OK
+
+    def test_import_does_not_load_scipy_integrate(self):
+        # scipy.integrate took a third of the start-up time of every run
+        src = str(Path(lh.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, levyhjm; sys.exit('scipy.integrate' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert run.returncode == 0

@@ -285,6 +285,42 @@ class TestDrift:
         assert not ok[0] and ok[1]
         assert np.all(np.isfinite(f))
 
+    def test_clamped_gradient_bitwise_as_always_scaled(self, grid):
+        # the ball norm is computed once and vectors are scaled only when some
+        # lie outside the ball; the reference always scales, by 1.0 inside
+        from levyhjm.levy import grad_components
+        from levyhjm.model import running_volatility_integral
+
+        driver = lh.build_driver(
+            [lh.WienerComponent(1.0), lh.GammaComponent(1.0, 2.0)], r_ball=0.5, delta=1.5
+        )
+        m = lh.HjmModel(
+            grid=grid,
+            driver=driver,
+            cumulant=lh.CumulantModel(driver),
+            vol=lh.constant_volatility([0.01, 0.02]),
+        )
+
+        def reference(z):
+            norms = np.sqrt(np.square(z).sum(axis=-1, keepdims=True))
+            limit = m.cumulant.r_ball * (1.0 - 1e-9)
+            factor = np.where(norms > limit, limit / np.maximum(norms, 1e-300), 1.0)
+            return grad_components(m.cumulant, z * factor)
+
+        rng = np.random.default_rng(5)
+        inside = rng.uniform(-0.03, 0.03, size=(3, grid.n_nodes, 2))
+        mixed = rng.uniform(0.0, 0.2, size=(3, grid.n_nodes, 2))
+        mixed[0] *= 0.01
+        mixed[2, 4:9] = np.nan
+        for sig, in_ball in ((inside, [True] * 3), (mixed, [True, False, False])):
+            zeta = -running_volatility_integral(m, sig)
+            ref = reference(zeta)
+            np.testing.assert_array_equal(grad_components(m.cumulant, zeta, clamp=True), ref)
+            f, ok = drift_functional(m, sig)
+            expected = m.drift_sign * np.einsum("...nd,...nd->...n", sig, ref)
+            np.testing.assert_array_equal(f, expected)
+            assert ok.tolist() == in_ball
+
     def test_budget_exceeding_ball_rejected_at_construction(self, grid):
         driver = lh.build_driver([lh.GammaComponent(1.0, 2.0)], r_ball=0.1, delta=1.5)
         with pytest.raises(ValueError, match="budget"):

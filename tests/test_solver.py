@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -476,21 +477,29 @@ class TestExitConventions:
             assert ok[p, :j].all()
 
     def test_nonfinite_exit(self):
-        # Euler warns and keeps the pre-step state; Picard keeps the
-        # non-finite candidate, so its residual is NaN and the solve raises
+        # both schemes warn once and keep the last finite (pre-step) state
         grid = aligned_grid(10.0, 0.1)
         model = _model(grid, lh.constant_volatility([0.01]))
         u0 = initial_curve(grid)
         cfg = lh.SolverConfig(horizon=0.5, n_steps=5, n_paths=4, seed=1)
         inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=1)
         inc[2, 1, 0] = np.inf
-        with pytest.warns(RuntimeWarning, match="non-finite"):
-            ens = lh.euler_solve(model, u0, cfg, increments=inc)
-        np.testing.assert_array_equal(ens.exit_index, [6, 2, 6, 6])
-        _assert_frozen_at_exit(ens, cfg.n_steps)
-        assert np.isfinite(ens.curves).all()
-        with np.errstate(invalid="ignore"), pytest.raises(PicardDivergenceError):
-            lh.picard_solve(model, u0, cfg, increments=inc)
+        messages = {
+            "euler": "1 path(s) produced non-finite curves at step 2; "
+            "localized at the offending step",
+            "picard": "1 path(s) produced non-finite curves in the Picard sweeps; "
+            "localized at the step before",
+        }
+        for solver, message in messages.items():
+            with np.errstate(invalid="ignore"), warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                ens = _solve(solver, model, u0, cfg, increments=inc)
+            assert [str(w.message) for w in seen if "non-finite" in str(w.message)] == [
+                message
+            ]
+            np.testing.assert_array_equal(ens.exit_index, [6, 2, 6, 6])
+            _assert_frozen_at_exit(ens, cfg.n_steps)
+            assert np.isfinite(ens.curves).all()
 
     @pytest.mark.parametrize("solver", ["euler", "picard"])
     def test_state_free_ball_exit_is_common(self, solver):
@@ -512,3 +521,92 @@ class TestExitConventions:
         assert early.any() and not early.all()
         assert np.all(ens.exit_index[~early] == 5)
         _assert_frozen_at_exit(ens, cfg.n_steps)
+
+
+class TestBlockInvariance:
+    """Stepping the paths in row blocks of any size gives the whole-ensemble results."""
+
+    N_PATHS = 30  # not a multiple of 7: the last 7-row block is short
+    STEP = 3  # where the non-finite increments are injected
+
+    @staticmethod
+    def _setup(vol_name):
+        grid = aligned_grid(10.0, 1.0 / 16.0)
+        u0 = initial_curve(grid)
+        if vol_name == "tanh_bounded":
+            model = _model(grid, lh.tanh_volatility([0.05], [1.0]))
+        elif vol_name == "constant_vector":
+            model = _model(grid, lh.constant_volatility([0.02]))
+        else:  # state dependent and unbounded, so paths leave the ball one by one
+            vol = _linear_vol(0.3)
+            sig0 = vol.sigma_at(0.0, grid.nodes, u0)
+            s0 = float(lh.cumulative_integral(sig0, grid, axis=-2).max())
+            model = _model(grid, vol, r_ball=1.1 * s0)
+        step = TestBlockInvariance.STEP
+        cfg = lh.SolverConfig(
+            horizon=0.5, n_steps=8, n_paths=TestBlockInvariance.N_PATHS, seed=3
+        )
+        inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=3)
+        # half of the paths exceed r_local at some step
+        unlocalized = lh.euler_solve(model, u0, cfg, increments=inc)
+        r_local = float(np.median(lh.norm_H(unlocalized.curves, grid).max(axis=1)))
+        cfg = dataclasses.replace(cfg, r_local=r_local)
+        # non-finite increments at one step on two paths still alive there, in
+        # the first and the last 7-row block
+        alive = lh.euler_solve(model, u0, cfg, increments=inc).exit_index > step
+        bad = [int(np.argmax(alive)), int(len(alive) - 1 - np.argmax(alive[::-1]))]
+        assert bad[0] // 7 != bad[1] // 7
+        inc[step, bad, 0] = np.inf
+        return model, u0, cfg, inc, bad
+
+    @pytest.mark.parametrize("vol_name", ["tanh_bounded", "constant_vector", "linear"])
+    def test_bitwise_equal_across_block_sizes(self, vol_name, monkeypatch):
+        from levyhjm import solver
+
+        model, u0, cfg, inc, bad = self._setup(vol_name)
+        n = model.grid.n_nodes
+        runs = []
+        for rows in (1, 7, cfg.n_paths + 5):
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", rows * n)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "[0-9]+ path.s. produced non-finite")
+                euler = lh.euler_solve(model, u0, cfg, increments=inc)
+                picard = lh.picard_solve(model, u0, cfg, increments=inc)
+            bonds = lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
+            runs.append((euler, picard, bonds))
+
+        # norm, ball and non-finite exits fall in different 7-row blocks
+        euler, picard, _ = runs[0]
+        exits = euler.exit_index
+        sig = model.vol.sigma_at(0.0, model.grid.nodes, euler.curves)
+        _, ok = lh.drift_functional(model, sig)
+        norms = lh.norm_H(euler.curves, model.grid)
+        exited = np.nonzero(exits <= cfg.n_steps)[0]
+        ball = [p for p in exited if not ok[p, exits[p]]]
+        over = [p for p in exited if p not in ball and norms[p, exits[p]] > cfg.r_local]
+        np.testing.assert_array_equal(exits[bad], self.STEP)
+        np.testing.assert_array_equal(picard.ensemble.exit_index[bad], self.STEP)
+        assert len({p // 7 for p in over}) > 1
+        assert (len({p // 7 for p in ball}) > 1) == (vol_name == "linear")
+
+        e1, p1, b1 = runs[-1]
+        for e2, p2, b2 in runs[:-1]:
+            assert np.array_equal(e1.curves, e2.curves)
+            assert np.array_equal(e1.exit_index, e2.exit_index)
+            assert np.array_equal(p1.ensemble.curves, p2.ensemble.curves)
+            assert np.array_equal(p1.ensemble.exit_index, p2.ensemble.exit_index)
+            assert p1.residuals == p2.residuals
+            assert b1 == b2
+
+    def test_nonfinite_paths_in_two_blocks_warn_once(self, monkeypatch):
+        from levyhjm import solver
+
+        model, u0, cfg, inc, _bad = self._setup("constant_vector")
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * model.grid.n_nodes)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            lh.euler_solve(model, u0, cfg, increments=inc)
+        assert [str(w.message) for w in seen if "non-finite" in str(w.message)] == [
+            f"2 path(s) produced non-finite curves at step {self.STEP}; "
+            "localized at the offending step"
+        ]
