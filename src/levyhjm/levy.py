@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DriverConfigError",
@@ -139,7 +138,7 @@ class GammaComponent:
 
     def levy_moment(self, p: float) -> float:
         """int x^p m(dx) = c Gamma(p) / rate^p."""
-        return self.c * special.gamma(p) / self.rate**p
+        return self.c * math.gamma(p) / self.rate**p
 
     def cumulant(self, z):
         z = np.asarray(z, dtype=float)
@@ -203,7 +202,7 @@ class CompoundPoissonComponent:
     def levy_moment(self, p: float) -> float:
         """int |x|^p m(dx) = intensity * E|N(0, s^2)|^p."""
         s = self.jump_std
-        abs_moment = s**p * 2 ** (p / 2) * special.gamma((p + 1) / 2) / math.sqrt(math.pi)
+        abs_moment = s**p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
         return self.intensity * abs_moment
 
     def cumulant(self, z):

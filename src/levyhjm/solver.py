@@ -4,12 +4,18 @@ Two schemes on a shared time grid t_j = j * dt:
 
 * ``euler_solve``   explicit stepping
       u_{j+1} = shift(u_j, dt) + f(t_j, u_j) dt + B(t_j, u_j) dM_j,
-* ``picard_solve``  fixed-point sweeps of the variation-of-constants map
+* ``picard_solve``  the fixed point of the variation-of-constants map
       (F u)(t_j) = shift(u0, t_j)
                    + sum_{i<j} shift(f(t_i, u(t_i)) dt + B(t_i, u(t_i)) dM_i,
                                 t_j - t_i),
-  iterated against one fixed noise record (common random numbers across
-  sweeps; fresh noise would never reach a fixed point).
+  on one fixed noise record (common random numbers across sweeps; fresh
+  noise would never reach a fixed point).  F is causal: (F u)(t_j) reads u
+  only before t_j.  So the first sweep, a causal pass that evaluates each
+  step on the iterate it is building, returns the exact fixed point of the
+  discrete map (in exact arithmetic the exponential-Euler recursion
+  u_{j+1} = shift(u_j + f(t_j, u_j) dt + B(t_j, u_j) dM_j, dt)).  The later
+  sweeps certify it: the second applies F to it with the same operations,
+  so its residual is 0.0, checked against the tolerance as any sweep's.
 
 Integrands are evaluated at the left endpoint of each step (predictable
 convention; anything else biases jump terms), and the drift time integral
@@ -307,11 +313,16 @@ def euler_solve(
 def picard_solve(
     model: HjmModel, u0, cfg: SolverConfig, increments=None
 ) -> PicardResult:
-    """Iterate the variation-of-constants map to its fixed point.
+    """Solve the variation-of-constants map for its fixed point, and certify it.
 
-    All sweeps reuse one noise record.  The residual after each sweep is
-    sup over time nodes of the root mean square curve-norm distance between
-    successive iterates; iteration stops below ``picard_tol``.  If the sweep
+    Sweep 0 is the causal pass: step j evaluates its kernel on the iterate
+    being built, which reaches the fixed point of the discrete map.  Later
+    sweeps are Jacobi sweeps (every step reads the previous iterate); the
+    first of them recomputes F(u*) bitwise, so it certifies u* with the
+    residual 0.0.  All sweeps reuse one noise record.  The residual after
+    each sweep is sup over time nodes of the root mean square curve-norm
+    distance between successive iterates (sweep 0: to the transported
+    initial curve); iteration stops below ``picard_tol``.  If the sweep
     budget is exhausted with a non-decreasing residual tail the run is
     rejected (shrink the horizon or the localization radius); a decreasing
     but unconverged tail is returned with ``converged=False``.
@@ -344,17 +355,23 @@ def picard_solve(
             old, cur, exits = prev[rows], new[rows], exit_index[rows]
             conv = np.zeros((old.shape[0], grid.n_nodes))
             frozen = np.zeros(old.shape[0], dtype=bool)
+            # the causal pass reads the iterate it is building, later sweeps the last one
+            src = cur if sweep == 0 else old
             for j in range(1, m + 1):
                 i = j - 1
-                sig, f, ok = kernel(i, old[:, i])
+                sig, f, ok = kernel(i, src[:, i])
                 _mark_exits(exits, frozen, ~ok, i)
                 G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i, rows])
                 conv = _shift_values(conv + G, cfg.dt, grid)
                 candidate = transported[j] + conv
-                # a non-finite candidate keeps the last finite state, as in Euler;
-                # a candidate over the norm radius is kept
-                bad = ~np.isfinite(candidate).all(axis=-1)
-                nonfinite[rows] |= _mark_exits(exits, frozen, bad, i)
+                # a non-finite candidate is replaced by the last finite state, as
+                # in Euler, and its convolution restarts at zero, so no later
+                # step computes with it; a candidate over the norm radius is kept
+                bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), i)
+                if bad.any():
+                    nonfinite[rows] |= bad
+                    candidate[bad] = cur[bad, i]
+                    conv[bad] = 0.0
                 _mark_exits(exits, frozen, norm_H(candidate, grid) > cfg.r_local, j)
                 cur[:, j] = candidate
                 if frozen.any():

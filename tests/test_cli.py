@@ -336,3 +336,14 @@ class TestMainEntry:
         code = "import sys, levyhjm; sys.exit('scipy.integrate' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
         assert run.returncode == 0
+
+    def test_import_does_not_load_scipy(self):
+        # scipy.special alone took half of the start-up time of every run
+        src = str(Path(lh.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, levyhjm; "
+            "sys.exit(any(m.startswith('scipy') for m in sys.modules))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert run.returncode == 0

@@ -258,6 +258,18 @@ class TestCovarianceAndMoments:
         with pytest.raises(ValueError, match="p_max"):
             lh.moment_mp(gamma_driver, 6.0)
 
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+    def test_levy_moments_match_scipy_gamma(self, p):
+        from scipy.special import gamma
+
+        g = lh.GammaComponent(1.3, 2.0)
+        expected = g.c * gamma(p) / g.rate**p
+        assert g.levy_moment(p) == pytest.approx(expected, rel=1e-15, abs=0)
+        cp = lh.CompoundPoissonComponent(0.7, 0.4)
+        s = cp.jump_std
+        expected = cp.intensity * s**p * 2 ** (p / 2) * gamma((p + 1) / 2) / math.sqrt(math.pi)
+        assert cp.levy_moment(p) == pytest.approx(expected, rel=1e-15, abs=0)
+
 
 class TestSampling:
     def test_martingale_mean(self, gamma_driver):

@@ -200,14 +200,70 @@ class TestPicardIteration:
         with pytest.raises(PicardDivergenceError, match="residuals"):
             lh.picard_solve(gamma_model, u0, cfg)
 
-    def test_unconverged_but_decreasing_returned(self, gamma_model):
+    def test_unconverged_but_decreasing_returned(self, gamma_model, monkeypatch):
+        # the causal pass reaches the fixed point, so only a map that changes
+        # from sweep to sweep leaves a decreasing, unconverged tail: the drift
+        # is bumped by 1e-3 in sweep 0, halving with every later sweep
+        from levyhjm import solver
+
         u0 = initial_curve(gamma_model.grid)
         cfg = lh.SolverConfig(
             horizon=0.5, n_steps=8, n_paths=8, seed=7, picard_tol=1e-30, n_picard=3
         )
+        step_kernel = solver._step_kernel
+        calls = 0
+
+        def bumped_kernel(model, times):
+            kernel = step_kernel(model, times)
+
+            def bumped(j, U):
+                nonlocal calls
+                sig, f, ok = kernel(j, U)
+                bump = 1e-3 * 0.5 ** (calls // cfg.n_steps)  # one block of 8 paths
+                calls += 1
+                return sig, f + bump, ok
+
+            return bumped
+
+        monkeypatch.setattr(solver, "_step_kernel", bumped_kernel)
         res = lh.picard_solve(gamma_model, u0, cfg)
-        assert not res.converged
+        assert calls == 3 * cfg.n_steps
+        assert res.converged is False
         assert res.sweeps == 3
+        r = res.residuals
+        assert all(r[i + 1] < r[i] for i in range(len(r) - 1))
+
+
+class TestOnePassSolve:
+    """The first sweep is the causal pass to the fixed point; the second certifies it."""
+
+    def test_second_sweep_certifies_with_zero_residual(self, gamma_model):
+        u0 = initial_curve(gamma_model.grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=16, n_paths=32, seed=5)
+        res = lh.picard_solve(gamma_model, u0, cfg)
+        assert res.sweeps == 2
+        assert res.residuals[0] > cfg.picard_tol
+        assert res.residuals[1] == 0.0
+        assert res.converged
+
+    def test_matches_left_endpoint_recursion(self, gamma_model):
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=16, n_paths=6, seed=11)
+        res = lh.picard_solve(gamma_model, u0, cfg)
+        ens = res.ensemble
+        assert (ens.exit_index == cfg.n_steps + 1).all()
+        dt = cfg.dt
+        for p in range(cfg.n_paths):
+            u, conv = u0, np.zeros(grid.n_nodes)
+            for j in range(1, cfg.n_steps + 1):
+                t = float(cfg.times[j - 1])
+                sig = gamma_model.vol.sigma_at(t, grid.nodes, u)
+                f, ok = lh.drift_functional(gamma_model, sig)
+                assert ok
+                conv = lh.shift(conv + f * dt + sig @ ens.increments[j - 1, p], dt, grid)
+                u = lh.shift(u0, float(cfg.times[j]), grid) + conv
+                np.testing.assert_allclose(ens.curves[p, j], u, rtol=0, atol=1e-14)
 
 
 class TestLocalization:
@@ -500,6 +556,21 @@ class TestExitConventions:
             np.testing.assert_array_equal(ens.exit_index, [6, 2, 6, 6])
             _assert_frozen_at_exit(ens, cfg.n_steps)
             assert np.isfinite(ens.curves).all()
+
+    @pytest.mark.parametrize("solver", ["euler", "picard"])
+    def test_nonfinite_exit_warns_only_the_localization(self, solver):
+        # no numpy warning from computing with the non-finite path afterwards
+        grid = aligned_grid(10.0, 0.1)
+        model = _model(grid, lh.constant_volatility([0.01]))
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=5, n_paths=4, seed=1)
+        inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=1)
+        inc[2, 1, 0] = np.inf
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            _solve(solver, model, u0, cfg, increments=inc)
+        assert len(seen) == 1
+        assert "non-finite" in str(seen[0].message)
 
     @pytest.mark.parametrize("solver", ["euler", "picard"])
     def test_state_free_ball_exit_is_common(self, solver):
