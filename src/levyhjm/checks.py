@@ -446,11 +446,10 @@ def verify_martingale_bonds(
     disc = np.zeros(cfg.n_paths)
     exit_index = None
     for j, t_j, U, exit_idx in euler_transitions(model, u0, cfg):
-        for im, T in enumerate(maturities):
-            bond = partial_integral(U, grid, T - t_j)
-            D[:, j, im] = np.exp(-disc - bond)
-        if j < cfg.n_steps:
-            disc = disc + partial_integral(U, grid, cfg.dt)
+        # the bond integrals and the one-period integral in one pass over U
+        integrals = partial_integral(U, grid, [T - t_j for T in maturities] + [cfg.dt])
+        D[:, j] = np.exp(-disc[:, None] - integrals[:, :-1])
+        disc = disc + integrals[:, -1]
         exit_index = exit_idx
 
     n_exited = int((exit_index <= cfg.n_steps).sum())

@@ -26,10 +26,8 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -477,15 +475,9 @@ CHECK_REGISTRY = {
 def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
     """Run the configured checks; reports are merged sorted by name."""
     vc = sc.verify or {}
-    names = list(vc.get("checks", []))
-    workers = int(os.environ.get("LEVYHJM_WORKERS", "1"))
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(CHECK_REGISTRY[n], bundle, vc, seed) for n in names]
-            groups = [f.result() for f in futures]
-    else:
-        groups = [CHECK_REGISTRY[n](bundle, vc, seed) for n in names]
-    reports = [r for group in groups for r in group]
+    reports = []
+    for name in vc.get("checks", []):
+        reports.extend(CHECK_REGISTRY[name](bundle, vc, seed))
     return sorted(reports, key=lambda r: r.name)
 
 

@@ -53,6 +53,12 @@ __all__ = [
 # tolerance of an integer number of cells are applied by exact indexing.
 _ALIGN_RTOL = 1e-9
 
+# Float64 values the derivative stencil handles at a time, a quarter of the
+# solvers' row block: its three coefficient tiles, the rows, the output and
+# one temporary then take 768 KiB and stay in a 1-2 MiB L2 cache (at a whole
+# block, 3 MiB, the norm of 100k x 121 curves took twice as long).
+_STENCIL_VALUES = 1 << 14
+
 
 @dataclass(frozen=True)
 class WeightGrid:
@@ -127,6 +133,31 @@ class WeightGrid:
         w = self.alpha * self.quad_weights
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def _stencil(self) -> tuple:
+        """np.gradient's ``edge_order=1`` coefficients: ``(tiles, dx_0, dx_n)``.
+
+        ``tiles`` holds the interior coefficients of u[i-1], u[i] and u[i+1],
+        each repeated once per row of a stencil chunk (the entries at the two
+        edge columns are never read); it is None on an exactly uniform grid,
+        where np.gradient divides u[i+1] - u[i-1] by 2h instead.  ``dx_0`` and
+        ``dx_n`` are the spacings of the one-sided edge differences.
+        """
+        dx = np.diff(self.nodes)
+        if (dx == dx[0]).all():
+            return None, dx[0], dx[-1]
+        dx1, dx2 = dx[:-1], dx[1:]
+        interior = (
+            -dx2 / (dx1 * (dx1 + dx2)),
+            (dx2 - dx1) / (dx1 * dx2),
+            dx1 / (dx2 * (dx1 + dx2)),
+        )
+        rows = max(1, _STENCIL_VALUES // self.n_nodes)
+        tiles = tuple(np.tile(np.pad(coef, 1), rows) for coef in interior)
+        for tile in tiles:
+            tile.flags.writeable = False
+        return tiles, dx[0], dx[-1]
 
     def refine(self, factor: int = 2) -> "WeightGrid":
         """Grid with the node count scaled by ``factor`` (same x_max, beta)."""
@@ -213,52 +244,112 @@ def cumulative_integral(curve, grid: WeightGrid, axis: int = -1) -> np.ndarray:
     return out
 
 
-def partial_integral(curve, grid: WeightGrid, upper: float) -> np.ndarray | float:
-    """Trapezoid integral int_0^upper with linear interpolation at the cut.
+def _partial_weights(grid: WeightGrid, upper: float) -> np.ndarray:
+    """Node weights w with int_0^upper u = sum_i w_i u(x_i), as ``partial_integral``.
 
-    ``upper`` beyond x_max uses the flat extrapolation (last value extends).
+    The trapezoid rule on the complete cells below ``upper``, then the
+    trapezoid of the partial cell up to the linear interpolant at ``upper``;
+    beyond x_max the flat tail adds (upper - x_max) to the last node.
     """
     if upper < 0:
         raise ValueError(f"upper limit must be nonnegative, got {upper}")
+    if upper >= grid.x_max:
+        w = grid.quad_weights.copy()
+        w[-1] += upper - grid.x_max
+        return w
+    nodes = grid.nodes
+    j = max(int(np.searchsorted(nodes, upper, side="right")), 1)
+    half_dx = 0.5 * np.diff(nodes[:j])
+    w = np.zeros(grid.n_nodes)
+    w[: j - 1] += half_dx
+    w[1:j] += half_dx
+    x0 = nodes[j - 1]
+    frac = (upper - x0) / (nodes[j] - x0)
+    w[j - 1] += 0.5 * (upper - x0) * (2.0 - frac)
+    w[j] += 0.5 * (upper - x0) * frac
+    return w
+
+
+def partial_integral(curve, grid: WeightGrid, upper) -> np.ndarray | float:
+    """Trapezoid integral int_0^upper with linear interpolation at the cut.
+
+    ``upper`` beyond x_max uses the flat extrapolation (last value extends).
+    A sequence of limits gives one integral per limit on a new last axis, in
+    one pass over the curves.  The node reduction is an einsum, so each
+    curve's value does not depend on the batch it sits in.
+    """
+    limits = np.atleast_1d(upper)
+    weights = np.array([_partial_weights(grid, float(u)) for u in limits])
     v = _values(curve)
     _check_nodes(v, grid, -1)
-    nodes = grid.nodes
-    if upper >= grid.x_max:
-        full = v @ grid.quad_weights
-        tail = (upper - grid.x_max) * v[..., -1]
-        out = full + tail
-        return float(out) if np.ndim(out) == 0 else out
-    j = int(np.searchsorted(nodes, upper, side="right"))
-    j = max(j, 1)
-    # complete cells up to node j-1, then the partial cell [x_{j-1}, upper]
-    dx = np.diff(nodes[:j])
-    head = 0.5 * (v[..., 1:j] + v[..., : j - 1]) @ dx if j > 1 else 0.0
-    x0, x1 = nodes[j - 1], nodes[j]
-    frac = (upper - x0) / (x1 - x0)
-    v_cut = v[..., j - 1] * (1 - frac) + v[..., j] * frac
-    out = head + 0.5 * (v[..., j - 1] + v_cut) * (upper - x0)
+    out = np.einsum("...n,kn->...k", v, weights)
+    if np.ndim(upper) > 0:
+        return out
+    out = out[..., 0]
     return float(out) if np.ndim(out) == 0 else out
 
 
 def grid_derivative(curve, grid: WeightGrid, axis: int = -1) -> np.ndarray:
-    """Centered finite differences along the node axis, one sided at the ends."""
+    """Centered finite differences along the node axis, one sided at the ends.
+
+    Bitwise np.gradient(..., edge_order=1).  The grid's tiled stencil runs
+    over the flattened rows a chunk at a time, as contiguous multiply-adds;
+    the values it computes across row ends are overwritten by the edges.
+    """
     v = _values(curve)
     _check_nodes(v, grid, axis)
-    return np.gradient(v, grid.nodes, axis=axis, edge_order=1)
+    v = np.moveaxis(v, axis, -1)
+    n = grid.n_nodes
+    rows = v.reshape(-1, n)
+    out = np.empty(v.shape)
+    out_rows = out.reshape(-1, n)
+    tiles, dx_0, dx_n = grid._stencil
+    step = max(1, _STENCIL_VALUES // n)
+    tmp = np.empty(min(len(rows), step) * n)
+    for start in range(0, len(rows), step):
+        f = rows[start : start + step].reshape(-1)  # copies only a strided chunk
+        o = out_rows[start : start + step].reshape(-1)[1:-1]
+        if tiles is None:
+            np.subtract(f[2:], f[:-2], out=o)
+            o /= 2.0 * dx_0
+            continue
+        a, b, c = (tile[1 : f.size - 1] for tile in tiles)
+        t = tmp[: f.size - 2]
+        np.multiply(a, f[:-2], out=o)
+        np.multiply(b, f[1:-1], out=t)
+        o += t
+        np.multiply(c, f[2:], out=t)
+        o += t
+    out_rows[:, 0] = (rows[:, 1] - rows[:, 0]) / dx_0
+    out_rows[:, -1] = (rows[:, -1] - rows[:, -2]) / dx_n
+    return np.moveaxis(out, -1, axis)
+
+
+def _slope_energy(curve, grid: WeightGrid, axis: int = -1) -> np.ndarray:
+    """Weighted slope integral int |u'|^2 alpha of each curve.
+
+    The node axis is ``axis``: -1 for scalar curves, -2 for vector curves,
+    whose squared components are summed first (exactly the scalar value for
+    d = 1).  The node reduction is an einsum, which rounds each curve's sum
+    the same way whatever the batch around it and the BLAS thread count.
+    """
+    du = grid_derivative(curve, grid, axis=axis)
+    sq = np.square(du, out=du)
+    if axis == -2:
+        sq = sq.sum(axis=-1)
+    return np.einsum("...n,n->...", sq, grid.weighted_quad)
 
 
 def seminorm_H(curve, grid: WeightGrid) -> np.ndarray | float:
     """Derivative part sqrt(int u'^2 alpha) of the curve norm."""
-    du = grid_derivative(curve, grid)
-    out = np.sqrt(np.square(du) @ grid.weighted_quad)
+    out = np.sqrt(_slope_energy(curve, grid))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def norm_H(curve, grid: WeightGrid) -> np.ndarray | float:
     """Curve norm sqrt(u(0)^2 + int u'^2 alpha dx).  Batched over leading axes."""
     v = _values(curve)
-    du = grid_derivative(v, grid)
-    out = np.sqrt(np.square(du) @ grid.weighted_quad + np.square(v[..., 0]))
+    out = np.sqrt(_slope_energy(v, grid) + np.square(v[..., 0]))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -269,8 +360,7 @@ def norm_star(curve, grid: WeightGrid) -> np.ndarray | float:
     flat extrapolation.  Coincides with ``norm_H`` whenever u(x_max) = u(0).
     """
     v = _values(curve)
-    du = grid_derivative(v, grid)
-    out = np.sqrt(np.square(du) @ grid.weighted_quad + np.square(v[..., -1]))
+    out = np.sqrt(_slope_energy(v, grid) + np.square(v[..., -1]))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -283,11 +373,8 @@ def norm_frak_H(vcurve, grid: WeightGrid) -> np.ndarray | float:
     v = _values(vcurve)
     if v.ndim < 2:
         raise ValueError("vector curve needs shape (..., n_nodes, d)")
-    _check_nodes(v, grid, -2)
-    du = np.gradient(v, grid.nodes, axis=-2, edge_order=1)
-    sq = np.square(du).sum(axis=-1)
     boundary = np.square(v[..., 0, :]).sum(axis=-1)
-    out = np.sqrt(sq @ grid.weighted_quad + boundary)
+    out = np.sqrt(_slope_energy(v, grid, axis=-2) + boundary)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -315,26 +402,33 @@ def shift(curve, t: float, grid: WeightGrid):
     return out
 
 
-def _shift_values(v: np.ndarray, t: float, grid: WeightGrid) -> np.ndarray:
-    if t == 0.0:
-        return v.copy()
+def _shift_values(
+    v: np.ndarray, t: float, grid: WeightGrid, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Values of ``shift(v, t)``, written into ``out`` when given."""
+    if out is None:
+        out = np.empty(v.shape)
     n = grid.n_nodes
-    h = grid.spacing
-    if h is not None:
-        k = t / h
-        k_int = int(round(k))
-        if abs(k - k_int) <= _ALIGN_RTOL * max(1.0, abs(k)):
-            if k_int >= n - 1:
-                return np.broadcast_to(v[..., -1:], v.shape).copy()
-            pad = np.broadcast_to(v[..., -1:], v.shape[:-1] + (k_int,))
-            return np.concatenate([v[..., k_int:], pad], axis=-1)
+    cells = None  # the shift in whole cells, when it is node aligned
+    if t == 0.0:
+        cells = 0
+    elif grid.spacing is not None:
+        k = t / grid.spacing
+        if abs(k - round(k)) <= _ALIGN_RTOL * max(1.0, abs(k)):
+            cells = min(int(round(k)), n - 1)
+    if cells is not None:
+        out[..., : n - cells] = v[..., cells:]
+        out[..., n - cells :] = v[..., -1:]
+        return out
     x = grid.nodes + t
     j = np.searchsorted(grid.nodes, x, side="right")
     j = np.clip(j, 1, n - 1)
     x0 = grid.nodes[j - 1]
     x1 = grid.nodes[j]
     frac = np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
-    return v[..., j - 1] * (1.0 - frac) + v[..., j] * frac
+    np.multiply(v[..., j - 1], 1.0 - frac, out=out)
+    out += v[..., j] * frac
+    return out
 
 
 @dataclass(frozen=True)

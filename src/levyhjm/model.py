@@ -34,6 +34,7 @@ import numpy as np
 
 from .curvespace import (
     WeightGrid,
+    _slope_energy,
     cumulative_integral,
     norm_H,
     norm_frak_H,
@@ -313,9 +314,7 @@ def hs_norm_B(model: HjmModel, t: float, u) -> np.ndarray | float:
     """
     u_vals = np.asarray(getattr(u, "values", u), dtype=float)
     sig = model.vol.sigma_at(t, model.grid.nodes, u_vals)
-    dsig = np.gradient(sig, model.grid.nodes, axis=-2, edge_order=1)
-    sq = np.square(dsig).sum(axis=-1)
-    out = np.sqrt(sq @ model.grid.weighted_quad)
+    out = np.sqrt(_slope_energy(sig, model.grid, axis=-2))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -504,8 +503,7 @@ def _hs_diff(model: HjmModel, t: float, U: np.ndarray, V: np.ndarray) -> np.ndar
     """Hilbert-Schmidt distance of the noise operators along curve batches."""
     sig_u = model.vol.sigma_at(t, model.grid.nodes, U)
     sig_v = model.vol.sigma_at(t, model.grid.nodes, V)
-    diff = np.gradient(sig_u - sig_v, model.grid.nodes, axis=-2, edge_order=1)
-    return np.sqrt(np.square(diff).sum(axis=-1) @ model.grid.weighted_quad)
+    return np.sqrt(_slope_energy(sig_u - sig_v, model.grid, axis=-2))
 
 
 def _curve_pairs_in_ball(

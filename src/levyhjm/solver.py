@@ -34,10 +34,7 @@ Paths are independent, so both schemes step them in blocks of rows sized to
 stay in cache (Picard runs all time steps of a sweep on one block before the
 next).  Curves, exit indices and Picard residuals are bitwise those of
 stepping the whole ensemble at once: every operation is per path, and the
-residual's mean over paths is one reduction over all of them.  Only the
-localization norm's BLAS matrix-vector product may round a last bit
-differently with the block's row count, which could move an exit only for a
-norm equal to ``r_local`` to that bit.
+residual's mean over paths is one reduction over all of them.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -255,6 +252,8 @@ def euler_transitions(
     dM = _noise(model, cfg, increments)
     U = _initial_matrix(u0, cfg, grid)
     nxt = np.empty_like(U)
+    blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
+    noise_term = np.empty_like(U[blocks[0]])
     sentinel = cfg.n_steps + 1
     exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
     times = cfg.times
@@ -262,21 +261,22 @@ def euler_transitions(
     yield 0, 0.0, U, exit_index
     for j in range(cfg.n_steps):
         n_bad = 0
-        for rows in _row_blocks(cfg.n_paths, grid.n_nodes):
-            u, exits = U[rows], exit_index[rows]
+        for rows in blocks:
+            u, exits, candidate = U[rows], exit_index[rows], nxt[rows]
             frozen = exits != sentinel
             # localization triggers evaluated on the pre-step state
             _mark_exits(exits, frozen, norm_H(u, grid) > cfg.r_local, j)
             sig, f, ok = kernel(j, u)
             _mark_exits(exits, frozen, ~ok, j)
-            candidate = (
-                _shift_values(u, cfg.dt, grid)
-                + f * cfg.dt
-                + np.einsum("pnd,pd->pn", sig, dM[j, rows])
-            )
+            # (shift + f dt) + <sigma, dM>, summed in place in the next state
+            _shift_values(u, cfg.dt, grid, out=candidate)
+            candidate += f * cfg.dt
+            noise = noise_term[: len(u)]
+            np.einsum("pnd,pd->pn", sig, dM[j, rows], out=noise)
+            candidate += noise
             bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), j)
             n_bad += int(bad.sum())
-            nxt[rows] = np.where(frozen[:, None], u, candidate)
+            candidate[frozen] = u[frozen]
         if n_bad:
             warnings.warn(
                 f"{n_bad} path(s) produced non-finite curves at step {j}; "

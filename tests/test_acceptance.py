@@ -6,6 +6,7 @@ bands at the stated path counts, closed-form comparisons use the stated
 absolute/relative bounds.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -335,6 +336,26 @@ def test_criterion_06_solver_correctness():
     assert agreement_ok, f"scheme-agreement ratios {agreement_ratios} not O(dt)"
 
 
+def _left_endpoint_recursion(model, u0, cfg, increments) -> np.ndarray:
+    """Curves of the discrete fixed point, path by path from the definition.
+
+    conv_j = S(conv_{j-1} + f(t_{j-1}, u_{j-1}) dt + sigma(t_{j-1}, u_{j-1}) dM_{j-1})
+    and u_j = S(u0, t_j) + conv_j, with S the shift by dt: no solver code.
+    """
+    grid, dt = model.grid, cfg.dt
+    out = np.empty((cfg.n_paths, cfg.n_steps + 1, grid.n_nodes))
+    for p in range(cfg.n_paths):
+        u, conv = u0, np.zeros(grid.n_nodes)
+        out[p, 0] = u0
+        for j in range(1, cfg.n_steps + 1):
+            sig = model.vol.sigma_at(float(cfg.times[j - 1]), grid.nodes, u)
+            f, _ok = lh.drift_functional(model, sig)
+            conv = lh.shift(conv + f * dt + sig @ increments[j - 1, p], dt, grid)
+            u = lh.shift(u0, float(cfg.times[j]), grid) + conv
+            out[p, j] = u
+    return out
+
+
 def test_criterion_07_picard_contraction():
     sc = load_scenario(CONFIG)
     bundle = build_bundle(sc)
@@ -350,17 +371,38 @@ def test_criterion_07_picard_contraction():
     r = res.residuals
     decreasing = all(r[i + 1] < r[i] for i in range(len(r) - 1))
     terminal_ratio = r[-1] / r[-2] if len(r) >= 2 else 0.0
-    ok = res.converged and decreasing and terminal_ratio < 1.0
+    # the residuals reach 0.0 by construction once the causal pass is exact,
+    # so the solve is also compared with the recursion it must equal, and a
+    # wrong-sign recursion must fail that comparison
+    ens = res.ensemble
+    all_alive = bool((ens.exit_index == cfg.n_steps + 1).all())
+    exact = _left_endpoint_recursion(bundle.model, bundle.u0, cfg, ens.increments)
+    flipped = dataclasses.replace(bundle.model, drift_sign=-bundle.model.drift_sign)
+    control = _left_endpoint_recursion(flipped, bundle.u0, cfg, ens.increments)
+    gap = float(np.abs(ens.curves - exact).max())
+    control_gap = float(np.abs(ens.curves - control).max())
+    atol = 1e-14
+    ok = (
+        res.converged
+        and decreasing
+        and terminal_ratio < 1.0
+        and all_alive
+        and gap <= atol < control_gap
+    )
     _line(
         7,
         "fixed-point contraction on the bundled scenario",
         ok,
         f"sweeps={res.sweeps} residuals={[f'{x:.1e}' for x in r]} "
-        f"terminal_ratio={terminal_ratio:.3g}",
+        f"terminal_ratio={terminal_ratio:.3g} recursion_gap={gap:.1e} "
+        f"wrong_sign_gap={control_gap:.1e}",
     )
     assert res.converged
     assert decreasing
     assert terminal_ratio < 1.0
+    assert all_alive
+    assert gap <= atol, "solve differs from the left-endpoint recursion"
+    assert control_gap > atol, "the comparison cannot tell the drift sign"
 
 
 def test_criterion_08_local_lipschitz_structure():

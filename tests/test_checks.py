@@ -1,5 +1,6 @@
 """Verification suite mechanics, positive checks and negative controls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,20 @@ class TestIsometry:
         rep = lh.verify_isometry(grid, drivers["wiener"], F, 1.0, n_paths=20000, seed=2)
         assert rep.rhs == pytest.approx(0.49, rel=1e-12)
         assert rep.passed
+
+    @pytest.mark.parametrize("name", ["wiener", "gamma", "cpp"])
+    def test_wrong_covariance_fails(self, grid, drivers, name):
+        # same sampled law, covariance declared 1.5x too large: the sampler
+        # reads the components, the rhs the cached covariance_diag
+        driver = drivers[name]
+        wrong = dataclasses.replace(driver)
+        vars(wrong)["covariance_diag"] = 1.5 * driver.covariance_diag
+        F = step_integrands(grid, 1, 8, seed=21)
+        ok = lh.verify_isometry(grid, driver, F, 1.0, n_paths=20000, seed=5)
+        bad = lh.verify_isometry(grid, wrong, F, 1.0, n_paths=20000, seed=5)
+        assert ok.passed
+        assert bad.lhs == ok.lhs and bad.rhs == pytest.approx(1.5 * ok.rhs, rel=1e-14)
+        assert not bad.passed
 
     def test_predictable_control_passes_right_endpoint_fails(self, grid, drivers):
         ok = verify_isometry_predictability_control(
@@ -209,6 +224,31 @@ class TestQuadraticFormEquivalence:
             assert _rel(rep.rhs, rhs) <= 1e-12, rep.name
             assert _rel(rep.ratio, lhs / rhs) <= 1e-12, rep.name
         assert _rel(vs_plain.rhs, 1.5 * plain_l) <= 1e-12
+
+    @pytest.mark.parametrize("wrong", ["missing", "reversed"])
+    def test_wrong_shift_fails_loop_comparison(self, fine_grid, drivers, wrong, monkeypatch):
+        from levyhjm import checks
+
+        def missing(v, t, grid):
+            return v.copy()
+
+        def reversed_shift(v, t, grid):
+            # u(x - t), flat below x = 0: transport away from maturity 0
+            k = int(round(t / grid.spacing))
+            return np.concatenate(
+                [np.repeat(v[..., :1], k, axis=-1), v[..., : v.shape[-1] - k]], axis=-1
+            )
+
+        g, m, n_paths, seed, p = fine_grid, 6, 400, 31, 4.0
+        horizon = 6 / 32  # node-aligned steps
+        F = step_integrands(g, 1, m, seed=32, vanish_at_end=True)
+        driver = drivers["gamma"]
+        _, _, (cv_l, cv_r), _ = _loop_reference(g, driver, F, p, horizon, n_paths, seed)
+        shift = missing if wrong == "missing" else reversed_shift
+        monkeypatch.setattr(checks, "_shift_values", shift)
+        cv, _ = verify_convolution_inequality(g, driver, F, p, horizon, n_paths, seed)
+        assert _rel(cv.rhs, cv_r) <= 1e-12  # the bound does not see the shift
+        assert _rel(cv.lhs, cv_l) > 1e-3, wrong
 
     def test_tiny_integrand_gives_finite_nonnegative_lhs(self, grid, drivers):
         F = 1e-150 * step_integrands(grid, 1, 8, seed=33, vanish_at_end=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levyhjm as lh
+from levyhjm.curvespace import _STENCIL_VALUES
 
 BETA = 0.1
 
@@ -109,6 +110,71 @@ class TestNorms:
         fine_grid = g.refine(2)
         fine = lh.norm_H(fam.sample(fine_grid), fine_grid)
         assert np.all(np.abs(coarse - fine) / fine < 5e-3)
+
+
+def _nonuniform_grid(n: int) -> lh.WeightGrid:
+    nodes = 10.0 * np.linspace(0.0, 1.0, n) ** 2
+    weights = np.zeros(n)
+    weights[1:] += 0.5 * np.diff(nodes)
+    weights[:-1] += 0.5 * np.diff(nodes)
+    return lh.WeightGrid(nodes=nodes, weight_beta=BETA, quad_weights=weights)
+
+
+def _exactly_uniform_grid(n: int, h: float) -> lh.WeightGrid:
+    weights = np.full(n, h)
+    weights[[0, -1]] = h / 2
+    return lh.WeightGrid(nodes=h * np.arange(n), weight_beta=BETA, quad_weights=weights)
+
+
+STENCIL_GRIDS = {
+    "make_grid_121": lambda: lh.make_grid(6.0, 121, BETA),  # spacing rounds unevenly
+    "make_grid_321": lambda: lh.make_grid(10.0, 321, BETA),  # h = 1/32, exactly uniform
+    "uniform_h3": lambda: _exactly_uniform_grid(40, 3.0),  # 1/(2h) inexact
+    "nonuniform": lambda: _nonuniform_grid(77),
+}
+
+
+class TestStencil:
+    """The tiled derivative stencil is bitwise np.gradient(..., edge_order=1)."""
+
+    @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+    def test_bitwise_gradient(self, name):
+        g = STENCIL_GRIDS[name]()
+        n = g.n_nodes
+        rng = np.random.default_rng(n)
+        many = _STENCIL_VALUES // n * 2 + 3  # more rows than the tile holds
+        for shape in [(n,), (5, n), (3, 4, n), (many, n)]:
+            v = rng.normal(size=shape)
+            np.testing.assert_array_equal(
+                lh.grid_derivative(v, g), np.gradient(v, g.nodes, axis=-1, edge_order=1)
+            )
+        strided = rng.normal(size=(9, 3, n))[:, 1]
+        np.testing.assert_array_equal(
+            lh.grid_derivative(strided, g),
+            np.gradient(strided, g.nodes, axis=-1, edge_order=1),
+        )
+        vec = rng.normal(size=(6, n, 2))
+        np.testing.assert_array_equal(
+            lh.grid_derivative(vec, g, axis=-2),
+            np.gradient(vec, g.nodes, axis=-2, edge_order=1),
+        )
+
+    @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+    def test_norms_bitwise_across_row_blocks(self, name):
+        g = STENCIL_GRIDS[name]()
+        curves = lh.random_curves(g, 50, np.random.default_rng(4))
+        vec = np.stack([curves, 0.5 * curves[::-1]], axis=-1)
+        for norm, u in (
+            (lh.norm_H, curves),
+            (lh.norm_star, curves),
+            (lh.seminorm_H, curves),
+            (lh.norm_frak_H, vec),
+        ):
+            whole = norm(u, g)
+            for rows in (1, 7):
+                blocks = [norm(u[i : i + rows], g) for i in range(0, len(u), rows)]
+                assert np.array_equal(np.concatenate(blocks), whole), norm.__name__
+        assert np.array_equal(lh.norm_frak_H(curves[..., None], g), lh.norm_H(curves, g))
 
 
 class TestNormEquivalence:
@@ -224,13 +290,7 @@ class TestIntegrals:
     def test_cumulative_matches_scipy_bitwise(self, d, uniform):
         from scipy.integrate import cumulative_trapezoid
 
-        g = lh.make_grid(10.0, 77, BETA)
-        if not uniform:
-            nodes = 10.0 * np.linspace(0.0, 1.0, 77) ** 2
-            weights = np.zeros(77)
-            weights[1:] += 0.5 * np.diff(nodes)
-            weights[:-1] += 0.5 * np.diff(nodes)
-            g = lh.WeightGrid(nodes=nodes, weight_beta=BETA, quad_weights=weights)
+        g = lh.make_grid(10.0, 77, BETA) if uniform else _nonuniform_grid(77)
         rng = np.random.default_rng(d)
         vec = rng.normal(size=(5, g.n_nodes, d))
         np.testing.assert_array_equal(
@@ -242,6 +302,41 @@ class TestIntegrals:
             lh.cumulative_integral(scalar, g),
             cumulative_trapezoid(scalar, g.nodes, axis=-1, initial=0.0),
         )
+
+    @pytest.mark.parametrize("name", ["make_grid_121", "nonuniform"])
+    def test_partial_matches_two_branch_formula(self, name):
+        def reference(v, g, upper):
+            # the direct quadrature: full trapezoid plus flat tail beyond x_max,
+            # else complete cells plus the partial cell to the interpolant
+            nodes = g.nodes
+            if upper >= g.x_max:
+                return v @ g.quad_weights + (upper - g.x_max) * v[..., -1]
+            j = max(int(np.searchsorted(nodes, upper, side="right")), 1)
+            dx = np.diff(nodes[:j])
+            head = 0.5 * (v[..., 1:j] + v[..., : j - 1]) @ dx if j > 1 else 0.0
+            x0, x1 = nodes[j - 1], nodes[j]
+            frac = (upper - x0) / (x1 - x0)
+            v_cut = v[..., j - 1] * (1 - frac) + v[..., j] * frac
+            return head + 0.5 * (v[..., j - 1] + v_cut) * (upper - x0)
+
+        g = STENCIL_GRIDS[name]()
+        rng = np.random.default_rng(12)
+        curves = 0.03 + 0.01 * lh.random_curves(g, 20, rng, amplitude=0.5)
+        assert (curves > 0).all()
+        mid_cell = 0.5 * float(g.nodes[3] + g.nodes[4])
+        node = float(g.nodes[len(g.nodes) // 2])
+        uppers = [0.0, mid_cell, node, g.x_max, g.x_max + 1.7]
+        for upper in uppers:
+            got = lh.partial_integral(curves, g, upper)
+            want = reference(curves, g, upper)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=str(upper))
+            assert lh.partial_integral(curves[3], g, upper) == got[3]
+        # a sequence of limits: the same values, one per limit on the last axis
+        together = lh.partial_integral(curves, g, uppers)
+        assert together.shape == (len(curves), len(uppers))
+        for i, upper in enumerate(uppers):
+            assert np.array_equal(together[:, i], lh.partial_integral(curves, g, upper))
+        assert np.array_equal(lh.partial_integral(curves[3], g, uppers), together[3])
 
     def test_negative_upper_rejected(self, grid):
         with pytest.raises(ValueError):

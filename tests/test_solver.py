@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -681,3 +685,55 @@ class TestBlockInvariance:
             f"2 path(s) produced non-finite curves at step {self.STEP}; "
             "localized at the offending step"
         ]
+
+
+_THREAD_RUN = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import levyhjm as lh
+from levyhjm.checks import report_row
+
+grid = lh.make_grid(6.0, 121, 0.1)
+driver = lh.build_driver([lh.GammaComponent(1.0, 2.0)], r_ball=1.0, delta=1.5)
+model = lh.HjmModel(
+    grid=grid, driver=driver, cumulant=lh.CumulantModel(driver),
+    vol=lh.tanh_volatility([0.12], [1.0]),
+)
+u0 = 0.02 + 0.015 * (1.0 - np.exp(-0.4 * grid.nodes))
+cfg = lh.SolverConfig(
+    horizon=1.0, n_steps=10, n_paths=1500, seed=5,
+    r_local=float(lh.norm_H(u0, grid)) * 1.2,
+)
+ens = lh.euler_solve(model, u0, cfg)
+rows = [report_row(r) for r in lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)]
+big = lh.make_grid(10.0, 321, 0.1)
+curves = lh.random_curves(big, 2003, np.random.default_rng(3))
+h = hashlib.sha256()
+for a in (ens.curves, ens.exit_index, lh.norm_H(curves, big),
+          lh.partial_integral(curves, big, 2.3)):
+    h.update(np.ascontiguousarray(a).tobytes())
+exited = int((ens.exit_index <= cfg.n_steps).sum())
+print(h.hexdigest(), exited, repr(rows))
+"""
+
+
+class TestBlasThreadInvariance:
+    def test_same_outputs_with_one_and_two_blas_threads(self):
+        """Curves, exits, bond reports, norms and quadratures, per BLAS thread count.
+
+        The batch of 2003 curves on 321 nodes is large enough for a threaded
+        BLAS matrix-vector product to split its rows across threads.
+        """
+        src = str(Path(lh.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-c", _THREAD_RUN, src],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outs.append(run.stdout)
+        _digest, exited, _rows = outs[0].split(" ", 2)
+        assert 0 < int(exited) < 1500  # the norm localizes some paths, not all
+        assert outs[0] == outs[1]
