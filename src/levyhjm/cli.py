@@ -26,6 +26,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import sys
 import zlib
 from dataclasses import dataclass
@@ -487,16 +488,22 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int) -> list[Check
 
 
 def _write_curves_csv(path: Path, ensemble) -> None:
+    """Write ``path_id,t,x,u`` rows ordered by path, then time, then node.
+
+    The bytes are those of ``csv.writer`` in its default dialect with every
+    number written as ``repr(float(.))``: CRLF line ends and no quoting,
+    since no id or float repr holds a comma, quote or line break.  Each
+    path's rows are joined into one string and written at once.
+    """
+    times, nodes = ensemble.times.tolist(), ensemble.grid.nodes.tolist()
+    prefixes = [f"{t!r},{x!r}," for t in times for x in nodes]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "t", "x", "u"])
-        nodes = ensemble.grid.nodes
+        fh.write("path_id,t,x,u\r\n")
         for p in range(ensemble.n_paths):
-            for j, t in enumerate(ensemble.times):
-                row_t = repr(float(t))
-                curve = ensemble.curves[p, j]
-                for i, x in enumerate(nodes):
-                    w.writerow([str(p), row_t, repr(float(x)), repr(float(curve[i]))])
+            values = ensemble.curves[p].ravel().tolist()
+            cells = map(operator.add, prefixes, map(repr, values))  # "t,x,u"
+            # the separator ends one row and starts the next with the path id
+            fh.write(f"{p}," + f"\r\n{p},".join(cells) + "\r\n")
 
 
 def _write_summary_csv(path: Path, ensemble) -> None:

@@ -319,13 +319,17 @@ def picard_solve(
     being built, which reaches the fixed point of the discrete map.  Later
     sweeps are Jacobi sweeps (every step reads the previous iterate); the
     first of them recomputes F(u*) bitwise, so it certifies u* with the
-    residual 0.0.  All sweeps reuse one noise record.  The residual after
-    each sweep is sup over time nodes of the root mean square curve-norm
-    distance between successive iterates (sweep 0: to the transported
-    initial curve); iteration stops below ``picard_tol``.  If the sweep
-    budget is exhausted with a non-decreasing residual tail the run is
-    rejected (shrink the horizon or the localization radius); a decreasing
-    but unconverged tail is returned with ``converged=False``.
+    residual 0.0.  Every sweep writes its iterate into the one
+    (n_paths, n_steps + 1, n_nodes) buffer that holds the last: a Jacobi
+    step keeps a copy of the old row it overwrites, which the next step
+    reads and the residual is measured against.  All sweeps reuse one noise
+    record.  The residual after each sweep is sup over time nodes of the
+    root mean square curve-norm distance between successive iterates (sweep
+    0: to the transported initial curve); iteration stops below
+    ``picard_tol``.  If the sweep budget is exhausted with a non-decreasing
+    residual tail the run is rejected (shrink the horizon or the localization
+    radius); a decreasing but unconverged tail is returned with
+    ``converged=False``.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
@@ -337,10 +341,10 @@ def picard_solve(
     for j in range(m + 1):
         transported[j] = _shift_values(u0_vals, float(times[j]), grid)
 
-    prev = np.broadcast_to(transported, (cfg.n_paths, m + 1, grid.n_nodes)).copy()
-    new = np.empty_like(prev)
-    new[:, 0] = base
-    diff = np.empty((cfg.n_paths, m + 1))
+    # the one iterate buffer: each sweep overwrites the rows of the last
+    U = np.empty((cfg.n_paths, m + 1, grid.n_nodes))
+    U[:, 0] = base
+    diff = np.zeros((cfg.n_paths, m + 1))  # every iterate starts at u0: residual 0
     kernel = _step_kernel(model, times[:-1])
     sentinel = m + 1
     nonfinite = np.zeros(cfg.n_paths, dtype=bool)
@@ -349,17 +353,21 @@ def picard_solve(
     sweeps = 0
 
     for sweep in range(cfg.n_picard):
+        causal = sweep == 0
         exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
         # each block of paths runs the whole sweep while its rows stay in cache
         for rows in _row_blocks(cfg.n_paths, grid.n_nodes):
-            old, cur, exits = prev[rows], new[rows], exit_index[rows]
-            conv = np.zeros((old.shape[0], grid.n_nodes))
-            frozen = np.zeros(old.shape[0], dtype=bool)
-            # the causal pass reads the iterate it is building, later sweeps the last one
-            src = cur if sweep == 0 else old
+            cur, exits = U[rows], exit_index[rows]
+            conv = np.zeros((cur.shape[0], grid.n_nodes))
+            frozen = np.zeros(cur.shape[0], dtype=bool)
+            # a Jacobi sweep overwrites the last iterate's row j at step j, so
+            # held[j % 2] keeps the old row for the residual and for step j + 1
+            held = np.empty((2,) + conv.shape)
+            held[0] = cur[:, 0]
             for j in range(1, m + 1):
                 i = j - 1
-                sig, f, ok = kernel(i, src[:, i])
+                # the causal pass reads the iterate it is building
+                sig, f, ok = kernel(i, cur[:, i] if causal else held[i % 2])
                 _mark_exits(exits, frozen, ~ok, i)
                 G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i, rows])
                 conv = _shift_values(conv + G, cfg.dt, grid)
@@ -373,14 +381,19 @@ def picard_solve(
                     candidate[bad] = cur[bad, i]
                     conv[bad] = 0.0
                 _mark_exits(exits, frozen, norm_H(candidate, grid) > cfg.r_local, j)
+                # sweep 0 is measured against transport, a Jacobi sweep against the last iterate
+                if causal:
+                    old = transported[j]
+                else:
+                    old = held[j % 2]
+                    old[...] = cur[:, j]
                 cur[:, j] = candidate
                 if frozen.any():
                     idx = np.nonzero(frozen)[0]
                     cur[idx, j] = cur[idx, np.minimum(exits[idx], j)]
-            diff[rows] = norm_H(cur - old, grid)
+                diff[rows, j] = norm_H(cur[:, j] - old, grid)
         residual = float(np.sqrt(np.square(diff).mean(axis=0).max()))
         residuals.append(residual)
-        prev, new = new, prev
         sweeps = sweep + 1
         if residual < cfg.picard_tol:
             converged = True
@@ -404,7 +417,7 @@ def picard_solve(
     ensemble = SolutionEnsemble(
         grid=grid,
         times=times,
-        curves=prev,
+        curves=U,
         exit_index=exit_index,
         increments=dM,
         seed=cfg.seed,

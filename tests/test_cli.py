@@ -17,9 +17,12 @@ from levyhjm.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     ScenarioError,
+    _write_curves_csv,
+    build_bundle,
     load_scenario,
     main,
     run_scenario,
+    solver_config,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -242,6 +245,107 @@ class TestRunScenario:
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["picard"]["converged"]
         assert manifest["picard"]["residuals"]
+
+
+def reference_write_curves_csv(path, ensemble):
+    """curves.csv as a csv.writer loop, one row and two reprs at a time.
+
+    The reference that ``_write_curves_csv`` must match byte for byte.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path_id", "t", "x", "u"])
+        nodes = ensemble.grid.nodes
+        for p in range(ensemble.n_paths):
+            for j, t in enumerate(ensemble.times):
+                row_t = repr(float(t))
+                curve = ensemble.curves[p, j]
+                for i, x in enumerate(nodes):
+                    w.writerow([str(p), row_t, repr(float(x)), repr(float(curve[i]))])
+
+
+def reference_curves_bytes(tmp_path, ensemble) -> bytes:
+    path = tmp_path / "reference_curves.csv"
+    reference_write_curves_csv(path, ensemble)
+    return path.read_bytes()
+
+
+def solve_scenario(config_path):
+    """The ensemble ``simulate`` writes for a config at its own seed."""
+    sc = load_scenario(config_path)
+    bundle = build_bundle(sc)
+    cfg = solver_config(sc, sc.seed)
+    if sc.solver.get("method", "euler") == "picard":
+        return lh.picard_solve(bundle.model, bundle.u0, cfg).ensemble
+    return lh.euler_solve(bundle.model, bundle.u0, cfg)
+
+
+class TestCurvesCsvWriter:
+    """``_write_curves_csv`` writes the bytes of the csv.writer reference."""
+
+    def assert_matches_reference(self, tmp_path, ensemble):
+        path = tmp_path / "curves.csv"
+        _write_curves_csv(path, ensemble)
+        assert path.read_bytes() == reference_curves_bytes(tmp_path, ensemble)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"solver.method": "euler"},
+            {"solver.method": "picard"},
+            {"solver.n_paths": 1},
+            {"solver.horizon": 1.0, "solver.n_steps": 3},
+        ],
+        ids=["euler", "picard", "single_path", "non_dyadic_times"],
+    )
+    def test_solver_ensembles(self, tmp_path, overrides):
+        ensemble = solve_scenario(write_config(tmp_path, overrides))
+        self.assert_matches_reference(tmp_path, ensemble)
+
+    def test_frozen_paths(self, tmp_path):
+        path = write_config(tmp_path, {"solver.r_local": 0.0222})
+        ensemble = solve_scenario(path)
+        frozen = ensemble.exit_index <= BASE_CONFIG["solver"]["n_steps"]
+        assert frozen.any() and not frozen.all()
+        self.assert_matches_reference(tmp_path, ensemble)
+
+    def test_special_values(self, tmp_path):
+        cells = [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2,
+            1e-300, 1.2345678901234567e20, -1.0, 123456789.0,
+        ]
+        grid = lh.make_grid(5.0, len(cells), 0.1)
+        curves = np.array([[cells, cells[::-1]], [cells[3:] + cells[:3], cells]])
+        ensemble = lh.SolutionEnsemble(
+            grid=grid,
+            times=np.array([0.0, 1.0 / 3.0]),
+            curves=curves,
+            exit_index=np.array([2, 2]),
+            increments=np.zeros((1, 2, 1)),
+            seed=0,
+        )
+        self.assert_matches_reference(tmp_path, ensemble)
+        text = (tmp_path / "curves.csv").read_bytes()
+        for token in (b",nan\r\n", b",inf\r\n", b",-inf\r\n", b",-0.0\r\n", b",5e-324\r\n"):
+            assert token in text
+
+    @pytest.mark.parametrize("name", ["gamma_hjm.yaml", "smoke.yaml"])
+    def test_simulate_bundled_configs(self, tmp_path, name):
+        # the verify suite does not touch curves.csv, so it is skipped here
+        out = tmp_path / "out"
+        assert run_scenario(CONFIG_DIR / name, out_dir=out, verify=False) == EXIT_OK
+        expected = reference_curves_bytes(tmp_path, solve_scenario(CONFIG_DIR / name))
+        assert (out / "curves.csv").read_bytes() == expected
+
+    def test_sweep_outputs(self, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(write_config(tmp_path)), "--out", str(out)]
+        assert main(argv + ["--param", "solver.n_steps", "--values", "5,10"]) == EXIT_OK
+        for sub in ("solver_n_steps_5", "solver_n_steps_10"):
+            expected = reference_curves_bytes(
+                tmp_path, solve_scenario(out / sub / "scenario.yaml")
+            )
+            assert (out / sub / "curves.csv").read_bytes() == expected
 
 
 class TestMainEntry:

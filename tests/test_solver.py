@@ -238,6 +238,101 @@ class TestPicardIteration:
         assert all(r[i + 1] < r[i] for i in range(len(r) - 1))
 
 
+def _two_buffer_jacobi(model, u0, cfg, kernel, dM):
+    """Test-side Picard solve that keeps each iterate in its own buffer.
+
+    Sweep 0 is the causal pass; each later sweep reads only the previous
+    iterate and never writes it.  The whole ensemble is one block.  Returns
+    the curves, the exit indices and the residuals.
+    """
+    from levyhjm.solver import _shift_values
+
+    grid, m, P = model.grid, cfg.n_steps, cfg.n_paths
+    transported = np.array([_shift_values(u0, float(t), grid) for t in cfg.times])
+    prev = np.broadcast_to(transported, (P, m + 1, grid.n_nodes))
+    residuals = []
+    for sweep in range(cfg.n_picard):
+        new = np.empty((P, m + 1, grid.n_nodes))
+        new[:, 0] = u0
+        src = new if sweep == 0 else prev
+        exits = np.full(P, m + 1)
+        conv = np.zeros((P, grid.n_nodes))
+        for j in range(1, m + 1):
+            sig, f, ok = kernel(j - 1, src[:, j - 1])
+            exits[(exits > m) & ~np.broadcast_to(ok, (P,))] = j - 1
+            G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[j - 1])
+            conv = _shift_values(conv + G, cfg.dt, grid)
+            new[:, j] = transported[j] + conv
+            assert np.isfinite(new[:, j]).all()
+            exits[(exits > m) & (lh.norm_H(new[:, j], grid) > cfg.r_local)] = j
+            frozen = np.nonzero(exits <= j)[0]
+            new[frozen, j] = new[frozen, exits[frozen]]
+        diff = lh.norm_H(new - prev, grid)
+        residuals.append(float(np.sqrt(np.square(diff).mean(axis=0).max())))
+        prev = new
+        if residuals[-1] < cfg.picard_tol:
+            break
+    return prev, exits, tuple(residuals)
+
+
+class TestOneBufferSweeps:
+    """Jacobi sweeps that overwrite their input iterate row by row read only old rows."""
+
+    @pytest.mark.parametrize("block_rows", [3, 64], ids=["blocks_of_3", "one_block"])
+    @pytest.mark.parametrize("r_local", [1e6, 0.0234], ids=["all_alive", "some_frozen"])
+    def test_multi_sweep_matches_two_buffer_jacobi(
+        self, gamma_model, monkeypatch, block_rows, r_local
+    ):
+        # the drift is bumped by 1e-3 * 0.5**sweep, a map that changes each
+        # sweep, so the solve runs four sweeps; tanh makes sigma read the
+        # state, so a Jacobi step that read an overwritten row would differ
+        from levyhjm import solver
+
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(
+            horizon=0.5, n_steps=8, n_paths=10, seed=7,
+            picard_tol=1e-30, n_picard=4, r_local=r_local,
+        )
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * grid.n_nodes)
+        n_blocks = len(list(solver._row_blocks(cfg.n_paths, grid.n_nodes)))
+        step_kernel = solver._step_kernel
+
+        def per_sweep_kernel(calls_per_sweep):
+            calls = 0
+
+            def factory(model, times):
+                kernel = step_kernel(model, times)
+
+                def bumped(j, U):
+                    nonlocal calls
+                    sig, f, ok = kernel(j, U)
+                    bump = 1e-3 * 0.5 ** (calls // calls_per_sweep)
+                    calls += 1
+                    return sig, f + bump, ok
+
+                return bumped
+
+            return factory
+
+        monkeypatch.setattr(
+            solver, "_step_kernel", per_sweep_kernel(n_blocks * cfg.n_steps)
+        )
+        res = lh.picard_solve(gamma_model, u0, cfg)
+        ref_kernel = per_sweep_kernel(cfg.n_steps)(gamma_model, cfg.times[:-1])
+        curves, exits, residuals = _two_buffer_jacobi(
+            gamma_model, u0, cfg, ref_kernel, res.ensemble.increments
+        )
+        assert res.sweeps == 4 and res.converged is False
+        frozen = exits <= cfg.n_steps
+        assert frozen.any() == (r_local < 1.0) and not frozen.all()
+        # some paths freeze before the last step, so frozen rows are copied
+        assert (exits < cfg.n_steps).any() == (r_local < 1.0)
+        assert np.array_equal(res.ensemble.curves, curves)
+        assert np.array_equal(res.ensemble.exit_index, exits)
+        assert res.residuals == residuals
+
+
 class TestOnePassSolve:
     """The first sweep is the causal pass to the fixed point; the second certifies it."""
 
