@@ -82,7 +82,6 @@ from .solver import (
     norm_bb_Hp,
     norm_script_Hp,
     picard_solve,
-    stochastic_convolution,
 )
 from .checks import (
     CheckReport,

@@ -202,7 +202,6 @@ def load_scenario(path: str | Path) -> Scenario:
             "horizon": True,
             "n_steps": True,
             "n_paths": True,
-            "n_picard": False,
             "picard_tol": False,
             "r_local": False,
             "p": False,
@@ -278,6 +277,10 @@ def _cross_validate(sc: Scenario) -> None:
                     f"bond-check horizon {bond_horizon} exceeds the shortest "
                     f"maturity {min(maturities)}"
                 )
+    try:
+        solver_config(sc, sc.seed)
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"invalid solver settings: {exc}") from exc
     if sc.solver.get("p", 2.0) > bundle.driver.p_max:
         raise ScenarioError(
             f"solver.p {sc.solver.get('p')} exceeds driver p_max {bundle.driver.p_max}"
@@ -344,7 +347,6 @@ def solver_config(sc: Scenario, seed: int) -> SolverConfig:
         horizon=float(s["horizon"]),
         n_steps=int(s["n_steps"]),
         n_paths=int(s["n_paths"]),
-        n_picard=int(s.get("n_picard", 12)),
         picard_tol=float(s.get("picard_tol", 1e-8)),
         r_local=float(s.get("r_local", 1e6)),
         p=float(s.get("p", 2.0)),

@@ -8,14 +8,13 @@ Two schemes on a shared time grid t_j = j * dt:
       (F u)(t_j) = shift(u0, t_j)
                    + sum_{i<j} shift(f(t_i, u(t_i)) dt + B(t_i, u(t_i)) dM_i,
                                 t_j - t_i),
-  on one fixed noise record (common random numbers across sweeps; fresh
-  noise would never reach a fixed point).  F is causal: (F u)(t_j) reads u
-  only before t_j.  So the first sweep, a causal pass that evaluates each
-  step on the iterate it is building, returns the exact fixed point of the
+  on one fixed noise record shared by both passes.  F is causal: (F u)(t_j)
+  reads u only before t_j.  So a causal pass, which evaluates each step on
+  the iterate it is building, returns the exact fixed point u* of the
   discrete map (in exact arithmetic the exponential-Euler recursion
-  u_{j+1} = shift(u_j + f(t_j, u_j) dt + B(t_j, u_j) dM_j, dt)).  The later
-  sweeps certify it: the second applies F to it with the same operations,
-  so its residual is 0.0, checked against the tolerance as any sweep's.
+  u_{j+1} = shift(u_j + f(t_j, u_j) dt + B(t_j, u_j) dM_j, dt)).  A second,
+  certifying pass applies F to u* with the same operations; its residual is
+  0.0, and a residual not below the tolerance raises.
 
 Integrands are evaluated at the left endpoint of each step (predictable
 convention; anything else biases jump terms), and the drift time integral
@@ -31,10 +30,12 @@ evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
 drift once per step for all paths, bitwise as the per-path evaluation would.
 
 Paths are independent, so both schemes step them in blocks of rows sized to
-stay in cache (Picard runs all time steps of a sweep on one block before the
-next).  Curves, exit indices and Picard residuals are bitwise those of
-stepping the whole ensemble at once: every operation is per path, and the
-residual's mean over paths is one reduction over all of them.
+stay in cache.  Picard runs all time steps of both passes on one block
+before the next; the causal pass writes the curves buffer, the certifying
+pass one block-sized scratch buffer.  Curves, exit indices and Picard
+residuals are bitwise those of stepping the whole ensemble at once: every
+operation is per path, and the residual's mean over paths is one reduction
+over all of them.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -63,7 +64,6 @@ __all__ = [
     "euler_solve",
     "euler_transitions",
     "picard_solve",
-    "stochastic_convolution",
     "norm_script_Hp",
     "norm_bb_Hp",
     "lipschitz_in_initial_datum",
@@ -71,40 +71,41 @@ __all__ = [
 
 
 class PicardDivergenceError(RuntimeError):
-    """Picard residuals stopped decreasing before reaching the tolerance."""
+    """The certifying Picard pass moved the causal iterate by ``picard_tol`` or more."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Time grid, path budget, fixed-point and localization controls.
 
-    ``picard_tol`` is measured in the sup-in-time root mean square curve
-    norm of successive sweep differences.  ``r_local`` is the localization
-    radius in the curve norm; ``p`` the moment order the run is meant to
-    support (must not exceed the driver's declared p_max).
+    ``picard_tol`` bounds the certifying Picard pass's residual: the
+    sup-in-time root mean square curve norm of its distance to the causal
+    iterate.  ``r_local`` is the localization radius in the curve norm
+    (infinite turns localization off); ``p`` the moment order the run is
+    meant to support (must not exceed the driver's declared p_max).  A NaN
+    in any of them, or a non-finite horizon, is rejected.
     """
 
     horizon: float
     n_steps: int
     n_paths: int
-    n_picard: int = 12
     picard_tol: float = 1e-8
     r_local: float = 1e6
     p: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.picard_tol <= 0:
+        if not self.picard_tol > 0:
             raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
-        if self.r_local <= 0:
+        if not self.r_local > 0:
             raise ValueError(f"r_local must be positive, got {self.r_local}")
-        if self.p < 2:
+        if not self.p >= 2:
             raise ValueError(f"moment order p must be >= 2, got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -159,15 +160,18 @@ class SolutionEnsemble:
 
 @dataclass(frozen=True)
 class PicardResult:
+    """The causal iterate u* and the residuals of the two passes that made it.
+
+    ``residuals`` holds the causal pass's distance to the transported initial
+    curve and the certifying pass's distance to u*.  ``sweeps`` counts the
+    passes, always 2; ``converged`` is always True, since a failed
+    certification raises.
+    """
+
     ensemble: SolutionEnsemble
     sweeps: int
     residuals: tuple[float, ...]
     converged: bool
-
-    @property
-    def contraction_ratios(self) -> tuple[float, ...]:
-        r = self.residuals
-        return tuple(r[i + 1] / r[i] for i in range(len(r) - 1) if r[i] > 0)
 
 
 def _initial_matrix(u0, cfg: SolverConfig, grid: WeightGrid) -> np.ndarray:
@@ -310,94 +314,95 @@ def euler_solve(
     )
 
 
+def _picard_pass(
+    kernel, cfg: SolverConfig, grid: WeightGrid, transported: np.ndarray,
+    dM: np.ndarray, src: np.ndarray, out: np.ndarray, ref: np.ndarray,
+    diff: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the variation-of-constants map F to a block of paths: out = F(src).
+
+    Step j evaluates the kernel on ``src[:, j - 1]``, writes (F src)(t_j)
+    into ``out[:, j]`` and records ``norm_H(out[:, j] - ref[:, j])`` in
+    ``diff[:, j]`` while the row is in cache; ``out[:, 0]`` must hold the
+    initial curves.  With ``src`` = ``out`` the pass is causal.  ``dM`` holds
+    the block's (n_steps, rows, d) noise.  Returns the exit indices and the
+    mask of paths that produced a non-finite curve.
+    """
+    rows, m = out.shape[0], cfg.n_steps
+    exits = np.full(rows, m + 1, dtype=int)
+    frozen = np.zeros(rows, dtype=bool)
+    nonfinite = np.zeros(rows, dtype=bool)
+    conv = np.zeros((rows, grid.n_nodes))
+    for j in range(1, m + 1):
+        i = j - 1
+        sig, f, ok = kernel(i, src[:, i])
+        _mark_exits(exits, frozen, ~ok, i)
+        G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i])
+        conv = _shift_values(conv + G, cfg.dt, grid)
+        candidate = transported[j] + conv
+        # a non-finite candidate is replaced by the last finite state, as in
+        # Euler, and its convolution restarts at zero, so no later step
+        # computes with it; a candidate over the norm radius is kept
+        bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), i)
+        if bad.any():
+            nonfinite |= bad
+            candidate[bad] = out[bad, i]
+            conv[bad] = 0.0
+        _mark_exits(exits, frozen, norm_H(candidate, grid) > cfg.r_local, j)
+        out[:, j] = candidate
+        if frozen.any():
+            idx = np.nonzero(frozen)[0]
+            out[idx, j] = out[idx, np.minimum(exits[idx], j)]
+        diff[:, j] = norm_H(out[:, j] - ref[:, j], grid)
+    return exits, nonfinite
+
+
 def picard_solve(
     model: HjmModel, u0, cfg: SolverConfig, increments=None
 ) -> PicardResult:
     """Solve the variation-of-constants map for its fixed point, and certify it.
 
-    Sweep 0 is the causal pass: step j evaluates its kernel on the iterate
-    being built, which reaches the fixed point of the discrete map.  Later
-    sweeps are Jacobi sweeps (every step reads the previous iterate); the
-    first of them recomputes F(u*) bitwise, so it certifies u* with the
-    residual 0.0.  Every sweep writes its iterate into the one
-    (n_paths, n_steps + 1, n_nodes) buffer that holds the last: a Jacobi
-    step keeps a copy of the old row it overwrites, which the next step
-    reads and the residual is measured against.  All sweeps reuse one noise
-    record.  The residual after each sweep is sup over time nodes of the
-    root mean square curve-norm distance between successive iterates (sweep
-    0: to the transported initial curve); iteration stops below
-    ``picard_tol``.  If the sweep budget is exhausted with a non-decreasing
-    residual tail the run is rejected (shrink the horizon or the localization
-    radius); a decreasing but unconverged tail is returned with
-    ``converged=False``.
+    Two passes of F run on each block of paths, on one noise record.  The
+    causal pass evaluates step j on the iterate it is building, in the
+    (n_paths, n_steps + 1, n_nodes) curves buffer, which reaches the fixed
+    point u* of the discrete map.  The certifying pass reads u* and writes
+    F(u*) into one block-sized scratch buffer, never into u*; it recomputes
+    u* bitwise.  Each pass's residual is the sup over time nodes of the
+    root mean square curve-norm distance to what it started from (the
+    transported initial curve, then u*).  u* is returned; a certifying
+    residual not below ``picard_tol`` raises ``PicardDivergenceError``.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
     m = cfg.n_steps
     times = cfg.times
     u0_vals = _values(u0)
-    base = _initial_matrix(u0, cfg, grid)  # (P, n)
     transported = np.empty((m + 1, grid.n_nodes))
     for j in range(m + 1):
         transported[j] = _shift_values(u0_vals, float(times[j]), grid)
 
-    # the one iterate buffer: each sweep overwrites the rows of the last
     U = np.empty((cfg.n_paths, m + 1, grid.n_nodes))
-    U[:, 0] = base
-    diff = np.zeros((cfg.n_paths, m + 1))  # every iterate starts at u0: residual 0
+    U[:, 0] = _initial_matrix(u0, cfg, grid)
+    blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
+    scratch = np.empty_like(U[blocks[0]])
+    # every iterate starts at u0: both residuals are 0 at time index 0
+    diffs = np.zeros((2, cfg.n_paths, m + 1))
+    exit_index = np.empty(cfg.n_paths, dtype=int)
+    nonfinite = np.empty(cfg.n_paths, dtype=bool)
     kernel = _step_kernel(model, times[:-1])
-    sentinel = m + 1
-    nonfinite = np.zeros(cfg.n_paths, dtype=bool)
-    residuals: list[float] = []
-    converged = False
-    sweeps = 0
-
-    for sweep in range(cfg.n_picard):
-        causal = sweep == 0
-        exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
-        # each block of paths runs the whole sweep while its rows stay in cache
-        for rows in _row_blocks(cfg.n_paths, grid.n_nodes):
-            cur, exits = U[rows], exit_index[rows]
-            conv = np.zeros((cur.shape[0], grid.n_nodes))
-            frozen = np.zeros(cur.shape[0], dtype=bool)
-            # a Jacobi sweep overwrites the last iterate's row j at step j, so
-            # held[j % 2] keeps the old row for the residual and for step j + 1
-            held = np.empty((2,) + conv.shape)
-            held[0] = cur[:, 0]
-            for j in range(1, m + 1):
-                i = j - 1
-                # the causal pass reads the iterate it is building
-                sig, f, ok = kernel(i, cur[:, i] if causal else held[i % 2])
-                _mark_exits(exits, frozen, ~ok, i)
-                G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i, rows])
-                conv = _shift_values(conv + G, cfg.dt, grid)
-                candidate = transported[j] + conv
-                # a non-finite candidate is replaced by the last finite state, as
-                # in Euler, and its convolution restarts at zero, so no later
-                # step computes with it; a candidate over the norm radius is kept
-                bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), i)
-                if bad.any():
-                    nonfinite[rows] |= bad
-                    candidate[bad] = cur[bad, i]
-                    conv[bad] = 0.0
-                _mark_exits(exits, frozen, norm_H(candidate, grid) > cfg.r_local, j)
-                # sweep 0 is measured against transport, a Jacobi sweep against the last iterate
-                if causal:
-                    old = transported[j]
-                else:
-                    old = held[j % 2]
-                    old[...] = cur[:, j]
-                cur[:, j] = candidate
-                if frozen.any():
-                    idx = np.nonzero(frozen)[0]
-                    cur[idx, j] = cur[idx, np.minimum(exits[idx], j)]
-                diff[rows, j] = norm_H(cur[:, j] - old, grid)
-        residual = float(np.sqrt(np.square(diff).mean(axis=0).max()))
-        residuals.append(residual)
-        sweeps = sweep + 1
-        if residual < cfg.picard_tol:
-            converged = True
-            break
+    for rows in blocks:
+        cur, noise = U[rows], dM[:, rows]
+        exit_index[rows], nonfinite[rows] = _picard_pass(
+            kernel, cfg, grid, transported, noise,
+            src=cur, out=cur, ref=transported[None], diff=diffs[0, rows],
+        )
+        out = scratch[: len(cur)]
+        out[:, 0] = cur[:, 0]
+        _picard_pass(
+            kernel, cfg, grid, transported, noise,
+            src=cur, out=out, ref=cur, diff=diffs[1, rows],
+        )
+    residuals = tuple(float(np.sqrt(np.square(d).mean(axis=0).max())) for d in diffs)
 
     if nonfinite.any():
         warnings.warn(
@@ -406,14 +411,11 @@ def picard_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    if not converged:
-        tail_decreasing = len(residuals) >= 2 and residuals[-1] < residuals[-2]
-        if not tail_decreasing:
-            raise PicardDivergenceError(
-                "fixed-point residuals stopped decreasing "
-                f"(last: {residuals[-2:] if len(residuals) >= 2 else residuals}); "
-                "reduce the horizon or the localization radius"
-            )
+    if not residuals[1] < cfg.picard_tol:
+        raise PicardDivergenceError(
+            f"certifying pass residual {residuals[1]:.3g} is not below picard_tol "
+            f"{cfg.picard_tol:.3g}: the causal iterate is not a fixed point"
+        )
     ensemble = SolutionEnsemble(
         grid=grid,
         times=times,
@@ -424,38 +426,8 @@ def picard_solve(
         p_order=cfg.p,
     )
     return PicardResult(
-        ensemble=ensemble,
-        sweeps=sweeps,
-        residuals=tuple(residuals),
-        converged=converged,
+        ensemble=ensemble, sweeps=2, residuals=residuals, converged=True
     )
-
-
-def stochastic_convolution(
-    grid: WeightGrid,
-    integrand_curves: np.ndarray,
-    noise: np.ndarray,
-    t_index: int,
-    dt: float,
-):
-    """Left-endpoint convolution sum sum_{i < t_index} shift(<F_i, dM_i>, t - s_i).
-
-    ``integrand_curves`` holds per-step vector curves (n_steps, n_nodes, d)
-    evaluated at the left endpoints (predictable convention); ``noise`` the
-    matching (n_steps, d) increments, or (n_steps, n_paths, d) for a batch.
-    Returns the convolution curve at time index ``t_index``.
-    """
-    F = np.asarray(integrand_curves, dtype=float)
-    dM = np.asarray(noise, dtype=float)
-    if t_index < 0 or t_index > F.shape[0]:
-        raise ValueError(f"t_index {t_index} outside the step range {F.shape[0]}")
-    batch = dM.ndim == 3
-    shape = (dM.shape[1], grid.n_nodes) if batch else (grid.n_nodes,)
-    out = np.zeros(shape)
-    for i in range(t_index):
-        term = np.einsum("nd,...d->...n", F[i], dM[i])
-        out = out + _shift_values(term, (t_index - i) * dt, grid)
-    return out
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,6 @@ def test_criterion_07_picard_contraction():
         n_paths=128,
         seed=701,
         picard_tol=1e-10,
-        n_picard=20,
     )
     res = lh.picard_solve(bundle.model, bundle.u0, cfg)
     r = res.residuals

@@ -78,9 +78,11 @@ class TestScenarioParsing:
             load_scenario(path)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"solver.extra_knob": 2})
-        with pytest.raises(ScenarioError, match="unknown key"):
-            load_scenario(path)
+        # n_picard is no longer a setting: the Picard solve is two passes
+        for override in ({"solver.extra_knob": 2}, {"solver.n_picard": 12}):
+            path = write_config(tmp_path, override)
+            with pytest.raises(ScenarioError, match="unknown key"):
+                load_scenario(path)
 
     def test_missing_required_key_rejected(self, tmp_path):
         cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
@@ -212,6 +214,13 @@ class TestRunScenario:
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"grid.x_max": -1.0})
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("key", ["solver.r_local", "solver.horizon"])
+    def test_nan_solver_setting_is_config_error(self, tmp_path, key):
+        path = write_config(tmp_path, {key: float("nan")})
+        with pytest.raises(ScenarioError, match="solver settings"):
+            load_scenario(path)
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
 
     def test_missing_file_exit_code(self, tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import levyhjm as lh
-from levyhjm.solver import PicardDivergenceError
+from levyhjm.solver import PicardDivergenceError, _step_kernel
 
 BETA = 0.1
 
@@ -61,11 +61,20 @@ class TestSolverConfig:
             {"horizon": 1.0, "n_steps": 4, "n_paths": 2, "r_local": -1.0},
             {"horizon": 1.0, "n_steps": 4, "n_paths": 2, "p": 1.0},
             {"horizon": 1.0, "n_steps": 4, "n_paths": 2, "seed": -3},
+            {"horizon": math.nan, "n_steps": 4, "n_paths": 2},
+            {"horizon": math.inf, "n_steps": 4, "n_paths": 2},
+            {"horizon": 1.0, "n_steps": 4, "n_paths": 2, "picard_tol": math.nan},
+            {"horizon": 1.0, "n_steps": 4, "n_paths": 2, "r_local": math.nan},
+            {"horizon": 1.0, "n_steps": 4, "n_paths": 2, "p": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             lh.SolverConfig(**kwargs)
+
+    def test_infinite_radius_turns_localization_off(self):
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=2, r_local=math.inf)
+        assert cfg.r_local == math.inf
 
     def test_times_and_dt(self):
         cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=1)
@@ -89,7 +98,9 @@ class TestTransportExactness:
         cfg = lh.SolverConfig(horizon=0.5, n_steps=5, n_paths=3, seed=1)
         ens = lh.euler_solve(zero_model, u0, cfg)
         res = lh.picard_solve(zero_model, u0, cfg)
-        assert res.sweeps == 1
+        # certification always runs, even when the causal pass is pure transport
+        assert res.sweeps == 2
+        assert res.residuals == (0.0, 0.0)
         assert res.converged
         np.testing.assert_array_equal(res.ensemble.curves, ens.curves)
 
@@ -177,18 +188,32 @@ class TestSchemeAgreement:
             assert 1.5 < r < 2.8
 
 
-class TestPicardIteration:
-    def test_residuals_decrease_with_contraction_ratio(self, gamma_model):
-        u0 = initial_curve(gamma_model.grid)
-        cfg = lh.SolverConfig(
-            horizon=0.5, n_steps=16, n_paths=64, seed=5, picard_tol=1e-10, n_picard=20
-        )
-        res = lh.picard_solve(gamma_model, u0, cfg)
-        assert res.converged
-        r = res.residuals
-        assert all(r[i + 1] < r[i] for i in range(len(r) - 1))
-        assert all(ratio < 1.0 for ratio in res.contraction_ratios)
+def pass_dependent_kernel(n_steps):
+    """``_step_kernel`` stand-in whose drift is bumped by 1e-3, then 5e-4.
 
+    Each pass of a block calls the kernel once per step, and a block runs
+    its causal pass before its certifying pass, so the pass is
+    ``(calls // n_steps) % 2`` for any block size.  The bumped map differs
+    between the passes, so its certifying residual is not 0.0.
+    """
+    calls = 0
+
+    def factory(model, times):
+        kernel = _step_kernel(model, times)
+
+        def bumped(j, U):
+            nonlocal calls
+            sig, f, ok = kernel(j, U)
+            bump = (1e-3, 5e-4)[(calls // n_steps) % 2]
+            calls += 1
+            return sig, f + bump, ok
+
+        return bumped
+
+    return factory
+
+
+class TestPicardIteration:
     def test_common_noise_reused_across_sweeps(self, gamma_model):
         u0 = initial_curve(gamma_model.grid)
         cfg = lh.SolverConfig(horizon=0.25, n_steps=8, n_paths=8, seed=6)
@@ -196,54 +221,24 @@ class TestPicardIteration:
         expected = lh.increment_table(gamma_model.driver, cfg.dt, 8, 8, seed=6)
         np.testing.assert_array_equal(res.ensemble.increments, expected)
 
-    def test_budget_exhaustion_with_flat_residuals_raises(self, gamma_model):
-        u0 = initial_curve(gamma_model.grid)
-        cfg = lh.SolverConfig(
-            horizon=0.5, n_steps=8, n_paths=8, seed=7, picard_tol=1e-30, n_picard=1
-        )
-        with pytest.raises(PicardDivergenceError, match="residuals"):
-            lh.picard_solve(gamma_model, u0, cfg)
-
-    def test_unconverged_but_decreasing_returned(self, gamma_model, monkeypatch):
-        # the causal pass reaches the fixed point, so only a map that changes
-        # from sweep to sweep leaves a decreasing, unconverged tail: the drift
-        # is bumped by 1e-3 in sweep 0, halving with every later sweep
+    def test_pass_dependent_drift_fails_certification(self, gamma_model, monkeypatch):
+        # negative control: a map that changes between the causal and the
+        # certifying pass has no common fixed point, and must not pass
         from levyhjm import solver
 
         u0 = initial_curve(gamma_model.grid)
-        cfg = lh.SolverConfig(
-            horizon=0.5, n_steps=8, n_paths=8, seed=7, picard_tol=1e-30, n_picard=3
-        )
-        step_kernel = solver._step_kernel
-        calls = 0
-
-        def bumped_kernel(model, times):
-            kernel = step_kernel(model, times)
-
-            def bumped(j, U):
-                nonlocal calls
-                sig, f, ok = kernel(j, U)
-                bump = 1e-3 * 0.5 ** (calls // cfg.n_steps)  # one block of 8 paths
-                calls += 1
-                return sig, f + bump, ok
-
-            return bumped
-
-        monkeypatch.setattr(solver, "_step_kernel", bumped_kernel)
-        res = lh.picard_solve(gamma_model, u0, cfg)
-        assert calls == 3 * cfg.n_steps
-        assert res.converged is False
-        assert res.sweeps == 3
-        r = res.residuals
-        assert all(r[i + 1] < r[i] for i in range(len(r) - 1))
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=8, seed=7)
+        monkeypatch.setattr(solver, "_step_kernel", pass_dependent_kernel(cfg.n_steps))
+        with pytest.raises(PicardDivergenceError, match="certifying pass residual"):
+            lh.picard_solve(gamma_model, u0, cfg)
 
 
 def _two_buffer_jacobi(model, u0, cfg, kernel, dM):
     """Test-side Picard solve that keeps each iterate in its own buffer.
 
-    Sweep 0 is the causal pass; each later sweep reads only the previous
-    iterate and never writes it.  The whole ensemble is one block.  Returns
-    the curves, the exit indices and the residuals.
+    Sweep 0 is the causal pass; sweep 1 reads only the causal iterate and
+    never writes it.  The whole ensemble is one block.  Returns the causal
+    iterate's curves and exit indices, and the residuals of both sweeps.
     """
     from levyhjm.solver import _shift_values
 
@@ -251,7 +246,7 @@ def _two_buffer_jacobi(model, u0, cfg, kernel, dM):
     transported = np.array([_shift_values(u0, float(t), grid) for t in cfg.times])
     prev = np.broadcast_to(transported, (P, m + 1, grid.n_nodes))
     residuals = []
-    for sweep in range(cfg.n_picard):
+    for sweep in range(2):
         new = np.empty((P, m + 1, grid.n_nodes))
         new[:, 0] = u0
         src = new if sweep == 0 else prev
@@ -269,61 +264,38 @@ def _two_buffer_jacobi(model, u0, cfg, kernel, dM):
             new[frozen, j] = new[frozen, exits[frozen]]
         diff = lh.norm_H(new - prev, grid)
         residuals.append(float(np.sqrt(np.square(diff).mean(axis=0).max())))
-        prev = new
-        if residuals[-1] < cfg.picard_tol:
-            break
-    return prev, exits, tuple(residuals)
+        if sweep == 0:
+            prev, causal_exits = new, exits
+    return prev, causal_exits, tuple(residuals)
 
 
 class TestOneBufferSweeps:
-    """Jacobi sweeps that overwrite their input iterate row by row read only old rows."""
+    """The certifying pass reads only the causal iterate, never its own rows."""
 
     @pytest.mark.parametrize("block_rows", [3, 64], ids=["blocks_of_3", "one_block"])
-    @pytest.mark.parametrize("r_local", [1e6, 0.0234], ids=["all_alive", "some_frozen"])
+    @pytest.mark.parametrize("r_local", [1e6, 0.0239], ids=["all_alive", "some_frozen"])
     def test_multi_sweep_matches_two_buffer_jacobi(
         self, gamma_model, monkeypatch, block_rows, r_local
     ):
-        # the drift is bumped by 1e-3 * 0.5**sweep, a map that changes each
-        # sweep, so the solve runs four sweeps; tanh makes sigma read the
-        # state, so a Jacobi step that read an overwritten row would differ
+        # the drift bump differs between the passes, so the certifying pass
+        # moves the iterate; tanh makes sigma read the state, so a certifying
+        # step that read its own rows instead of the causal iterate would differ
         from levyhjm import solver
 
         grid = gamma_model.grid
         u0 = initial_curve(grid)
         cfg = lh.SolverConfig(
-            horizon=0.5, n_steps=8, n_paths=10, seed=7,
-            picard_tol=1e-30, n_picard=4, r_local=r_local,
+            horizon=0.5, n_steps=8, n_paths=10, seed=7, picard_tol=1.0, r_local=r_local,
         )
         monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * grid.n_nodes)
-        n_blocks = len(list(solver._row_blocks(cfg.n_paths, grid.n_nodes)))
-        step_kernel = solver._step_kernel
-
-        def per_sweep_kernel(calls_per_sweep):
-            calls = 0
-
-            def factory(model, times):
-                kernel = step_kernel(model, times)
-
-                def bumped(j, U):
-                    nonlocal calls
-                    sig, f, ok = kernel(j, U)
-                    bump = 1e-3 * 0.5 ** (calls // calls_per_sweep)
-                    calls += 1
-                    return sig, f + bump, ok
-
-                return bumped
-
-            return factory
-
-        monkeypatch.setattr(
-            solver, "_step_kernel", per_sweep_kernel(n_blocks * cfg.n_steps)
-        )
+        monkeypatch.setattr(solver, "_step_kernel", pass_dependent_kernel(cfg.n_steps))
         res = lh.picard_solve(gamma_model, u0, cfg)
-        ref_kernel = per_sweep_kernel(cfg.n_steps)(gamma_model, cfg.times[:-1])
+        ref_kernel = pass_dependent_kernel(cfg.n_steps)(gamma_model, cfg.times[:-1])
         curves, exits, residuals = _two_buffer_jacobi(
             gamma_model, u0, cfg, ref_kernel, res.ensemble.increments
         )
-        assert res.sweeps == 4 and res.converged is False
+        assert res.sweeps == 2 and res.converged
+        assert residuals[1] > 0.0
         frozen = exits <= cfg.n_steps
         assert frozen.any() == (r_local < 1.0) and not frozen.all()
         # some paths freeze before the last step, so frozen rows are copied
@@ -409,18 +381,38 @@ class TestLocalization:
         assert np.all(large.exit_index >= small.exit_index)
 
 
+def stochastic_convolution(grid, integrand_curves, noise, t_index, dt):
+    """Left-endpoint convolution sum sum_{i < t_index} shift(<F_i, dM_i>, t - s_i).
+
+    ``integrand_curves`` holds per-step vector curves (n_steps, n_nodes, d)
+    evaluated at the left endpoints (predictable convention); ``noise`` the
+    matching (n_steps, d) increments, or (n_steps, n_paths, d) for a batch.
+    Returns the convolution curve at time index ``t_index``.
+    """
+    from levyhjm.curvespace import _shift_values
+
+    F = np.asarray(integrand_curves, dtype=float)
+    dM = np.asarray(noise, dtype=float)
+    shape = (dM.shape[1], grid.n_nodes) if dM.ndim == 3 else (grid.n_nodes,)
+    out = np.zeros(shape)
+    for i in range(t_index):
+        term = np.einsum("nd,...d->...n", F[i], dM[i])
+        out = out + _shift_values(term, (t_index - i) * dt, grid)
+    return out
+
+
 class TestStochasticConvolution:
     def test_zero_noise_gives_zero_curve(self, gamma_model):
         grid = gamma_model.grid
         F = lh.step_integrands(grid, 1, 4, seed=1)
-        out = lh.stochastic_convolution(grid, F, np.zeros((4, 1)), 4, dt=0.25)
+        out = stochastic_convolution(grid, F, np.zeros((4, 1)), 4, dt=0.25)
         np.testing.assert_array_equal(out, np.zeros(grid.n_nodes))
 
     def test_single_step_is_shifted_pairing(self, gamma_model):
         grid = gamma_model.grid
         F = lh.step_integrands(grid, 1, 1, seed=2)
         dm = np.array([[0.37]])
-        out = lh.stochastic_convolution(grid, F, dm, 1, dt=grid.spacing)
+        out = stochastic_convolution(grid, F, dm, 1, dt=grid.spacing)
         expected = lh.shift(F[0, :, 0] * 0.37, grid.spacing, grid)
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
@@ -432,7 +424,7 @@ class TestStochasticConvolution:
         dt = 0.125
         F = lh.step_integrands(grid, 1, n_steps, seed=3)
         dM = lh.increment_table(driver, dt, n_steps, n_paths, seed=4)
-        out = lh.stochastic_convolution(grid, F, dM, n_steps, dt=dt)
+        out = stochastic_convolution(grid, F, dM, n_steps, dt=dt)
         sq = np.square(lh.norm_H(out, grid))
         mc, se = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths))
         expected = sum(
