@@ -371,16 +371,15 @@ def verify_convolution_inequality(
     horizon: float,
     n_paths: int,
     seed: int,
-    plain_factor_cap: float = 1.5,
 ) -> tuple[CheckReport, CheckReport]:
     """Implied constant for the shift-convolved integral, plus a sanity bound.
 
     The convolution sup is measured in the boundary-value norm on curves
     that vanish at x_max, where the shift semigroup contracts.  The second
-    report asserts the convolved sup stays within ``plain_factor_cap`` times
-    the unconvolved sup on the same noise (a dilation-free sanity bound).
+    report asserts the convolved sup stays within 1.5 times the unconvolved
+    sup on the same noise (a dilation-free sanity bound).
     """
-    d, dt = driver.dim, horizon / len(F)
+    d, dt, plain_factor_cap = driver.dim, horizon / len(F), 1.5
     rows, c = _step_integral_data(driver, F, horizon, n_paths, seed)
     # after step k the convolved integral is sum_{i <= k} S^{k-i+1} F_i dM_i
     # (S the one-step shift): the previous integrands and F_k, shifted once

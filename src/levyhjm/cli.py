@@ -61,7 +61,7 @@ from .levy import (
     gamma_geometric_family,
 )
 from .model import HjmModel, volatility_from_config
-from .solver import SolverConfig, euler_solve, picard_solve
+from .solver import SolverConfig, _initial_curve, euler_solve, picard_solve
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario", "run_scenario", "main"]
 
@@ -79,6 +79,13 @@ def _require_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ScenarioError(f"section {where!r} must be a mapping")
     return obj
+
+
+def _require_int(value, what: str, low: int) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ScenarioError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _take(section: dict, where: str, allowed: dict[str, bool]) -> dict:
@@ -146,9 +153,7 @@ def load_scenario(path: str | Path) -> Scenario:
             "verify": False,
         },
     )
-    seed = raw["seed"]
-    if not isinstance(seed, int) or seed < 0:
-        raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = _require_int(raw["seed"], "seed", 0)
 
     grid = _take(
         _require_mapping(raw["grid"], "grid"),
@@ -215,6 +220,8 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     if solver.get("method", "euler") not in ("euler", "picard"):
         raise ScenarioError("solver.method must be 'euler' or 'picard'")
+    for key in ("n_steps", "n_paths"):
+        _require_int(solver[key], f"solver.{key}", 1)
 
     verify = raw.get("verify")
     if verify is not None:
@@ -229,9 +236,11 @@ def load_scenario(path: str | Path) -> Scenario:
                 "orders": False,
                 "horizons": False,
                 "factor_cap": False,
-                "doob_margin": False,
             },
         )
+        for key in ("n_steps", "n_paths"):
+            if key in verify:
+                _require_int(verify[key], f"verify.{key}", 1)
         unknown = set(verify["checks"]) - set(CHECK_REGISTRY)
         if unknown:
             raise ScenarioError(
@@ -278,7 +287,7 @@ def _cross_validate(sc: Scenario) -> None:
                     f"maturity {min(maturities)}"
                 )
     try:
-        solver_config(sc, sc.seed)
+        _initial_curve(bundle.u0, solver_config(sc, sc.seed), bundle.grid)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid solver settings: {exc}") from exc
     if sc.solver.get("p", 2.0) > bundle.driver.p_max:
@@ -345,8 +354,8 @@ def solver_config(sc: Scenario, seed: int) -> SolverConfig:
     s = sc.solver
     return SolverConfig(
         horizon=float(s["horizon"]),
-        n_steps=int(s["n_steps"]),
-        n_paths=int(s["n_paths"]),
+        n_steps=s["n_steps"],
+        n_paths=s["n_paths"],
         picard_tol=float(s.get("picard_tol", 1e-8)),
         r_local=float(s.get("r_local", 1e6)),
         p=float(s.get("p", 2.0)),
@@ -364,8 +373,8 @@ def _check_seed(root_seed: int, name: str) -> int:
 
 
 def _run_isometry(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
-    n_steps = int(vc.get("n_steps", 8))
-    n_paths = int(vc.get("n_paths", 20000))
+    n_steps = vc.get("n_steps", 8)
+    n_paths = vc.get("n_paths", 20000)
     F = step_integrands(bundle.grid, bundle.driver.dim, n_steps, seed=_check_seed(seed, "isoF"))
     return [
         verify_isometry(
@@ -393,8 +402,8 @@ def _run_martingale_bonds(bundle: ModelBundle, vc: dict, seed: int) -> list[Chec
         raise ScenarioError("verify.maturities required for the martingale_bonds check")
     cfg = SolverConfig(
         horizon=float(vc.get("horizons", [1.0])[0]),
-        n_steps=int(vc.get("n_steps", 20)),
-        n_paths=int(vc.get("n_paths", 20000)),
+        n_steps=vc.get("n_steps", 20),
+        n_paths=vc.get("n_paths", 20000),
         seed=_check_seed(seed, "bond"),
     )
     return verify_martingale_bonds(bundle.model, bundle.u0, maturities, cfg)
@@ -405,10 +414,9 @@ def _run_maximal_inequalities(
 ) -> list[CheckReport]:
     orders = [float(p) for p in vc.get("orders", [2.0, 4.0])]
     horizons = [float(T) for T in vc.get("horizons", [0.5, 1.0, 2.0])]
-    n_paths = int(vc.get("n_paths", 8000))
+    n_paths = vc.get("n_paths", 8000)
     factor_cap = float(vc.get("factor_cap", 3.0))
-    doob_margin = float(vc.get("doob_margin", 0.1))
-    steps_per_year = int(vc.get("n_steps", 32))
+    steps_per_year = vc.get("n_steps", 32)
     label = "convolution" if convolution else "bichteler_jacod"
     reports: list[CheckReport] = []
     for T in horizons:
@@ -440,7 +448,7 @@ def _run_maximal_inequalities(
                             4.0,
                             n_samples=rep.n_samples,
                             standard_error=rep.standard_error,
-                            tolerance=doob_margin,
+                            tolerance=0.1,
                             config={"horizon": T},
                         )
                     )
@@ -562,10 +570,10 @@ def run_scenario(
     """Execute a scenario end to end; returns the process exit code."""
     try:
         sc = load_scenario(config_path)
+        seed = sc.seed if seed_override is None else _require_int(seed_override, "seed", 0)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    seed = sc.seed if seed_override is None else seed_override
     out = Path(out_dir) if out_dir is not None else Path(sc.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -38,7 +38,6 @@ __all__ = [
     "norm_star",
     "norm_frak_H",
     "seminorm_H",
-    "sup_norm",
     "shift",
     "check_embeddings",
     "pointwise_norm_curve",
@@ -220,12 +219,11 @@ def _check_nodes(values: np.ndarray, grid: WeightGrid, axis: int) -> None:
         )
 
 
-def integrate(curve, grid: WeightGrid, weighted: bool = False) -> np.ndarray | float:
-    """Trapezoid integral over [0, x_max]; optionally against the weight alpha."""
+def integrate(curve, grid: WeightGrid) -> np.ndarray | float:
+    """Trapezoid integral over [0, x_max]."""
     v = _values(curve)
     _check_nodes(v, grid, -1)
-    w = grid.weighted_quad if weighted else grid.quad_weights
-    out = v @ w
+    out = v @ grid.quad_weights
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -375,12 +373,6 @@ def norm_frak_H(vcurve, grid: WeightGrid) -> np.ndarray | float:
         raise ValueError("vector curve needs shape (..., n_nodes, d)")
     boundary = np.square(v[..., 0, :]).sum(axis=-1)
     out = np.sqrt(_slope_energy(v, grid, axis=-2) + boundary)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def sup_norm(curve) -> np.ndarray | float:
-    v = _values(curve)
-    out = np.abs(v).max(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -385,13 +385,12 @@ class CumulantModel:
     """Evaluator of psi, Dpsi, D^2psi on the ball |z| <= driver.r_ball.
 
     ``modes[k]`` is ``closed_form`` or ``quadrature`` per component; the
-    quadrature mode integrates against the jump density with a fixed
+    quadrature mode integrates against the jump density with a 400-node
     Gauss-Legendre rule and is available for the jump components only.
     """
 
     driver: LevyDriver
     modes: tuple[str, ...] = ()
-    quad_points: int = 400
 
     def __post_init__(self) -> None:
         modes = self.modes or tuple("closed_form" for _ in self.driver.components)
@@ -414,7 +413,7 @@ class CumulantModel:
         for mode, comp in zip(self.modes, self.driver.components):
             if mode == "quadrature":
                 lo, hi = comp.quad_interval(self.driver.r_ball)
-                x, w = np.polynomial.legendre.leggauss(self.quad_points)
+                x, w = np.polynomial.legendre.leggauss(400)
                 x = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
                 w = 0.5 * (hi - lo) * w * comp.levy_density(x)
                 rules.append((x, w))

@@ -18,12 +18,14 @@ Two schemes on a shared time grid t_j = j * dt:
 
 Integrands are evaluated at the left endpoint of each step (predictable
 convention; anything else biases jump terms), and the drift time integral
-uses the matching left-endpoint rectangle rule.  Paths are localized: a path
-freezes at the first time index where its curve norm exceeds ``r_local``,
-the running volatility integral leaves the cumulant ball, or the next state
-is not finite, and keeps its frozen value afterwards, so ensemble estimators
-stay well defined.  A non-finite step freezes the path at its last finite
-state in both schemes, with a warning.
+uses the matching left-endpoint rectangle rule.  Paths are localized by one
+rule, the same in both schemes, so ensemble estimators stay well defined: on
+the step t_i -> t_{i+1} a live path exits at i if its running volatility
+integral at t_i leaves the cumulant ball or its state at t_{i+1} is not
+finite (with a warning), and at i + 1 if that state's curve norm exceeds
+``r_local``.  A path keeps its state at the exit index from then on.  The
+initial curve must lie within ``r_local``, so every index 0 .. n_steps is
+tested once.
 
 Both schemes take sigma and the drift of each step from one kernel, which
 evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
@@ -154,9 +156,6 @@ class SolutionEnsemble:
         out[hit] = self.times[self.exit_index[hit]]
         return out
 
-    def alive_at(self, j: int) -> np.ndarray:
-        return self.exit_index > j
-
 
 @dataclass(frozen=True)
 class PicardResult:
@@ -174,13 +173,17 @@ class PicardResult:
     converged: bool
 
 
-def _initial_matrix(u0, cfg: SolverConfig, grid: WeightGrid) -> np.ndarray:
+def _initial_curve(u0, cfg: SolverConfig, grid: WeightGrid) -> np.ndarray:
+    """The values of u0, which must be one finite curve on the grid within r_local."""
     v = _values(u0)
     if v.ndim != 1 or v.size != grid.n_nodes:
         raise ValueError("initial curve must be a single curve on the model grid")
     if not np.all(np.isfinite(v)):
         raise ValueError("initial curve must be finite")
-    return np.tile(v, (cfg.n_paths, 1))
+    norm = norm_H(v, grid)
+    if norm > cfg.r_local:
+        raise ValueError(f"initial curve norm {norm:.6g} exceeds r_local {cfg.r_local:.6g}")
+    return v
 
 
 def _noise(model: HjmModel, cfg: SolverConfig, increments) -> np.ndarray:
@@ -229,17 +232,37 @@ def _step_kernel(model: HjmModel, times: np.ndarray):
     return lambda j, U: shared[j]
 
 
-def _mark_exits(
-    exit_index: np.ndarray, frozen: np.ndarray, trigger: np.ndarray, j: int
+def _localize(
+    exits: np.ndarray, frozen: np.ndarray, ok: np.ndarray, candidate: np.ndarray,
+    prev: np.ndarray, i: int, grid: WeightGrid, r_local: float,
 ) -> np.ndarray:
-    """Freeze the live paths where ``trigger`` holds, with exit time index j.
+    """Localize the step t_i -> t_{i+1} of a block of paths, in place.
 
-    Updates ``exit_index`` and ``frozen`` in place; returns the newly frozen.
+    A live path exits at i if its state at t_i left the cumulant ball (``ok``
+    false) or its ``candidate`` state at t_{i+1} is not finite.  Every frozen
+    path's candidate is then reset to ``prev``, its state at t_i.  A live
+    candidate whose norm exceeds ``r_local`` exits at i + 1 and is kept.
+    Updates ``exits``, ``frozen`` and ``candidate``; returns the mask of the
+    paths that exited on a non-finite candidate.
     """
-    newly = trigger & ~frozen
-    exit_index[newly] = j
-    frozen |= newly
-    return newly
+    finite = np.isfinite(candidate).all(axis=-1)
+    stopped = ~frozen & ~(ok & finite)
+    exits[stopped] = i
+    frozen |= stopped
+    candidate[frozen] = prev[frozen]
+    over = ~frozen & (norm_H(candidate, grid) > r_local)
+    exits[over] = i + 1
+    frozen |= over
+    return stopped & ok & ~finite
+
+
+def _warn_nonfinite(n_paths: int, where: str) -> None:
+    warnings.warn(
+        f"{n_paths} path(s) produced non-finite curves {where}; "
+        "frozen at their last finite state",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def euler_transitions(
@@ -248,13 +271,12 @@ def euler_transitions(
     """Yield (j, t_j, states, exit_index) for j = 0 .. n_steps, streaming.
 
     ``states`` is a live (n_paths, n_nodes) buffer that the step after next
-    overwrites; consumers must copy anything they keep.  Localization follows
-    the frozen-at-exit convention described in the module docstring; a path
-    exits with its pre-step state.
+    overwrites; consumers must copy anything they keep.  Each step is
+    localized as the module docstring describes.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
-    U = _initial_matrix(u0, cfg, grid)
+    U = np.tile(_initial_curve(u0, cfg, grid), (cfg.n_paths, 1))
     nxt = np.empty_like(U)
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
     noise_term = np.empty_like(U[blocks[0]])
@@ -267,27 +289,18 @@ def euler_transitions(
         n_bad = 0
         for rows in blocks:
             u, exits, candidate = U[rows], exit_index[rows], nxt[rows]
-            frozen = exits != sentinel
-            # localization triggers evaluated on the pre-step state
-            _mark_exits(exits, frozen, norm_H(u, grid) > cfg.r_local, j)
             sig, f, ok = kernel(j, u)
-            _mark_exits(exits, frozen, ~ok, j)
             # (shift + f dt) + <sigma, dM>, summed in place in the next state
             _shift_values(u, cfg.dt, grid, out=candidate)
             candidate += f * cfg.dt
             noise = noise_term[: len(u)]
             np.einsum("pnd,pd->pn", sig, dM[j, rows], out=noise)
             candidate += noise
-            bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), j)
+            frozen = exits != sentinel
+            bad = _localize(exits, frozen, ok, candidate, u, j, grid, cfg.r_local)
             n_bad += int(bad.sum())
-            candidate[frozen] = u[frozen]
         if n_bad:
-            warnings.warn(
-                f"{n_bad} path(s) produced non-finite curves at step {j}; "
-                "localized at the offending step",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _warn_nonfinite(n_bad, f"at step {j}")
         U, nxt = nxt, U
         yield j + 1, float(times[j + 1]), U, exit_index
 
@@ -336,23 +349,15 @@ def _picard_pass(
     for j in range(1, m + 1):
         i = j - 1
         sig, f, ok = kernel(i, src[:, i])
-        _mark_exits(exits, frozen, ~ok, i)
         G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i])
         conv = _shift_values(conv + G, cfg.dt, grid)
         candidate = transported[j] + conv
-        # a non-finite candidate is replaced by the last finite state, as in
-        # Euler, and its convolution restarts at zero, so no later step
-        # computes with it; a candidate over the norm radius is kept
-        bad = _mark_exits(exits, frozen, ~np.isfinite(candidate).all(axis=-1), i)
-        if bad.any():
-            nonfinite |= bad
-            candidate[bad] = out[bad, i]
-            conv[bad] = 0.0
-        _mark_exits(exits, frozen, norm_H(candidate, grid) > cfg.r_local, j)
+        bad = _localize(exits, frozen, ok, candidate, out[:, i], i, grid, cfg.r_local)
+        # a non-finite path's convolution restarts at zero, so no later step
+        # computes with it
+        conv[bad] = 0.0
+        nonfinite |= bad
         out[:, j] = candidate
-        if frozen.any():
-            idx = np.nonzero(frozen)[0]
-            out[idx, j] = out[idx, np.minimum(exits[idx], j)]
         diff[:, j] = norm_H(out[:, j] - ref[:, j], grid)
     return exits, nonfinite
 
@@ -376,13 +381,13 @@ def picard_solve(
     dM = _noise(model, cfg, increments)
     m = cfg.n_steps
     times = cfg.times
-    u0_vals = _values(u0)
+    u0_vals = _initial_curve(u0, cfg, grid)
     transported = np.empty((m + 1, grid.n_nodes))
     for j in range(m + 1):
         transported[j] = _shift_values(u0_vals, float(times[j]), grid)
 
     U = np.empty((cfg.n_paths, m + 1, grid.n_nodes))
-    U[:, 0] = _initial_matrix(u0, cfg, grid)
+    U[:, 0] = u0_vals
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
     scratch = np.empty_like(U[blocks[0]])
     # every iterate starts at u0: both residuals are 0 at time index 0
@@ -405,12 +410,7 @@ def picard_solve(
     residuals = tuple(float(np.sqrt(np.square(d).mean(axis=0).max())) for d in diffs)
 
     if nonfinite.any():
-        warnings.warn(
-            f"{int(nonfinite.sum())} path(s) produced non-finite curves in the "
-            "Picard sweeps; localized at the step before",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_nonfinite(int(nonfinite.sum()), "in the causal pass")
     if not residuals[1] < cfg.picard_tol:
         raise PicardDivergenceError(
             f"certifying pass residual {residuals[1]:.3g} is not below picard_tol "

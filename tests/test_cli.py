@@ -78,8 +78,11 @@ class TestScenarioParsing:
             load_scenario(path)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
-        # n_picard is no longer a setting: the Picard solve is two passes
-        for override in ({"solver.extra_knob": 2}, {"solver.n_picard": 12}):
+        # n_picard is no longer a setting: the Picard solve is two passes;
+        # doob_margin is the constant 0.1
+        for override in (
+            {"solver.extra_knob": 2}, {"solver.n_picard": 12}, {"verify.doob_margin": 0.1}
+        ):
             path = write_config(tmp_path, override)
             with pytest.raises(ScenarioError, match="unknown key"):
                 load_scenario(path)
@@ -148,6 +151,26 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="seed"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "key", ["solver.n_steps", "solver.n_paths", "verify.n_steps", "verify.n_paths"]
+    )
+    @pytest.mark.parametrize("value", [5.7, 6.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_count_is_config_error(self, tmp_path, key, value):
+        overrides = {key: value}
+        if key.startswith("verify."):
+            overrides["verify.checks"] = ["isometry"]
+        path = write_config(tmp_path, overrides)
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            load_scenario(path)
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
+
+    def test_initial_curve_outside_radius_is_config_error(self, tmp_path):
+        # BASE_CONFIG's initial curve has |u0|_H = 0.0207
+        path = write_config(tmp_path, {"solver.r_local": 0.02})
+        with pytest.raises(ScenarioError, match="exceeds r_local"):
+            load_scenario(path)
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
+
     def test_exponential_moment_violation_is_config_error(self, tmp_path):
         # gamma rate below delta * r_ball must be rejected at load time
         path = write_config(tmp_path, {"driver.r_ball": 2.0})
@@ -211,6 +234,14 @@ class TestRunScenario:
         run_scenario(path, out_dir=out2, seed_override=99)
         assert (out1 / "curves.csv").read_bytes() != (out2 / "curves.csv").read_bytes()
         assert json.load(open(out2 / "manifest.json"))["seed"] == 99
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert run_scenario(path, out_dir=tmp_path / "a", seed_override=-1) == EXIT_CONFIG_ERROR
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "b"), "--seed", "-1"]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"grid.x_max": -1.0})
@@ -312,7 +343,7 @@ class TestCurvesCsvWriter:
         self.assert_matches_reference(tmp_path, ensemble)
 
     def test_frozen_paths(self, tmp_path):
-        path = write_config(tmp_path, {"solver.r_local": 0.0222})
+        path = write_config(tmp_path, {"solver.r_local": 0.0224})
         ensemble = solve_scenario(path)
         frozen = ensemble.exit_index <= BASE_CONFIG["solver"]["n_steps"]
         assert frozen.any() and not frozen.all()

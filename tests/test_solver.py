@@ -602,6 +602,41 @@ class TestExitConventions:
             j = ens.exit_index[p]
             assert norms[p, j] > r_local
             assert np.all(norms[p, :j] <= r_local)
+        # no path alive at t_j is over the radius there, t_m included
+        alive = ens.exit_index[:, None] > np.arange(cfg.n_steps + 1)
+        assert not (alive & (norms > r_local)).any()
+
+    @pytest.mark.parametrize("solver", ["euler", "picard"])
+    def test_norm_exit_at_last_step(self, solver, gamma_model):
+        # a radius between a path's running max through t_{m-1} and its norm
+        # at t_m: that path exits at m, and every path exits where its
+        # unlocalized norm first exceeds the radius
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=32, seed=8)
+        m = cfg.n_steps
+        free = _solve(solver, gamma_model, u0, cfg)
+        assert (free.exit_index == m + 1).all()
+        norms = lh.norm_H(free.curves, grid)
+        p = int(np.argmax(norms[:, m] > norms[:, :m].max(axis=1)))
+        assert norms[p, m] > norms[p, :m].max()
+        r_local = float(0.5 * (norms[p, :m].max() + norms[p, m]))
+        cfg = dataclasses.replace(cfg, r_local=r_local)
+        ens = _solve(solver, gamma_model, u0, cfg, increments=free.increments)
+        over = norms > r_local
+        first = np.where(over.any(axis=1), np.argmax(over, axis=1), m + 1)
+        assert ens.exit_index[p] == m
+        np.testing.assert_array_equal(ens.exit_index, first)
+        np.testing.assert_array_equal(ens.curves[p], free.curves[p])
+
+    @pytest.mark.parametrize("solver", ["euler", "picard"])
+    def test_initial_curve_outside_radius_rejected(self, solver, gamma_model):
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        r_local = float(lh.norm_H(u0, grid) * 0.9)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=4, n_paths=4, seed=8, r_local=r_local)
+        with pytest.raises(ValueError, match="exceeds r_local"):
+            _solve(solver, gamma_model, u0, cfg)
 
     @pytest.mark.parametrize("solver", ["euler", "picard"])
     def test_ball_exit(self, solver):
@@ -633,9 +668,9 @@ class TestExitConventions:
         inc[2, 1, 0] = np.inf
         messages = {
             "euler": "1 path(s) produced non-finite curves at step 2; "
-            "localized at the offending step",
-            "picard": "1 path(s) produced non-finite curves in the Picard sweeps; "
-            "localized at the step before",
+            "frozen at their last finite state",
+            "picard": "1 path(s) produced non-finite curves in the causal pass; "
+            "frozen at their last finite state",
         }
         for solver, message in messages.items():
             with np.errstate(invalid="ignore"), warnings.catch_warnings(record=True) as seen:
@@ -770,7 +805,7 @@ class TestBlockInvariance:
             lh.euler_solve(model, u0, cfg, increments=inc)
         assert [str(w.message) for w in seen if "non-finite" in str(w.message)] == [
             f"2 path(s) produced non-finite curves at step {self.STEP}; "
-            "localized at the offending step"
+            "frozen at their last finite state"
         ]
 
 
