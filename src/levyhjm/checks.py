@@ -411,6 +411,19 @@ def verify_convolution_inequality(
 # ---------------------------------------------------------------------------
 
 
+def _bond_maturities(maturities, grid: WeightGrid, horizon: float) -> list[float]:
+    """The bond check's maturities as floats: at least one, each in [horizon, x_max]."""
+    maturities = [float(T) for T in np.atleast_1d(maturities)]
+    if not maturities:
+        raise ValueError("the bond check needs at least one maturity")
+    for T in maturities:
+        if not T <= grid.x_max:
+            raise ValueError(f"maturity {T} beyond the grid truncation x_max = {grid.x_max}")
+        if not horizon <= T:
+            raise ValueError(f"simulation horizon {horizon} exceeds maturity {T}")
+    return maturities
+
+
 def verify_martingale_bonds(
     model: HjmModel,
     u0,
@@ -431,15 +444,8 @@ def verify_martingale_bonds(
     short-rate integral that makes D exactly constant when the volatility
     vanishes.
     """
-    maturities = [float(T) for T in np.atleast_1d(maturities)]
     grid = model.grid
-    for T in maturities:
-        if T > grid.x_max:
-            raise ValueError(f"maturity {T} beyond the grid truncation {grid.x_max}")
-        if cfg.horizon > T:
-            raise ValueError(
-                f"simulation horizon {cfg.horizon} exceeds maturity {T}"
-            )
+    maturities = _bond_maturities(maturities, grid, cfg.horizon)
     times = cfg.times
     D = np.empty((cfg.n_paths, cfg.n_steps + 1, len(maturities)))
     disc = np.zeros(cfg.n_paths)

@@ -38,6 +38,7 @@ import yaml
 from .checks import (
     CHECKS_CSV_COLUMNS,
     CheckReport,
+    _bond_maturities,
     inequality_report,
     report_row,
     stability_report,
@@ -53,12 +54,12 @@ from .curvespace import WeightGrid, make_grid, norm_H
 from .levy import (
     CompoundPoissonComponent,
     CumulantModel,
-    DriverConfigError,
     GammaComponent,
     LevyDriver,
     WienerComponent,
     build_driver,
     gamma_geometric_family,
+    moment_mp,
 )
 from .model import HjmModel, volatility_from_config
 from .solver import SolverConfig, _initial_curve, euler_solve, picard_solve
@@ -129,16 +130,34 @@ _COMPONENT_KEYS = {
 }
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+def _read_config(path: Path) -> tuple[bytes, object]:
+    """The bytes of a config file and the YAML they hold."""
     try:
         raw_bytes = path.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(raw_bytes)
+        return raw_bytes, yaml.safe_load(raw_bytes)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"config {path} is not valid YAML: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse a scenario and check it by building its run: the one place where a
+    library call's ``ValueError`` or ``TypeError`` becomes a ``ScenarioError``."""
+    raw_bytes, raw = _read_config(Path(path))
+    try:
+        scenario = _parse_scenario(raw, raw_bytes)
+        _cross_validate(scenario)
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
+    return scenario
+
+
+def _parse_scenario(raw, raw_bytes: bytes) -> Scenario:
+    """Strict key checking of the sections; values are left to the library."""
     raw = _require_mapping(raw, "top level")
     _take(
         raw,
@@ -160,6 +179,7 @@ def load_scenario(path: str | Path) -> Scenario:
         "grid",
         {"x_max": True, "n_points": True, "beta": True},
     )
+    _require_int(grid["n_points"], "grid.n_points", 3)
     driver = _take(
         _require_mapping(raw["driver"], "driver"),
         "driver",
@@ -186,13 +206,14 @@ def load_scenario(path: str | Path) -> Scenario:
                 )
             _take(comp, f"driver.components[{i}]", _COMPONENT_KEYS[kind])
     else:
-        _take(
+        family = _take(
             _require_mapping(driver["family"], "driver.family"),
             "driver.family",
             {"rule": True, "c0": True, "ratio": True, "rate": True, "d_trunc": True},
         )
-        if driver["family"]["rule"] != "gamma_geometric":
+        if family["rule"] != "gamma_geometric":
             raise ScenarioError("driver.family.rule must be 'gamma_geometric'")
+        _require_int(family["d_trunc"], "driver.family.d_trunc", 1)
 
     volatility = _take(
         _require_mapping(raw["volatility"], "volatility"),
@@ -247,7 +268,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"unknown check(s) {sorted(unknown)}; available: {sorted(CHECK_REGISTRY)}"
             )
 
-    scenario = Scenario(
+    return Scenario(
         seed=seed,
         output_dir=str(raw.get("output_dir", "out")),
         grid=grid,
@@ -257,43 +278,25 @@ def load_scenario(path: str | Path) -> Scenario:
         verify=verify,
         source_bytes=raw_bytes,
     )
-    _cross_validate(scenario)
-    return scenario
 
 
 def _cross_validate(sc: Scenario) -> None:
-    bundle = build_bundle(sc)  # raises ScenarioError on any invariant breach
-    if sc.verify:
-        maturities = sc.verify.get("maturities", [])
-        for T in maturities:
-            if T > bundle.grid.x_max:
-                raise ScenarioError(
-                    f"verify.maturities entry {T} exceeds grid x_max {bundle.grid.x_max}"
-                )
-        for p in sc.verify.get("orders", []):
-            if p > bundle.driver.p_max:
-                raise ScenarioError(
-                    f"verify.orders entry {p} exceeds driver p_max {bundle.driver.p_max}"
-                )
-        if "martingale_bonds" in sc.verify.get("checks", []):
-            if not maturities:
-                raise ScenarioError(
-                    "verify.maturities required for the martingale_bonds check"
-                )
-            bond_horizon = float(sc.verify.get("horizons", [1.0])[0])
-            if bond_horizon > min(maturities):
-                raise ScenarioError(
-                    f"bond-check horizon {bond_horizon} exceeds the shortest "
-                    f"maturity {min(maturities)}"
-                )
-    try:
-        _initial_curve(bundle.u0, solver_config(sc, sc.seed), bundle.grid)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"invalid solver settings: {exc}") from exc
-    if sc.solver.get("p", 2.0) > bundle.driver.p_max:
-        raise ScenarioError(
-            f"solver.p {sc.solver.get('p')} exceeds driver p_max {bundle.driver.p_max}"
-        )
+    """Build what a run builds; check here only what no library call sees before the run."""
+    bundle = build_bundle(sc)
+    cfg = solver_config(sc, sc.seed)
+    _initial_curve(bundle.u0, cfg, bundle.grid)
+    moment_mp(bundle.driver, cfg.p)
+    vc = sc.verify or {}
+    for p in vc.get("orders", []):
+        moment_mp(bundle.driver, p)
+    horizons = vc.get("horizons", [1.0])
+    if not horizons or not all(0 < T < math.inf for T in horizons):
+        raise ValueError(f"verify.horizons must be nonempty, positive and finite, got {horizons!r}")
+    factor_cap = vc.get("factor_cap", 3.0)
+    if not 1 <= factor_cap < math.inf:
+        raise ValueError(f"verify.factor_cap must be finite and >= 1, got {factor_cap!r}")
+    if "martingale_bonds" in vc.get("checks", []):
+        _bond_maturities(vc.get("maturities", []), bundle.grid, _bond_config(vc, sc.seed).horizon)
 
 
 @dataclass(frozen=True)
@@ -306,47 +309,46 @@ class ModelBundle:
 
 def build_bundle(sc: Scenario) -> ModelBundle:
     """Materialize grid, driver, model and initial curve from a scenario."""
-    try:
-        grid = make_grid(sc.grid["x_max"], sc.grid["n_points"], sc.grid["beta"])
-        tail = 0.0
-        if "components" in sc.driver:
-            comps = []
-            for c in sc.driver["components"]:
-                kind = c["kind"]
-                if kind == "wiener":
-                    comps.append(WienerComponent(variance=float(c["variance"])))
-                elif kind == "gamma":
-                    comps.append(GammaComponent(c=float(c["c"]), rate=float(c["rate"])))
-                else:
-                    comps.append(
-                        CompoundPoissonComponent(
-                            intensity=float(c["intensity"]), jump_std=float(c["jump_std"])
-                        )
+    grid = make_grid(sc.grid["x_max"], sc.grid["n_points"], sc.grid["beta"])
+    tail = 0.0
+    if "components" in sc.driver:
+        comps = []
+        for c in sc.driver["components"]:
+            kind = c["kind"]
+            if kind == "wiener":
+                comps.append(WienerComponent(variance=float(c["variance"])))
+            elif kind == "gamma":
+                comps.append(GammaComponent(c=float(c["c"]), rate=float(c["rate"])))
+            else:
+                comps.append(
+                    CompoundPoissonComponent(
+                        intensity=float(c["intensity"]), jump_std=float(c["jump_std"])
                     )
-        else:
-            fam = sc.driver["family"]
-            comps, tail = gamma_geometric_family(
-                float(fam["c0"]), float(fam["ratio"]), float(fam["rate"]), int(fam["d_trunc"])
-            )
-        driver = build_driver(
-            comps,
-            r_ball=float(sc.driver["r_ball"]),
-            delta=float(sc.driver["delta"]),
-            p_max=float(sc.driver.get("p_max", 4.0)),
-            tail_second_moment=tail,
+                )
+    else:
+        fam = sc.driver["family"]
+        comps, tail = gamma_geometric_family(
+            float(fam["c0"]), float(fam["ratio"]), float(fam["rate"]), fam["d_trunc"]
         )
-        vol = volatility_from_config(sc.volatility["name"], sc.volatility["params"])
-        model = HjmModel(
-            grid=grid,
-            driver=driver,
-            cumulant=CumulantModel(driver),
-            vol=vol,
-            drift_sign=float(sc.volatility.get("drift_sign", -1.0)),
-        )
-    except (DriverConfigError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
+    driver = build_driver(
+        comps,
+        r_ball=float(sc.driver["r_ball"]),
+        delta=float(sc.driver["delta"]),
+        p_max=float(sc.driver.get("p_max", 4.0)),
+        tail_second_moment=tail,
+    )
+    vol = volatility_from_config(sc.volatility["name"], sc.volatility["params"])
+    model = HjmModel(
+        grid=grid,
+        driver=driver,
+        cumulant=CumulantModel(driver),
+        vol=vol,
+        drift_sign=float(sc.volatility.get("drift_sign", -1.0)),
+    )
     ic = sc.solver["initial_curve"]
-    u0 = ic["long"] + (ic["short"] - ic["long"]) * np.exp(-ic["decay"] * grid.nodes)
+    # a non-finite setting gives a non-finite curve, which _initial_curve rejects
+    with np.errstate(invalid="ignore", over="ignore"):
+        u0 = ic["long"] + (ic["short"] - ic["long"]) * np.exp(-ic["decay"] * grid.nodes)
     return ModelBundle(grid=grid, driver=driver, model=model, u0=u0)
 
 
@@ -396,17 +398,20 @@ def _run_exponential_moment(bundle: ModelBundle, vc: dict, seed: int) -> list[Ch
     ]
 
 
-def _run_martingale_bonds(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
-    maturities = vc.get("maturities")
-    if not maturities:
-        raise ScenarioError("verify.maturities required for the martingale_bonds check")
-    cfg = SolverConfig(
+def _bond_config(vc: dict, seed: int) -> SolverConfig:
+    """The bond check's solver settings; its horizon is the first verify horizon."""
+    return SolverConfig(
         horizon=float(vc.get("horizons", [1.0])[0]),
         n_steps=vc.get("n_steps", 20),
         n_paths=vc.get("n_paths", 20000),
         seed=_check_seed(seed, "bond"),
     )
-    return verify_martingale_bonds(bundle.model, bundle.u0, maturities, cfg)
+
+
+def _run_martingale_bonds(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
+    return verify_martingale_bonds(
+        bundle.model, bundle.u0, vc.get("maturities", []), _bond_config(vc, seed)
+    )
 
 
 def _run_maximal_inequalities(
@@ -619,9 +624,6 @@ def run_scenario(
             print(f"{n_failed} check(s) failed", file=sys.stderr)
             return EXIT_CHECK_FAILURE
         return EXIT_OK
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
@@ -642,14 +644,14 @@ def _parse_value(text: str):
 
 
 def _override_config(config_path: Path, dotted: str, value, target: Path) -> None:
-    raw = yaml.safe_load(config_path.read_bytes())
+    _, raw = _read_config(config_path)
     node = raw
     *head, last = dotted.split(".")
     for key in head:
-        if key not in node:
+        if not isinstance(node, dict) or key not in node:
             raise ScenarioError(f"sweep parameter {dotted!r}: no section {key!r}")
         node = node[key]
-    if last not in node:
+    if not isinstance(node, dict) or last not in node:
         raise ScenarioError(f"sweep parameter {dotted!r}: unknown key {last!r}")
     node[last] = value
     target.write_text(yaml.safe_dump(raw, sort_keys=True))

@@ -20,6 +20,7 @@ to last for vector curves).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,15 +74,11 @@ class WeightGrid:
         is integrable on the half line.
     quad_weights : ndarray, shape (n,)
         Positive trapezoid weights summing to ``x_max``.
-    flat_extrapolation : bool
-        Curves are constant beyond ``x_max``.  Always true; kept explicit
-        because every tail identity in this package relies on it.
     """
 
     nodes: np.ndarray
     weight_beta: float
     quad_weights: np.ndarray
-    flat_extrapolation: bool = True
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -90,10 +87,10 @@ class WeightGrid:
             raise ValueError("grid needs at least 3 nodes")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at maturity 0")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if self.weight_beta <= 0:
-            raise ValueError(f"weight_beta must be positive, got {self.weight_beta}")
+        if not (np.all(np.diff(nodes) > 0) and nodes[-1] < math.inf):
+            raise ValueError("grid nodes must be finite and strictly increasing")
+        if not 0 < self.weight_beta < math.inf:
+            raise ValueError(f"weight_beta must be positive and finite, got {self.weight_beta}")
         if weights.shape != nodes.shape or np.any(weights <= 0):
             raise ValueError("quad_weights must be positive and match the nodes")
         if not np.isclose(weights.sum(), nodes[-1], rtol=1e-12):
@@ -172,18 +169,16 @@ def make_grid(x_max: float, n_points: int, beta: float) -> WeightGrid:
     Parameters
     ----------
     x_max : float
-        Truncation maturity in years, > 0.
+        Truncation maturity in years, positive and finite.
     n_points : int
         Number of nodes, >= 3.
     beta : float
-        Weight exponent, > 0.
+        Weight exponent, positive and finite (checked by ``WeightGrid``).
     """
-    if x_max <= 0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    if not 0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     nodes = np.linspace(0.0, float(x_max), int(n_points))
     h = x_max / (n_points - 1)
     weights = np.full(n_points, h, dtype=float)

@@ -118,9 +118,9 @@ class GammaComponent:
     kind = "gamma"
 
     def validate(self) -> None:
-        if self.c <= 0 or self.rate <= 0:
+        if not (0 < self.c < math.inf and 0 < self.rate < math.inf):
             raise DriverConfigError(
-                f"gamma component needs c > 0 and rate > 0, got c={self.c}, rate={self.rate}"
+                f"gamma needs finite c > 0 and rate > 0, got c={self.c}, rate={self.rate}"
             )
 
     @property
@@ -301,12 +301,12 @@ def build_driver(
     comps = tuple(components)
     if not comps:
         raise DriverConfigError("driver needs at least one component")
-    if r_ball <= 0:
-        raise DriverConfigError(f"r_ball must be positive, got {r_ball}")
-    if delta <= 1:
-        raise DriverConfigError(f"delta must exceed 1, got {delta}")
-    if p_max < 2:
-        raise DriverConfigError(f"p_max must be at least 2, got {p_max}")
+    if not 0 < r_ball < math.inf:
+        raise DriverConfigError(f"r_ball must be positive and finite, got {r_ball}")
+    if not 1 < delta < math.inf:
+        raise DriverConfigError(f"delta must exceed 1 and be finite, got {delta}")
+    if not 2 <= p_max < math.inf:
+        raise DriverConfigError(f"p_max must be at least 2 and finite, got {p_max}")
     for c in comps:
         c.validate()
 
@@ -360,11 +360,10 @@ def gamma_geometric_family(
         raise DriverConfigError(
             f"summability violated: geometric ratio must lie in (0, 1), got {ratio}"
         )
-    if c0 <= 0 or rate <= 0:
-        raise DriverConfigError("gamma family needs c0 > 0 and rate > 0")
     if d_trunc < 1:
         raise DriverConfigError("gamma family needs at least one component")
     comps = [GammaComponent(c=c0 * ratio**k, rate=rate) for k in range(d_trunc)]
+    comps[0].validate()  # c0 and rate, before the tail divides by rate
     tail = c0 * ratio**d_trunc / (1.0 - ratio) / rate**2
     return comps, tail
 
@@ -538,12 +537,8 @@ def covariance(driver: LevyDriver) -> CovarianceModel:
 
 def moment_mp(driver: LevyDriver, p: float) -> float:
     """Driver moment factor |R|_1^{p/2} + int |x|^p m + (int x^2 m)^{p/2}."""
-    if p < 2:
-        raise ValueError(f"moment order must be >= 2, got {p}")
-    if p > driver.p_max:
-        raise ValueError(
-            f"moment order {p} exceeds the driver's declared p_max {driver.p_max}"
-        )
+    if not 2 <= p <= driver.p_max:
+        raise ValueError(f"moment order {p} must lie in [2, p_max = {driver.p_max}]")
     jump_p = sum(c.levy_moment(p) for c in driver.components)
     jump_2 = sum(c.levy_moment(2.0) for c in driver.components)
     return driver.gaussian_trace ** (p / 2) + jump_p + jump_2 ** (p / 2)

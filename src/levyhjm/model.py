@@ -17,8 +17,8 @@ sigma * R * int sigma).  Both signs are runnable so the martingale check in
 :mod:`levyhjm.checks` can act as the arbiter.
 
 Volatilities are declared, not inferred: a spec carries sigma and its
-partial derivatives (closed form, or finite-difference fallbacks flagged by
-``uses_fd``), a dominating curve ``beta_curve`` for the u-Lipschitz bound of
+partial derivatives (closed form, or finite-difference fallbacks where none
+is declared), a dominating curve ``beta_curve`` for the u-Lipschitz bound of
 sigma_x, a bounding sequence ``gamma_seq`` for |sigma_u| + |sigma_uu|, and a
 budget for the running integral |S(x)|.  ``check_hypotheses`` audits these
 declarations by sampling; audits can falsify, not certify.
@@ -91,7 +91,6 @@ class VolatilitySpec:
     beta_curve: Callable | None = None
     gamma_seq: np.ndarray | None = None
     r_budget: float = math.inf
-    uses_fd: bool = False
     params: dict = field(default_factory=dict)
 
     @property
@@ -145,6 +144,8 @@ class VolatilitySpec:
 def constant_volatility(levels) -> VolatilitySpec:
     """sigma^k(t, x, u) = levels_k, independent of everything."""
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
+    if not np.all(np.isfinite(levels)):
+        raise ValueError(f"levels must be finite, got {levels.tolist()}")
     d = levels.size
     zeros = lambda t, x, u: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u)) + (d,))
     return VolatilitySpec(
@@ -163,14 +164,22 @@ def constant_volatility(levels) -> VolatilitySpec:
     )
 
 
-def exp_decay_volatility(scales, decays) -> VolatilitySpec:
-    """sigma^k(t, x, u) = scales_k * exp(-decays_k * x), u independent."""
+def _envelope_params(scales, decays) -> tuple[np.ndarray, np.ndarray]:
+    """Finite ``scales`` and positive finite ``decays`` of one length, as arrays."""
     scales = np.atleast_1d(np.asarray(scales, dtype=float))
     decays = np.atleast_1d(np.asarray(decays, dtype=float))
     if scales.shape != decays.shape:
         raise ValueError("scales and decays must have matching length")
-    if np.any(decays <= 0):
-        raise ValueError("decays must be positive")
+    if not np.all(np.isfinite(scales)):
+        raise ValueError(f"scales must be finite, got {scales.tolist()}")
+    if not np.all((0 < decays) & (decays < np.inf)):
+        raise ValueError(f"decays must be positive and finite, got {decays.tolist()}")
+    return scales, decays
+
+
+def exp_decay_volatility(scales, decays) -> VolatilitySpec:
+    """sigma^k(t, x, u) = scales_k * exp(-decays_k * x), u independent."""
+    scales, decays = _envelope_params(scales, decays)
     d = scales.size
 
     def sig(t, x, u):
@@ -211,12 +220,7 @@ def tanh_volatility(scales, decays) -> VolatilitySpec:
     |sigma_uu| <= 0.7698 * scales_k, and sigma_x is u-Lipschitz with
     dominating curve decays_k * scales_k * exp(-decays_k x).
     """
-    scales = np.atleast_1d(np.asarray(scales, dtype=float))
-    decays = np.atleast_1d(np.asarray(decays, dtype=float))
-    if scales.shape != decays.shape:
-        raise ValueError("scales and decays must have matching length")
-    if np.any(decays <= 0):
-        raise ValueError("decays must be positive")
+    scales, decays = _envelope_params(scales, decays)
     d = scales.size
 
     def envelope(x):
@@ -323,16 +327,13 @@ def running_volatility_integral(model: HjmModel, sig: np.ndarray) -> np.ndarray:
     return cumulative_integral(sig, model.grid, axis=-2)
 
 
-def drift_functional(
-    model: HjmModel, nu: np.ndarray, signed: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def drift_functional(model: HjmModel, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift curves from vector-curve values nu of shape (..., n, d).
 
     Returns (drift, ok) where drift has shape (..., n) and ok flags the batch
     entries whose running integral stayed inside the cumulant ball.  Entries
     with ok == False contain clamped-evaluation values and must be discarded
-    by the caller (path localization).  ``signed=False`` returns the raw
-    functional g without the model's drift sign.
+    by the caller (path localization).
     """
     nu = np.asarray(nu, dtype=float)
     S = running_volatility_integral(model, nu)
@@ -341,9 +342,7 @@ def drift_functional(
     ok = norms.max(axis=-1) <= model.driver.r_ball * (1.0 + 1e-9)
     grad = _clamped_grad(model.cumulant, zeta, norms)
     g = np.einsum("...nd,...nd->...n", nu, grad)
-    if signed:
-        g = model.drift_sign * g
-    return g, ok
+    return model.drift_sign * g, ok
 
 
 def hjm_drift(model: HjmModel, t: float, u) -> np.ndarray:
@@ -419,7 +418,7 @@ def check_hypotheses(
     # (i) declared derivatives agree with finite differences
     worst = 0.0
     detail = "closed-form derivatives"
-    if vol.uses_fd or vol.sigma_u is None or vol.sigma_x is None:
+    if vol.sigma_u is None or vol.sigma_x is None:
         detail = "finite-difference fallback in use; smoothness asserted, not checked"
         passed = True
     else:
@@ -599,8 +598,9 @@ def lipschitz_estimate(
         norm_factor = 1.0 + radius
     elif which == "g":
         NU, RHO = _vector_pairs_in_ball(model, radius, n_pairs, rng)
-        g_nu, ok1 = drift_functional(model, NU, signed=False)
-        g_rho, ok2 = drift_functional(model, RHO, signed=False)
+        # |g(nu) - g(rho)|_H does not depend on the drift sign: negation is exact
+        g_nu, ok1 = drift_functional(model, NU)
+        g_rho, ok2 = drift_functional(model, RHO)
         keep = ok1 & ok2
         num = norm_H(g_nu - g_rho, grid)[keep]
         den = norm_frak_H(NU - RHO, grid)[keep]

@@ -1,7 +1,9 @@
 """Scenario parsing, artifact schemas, exit codes, determinism."""
 
+import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,8 +54,39 @@ BASE_CONFIG = {
 }
 
 
-def write_config(tmp_path: Path, overrides=None, name="scenario.yaml") -> Path:
-    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))  # deep copy
+# A geometric gamma family with every optional key set and a verify section
+FAMILY_CONFIG = {
+    **BASE_CONFIG,
+    "driver": {
+        "r_ball": 0.4,
+        "delta": 1.5,
+        "p_max": 4.0,
+        "family": {
+            "rule": "gamma_geometric", "c0": 1.0, "ratio": 0.5, "rate": 2.0, "d_trunc": 3
+        },
+    },
+    "volatility": {
+        "name": "tanh_bounded",
+        "drift_sign": -1,
+        "params": {"scales": [0.05] * 3, "decays": [1.0] * 3},
+    },
+    "solver": {**BASE_CONFIG["solver"], "picard_tol": 1e-8, "r_local": 100.0, "p": 4.0},
+    "verify": {
+        "checks": ["martingale_bonds", "bichteler_jacod"],
+        "n_paths": 100,
+        "n_steps": 4,
+        "maturities": [2.0, 4.0],
+        "orders": [2.0, 4.0],
+        "horizons": [0.5, 1.0],
+        "factor_cap": 3.0,
+    },
+}
+
+
+def write_config(
+    tmp_path: Path, overrides=None, name="scenario.yaml", base=BASE_CONFIG
+) -> Path:
+    cfg = yaml.safe_load(yaml.safe_dump(base))  # deep copy
     for dotted, value in (overrides or {}).items():
         node = cfg
         *head, last = dotted.split(".")
@@ -63,6 +96,16 @@ def write_config(tmp_path: Path, overrides=None, name="scenario.yaml") -> Path:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg, sort_keys=True))
     return path
+
+
+def config_leaves(node, path=()):
+    """Key paths to every value in a config that is not a mapping, lists and
+    their entries both included."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if not isinstance(child, dict):
+            yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from config_leaves(child, path + (key,))
 
 
 class TestScenarioParsing:
@@ -152,14 +195,23 @@ class TestScenarioParsing:
             load_scenario(path)
 
     @pytest.mark.parametrize(
-        "key", ["solver.n_steps", "solver.n_paths", "verify.n_steps", "verify.n_paths"]
+        "key",
+        [
+            "solver.n_steps",
+            "solver.n_paths",
+            "verify.n_steps",
+            "verify.n_paths",
+            "grid.n_points",
+            "driver.family.d_trunc",
+        ],
     )
     @pytest.mark.parametrize("value", [5.7, 6.0, True], ids=["fraction", "float", "bool"])
     def test_non_integer_count_is_config_error(self, tmp_path, key, value):
         overrides = {key: value}
         if key.startswith("verify."):
             overrides["verify.checks"] = ["isometry"]
-        path = write_config(tmp_path, overrides)
+        base = FAMILY_CONFIG if key.startswith("driver.family") else BASE_CONFIG
+        path = write_config(tmp_path, overrides, base=base)
         with pytest.raises(ScenarioError, match="must be an integer"):
             load_scenario(path)
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
@@ -176,6 +228,30 @@ class TestScenarioParsing:
         path = write_config(tmp_path, {"driver.r_ball": 2.0})
         with pytest.raises(ScenarioError, match="exponential moment"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("base", [BASE_CONFIG, FAMILY_CONFIG], ids=["components", "family"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, "x", None, [], True, -1], ids=repr
+    )
+    def test_only_scenario_error_leaves_load(self, tmp_path, base, value):
+        # under the suite's error::RuntimeWarning filter a load that computes
+        # with a NaN before rejecting it escapes too
+        escapes = []
+        for leaf in config_leaves(base):
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            path = tmp_path / "scenario.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            try:
+                load_scenario(path)
+            except ScenarioError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other exception is the failure
+                escapes.append(f"{leaf}: {type(exc).__name__}: {exc}")
+        assert not escapes
 
 
 class TestRunScenario:
@@ -250,9 +326,38 @@ class TestRunScenario:
     @pytest.mark.parametrize("key", ["solver.r_local", "solver.horizon"])
     def test_nan_solver_setting_is_config_error(self, tmp_path, key):
         path = write_config(tmp_path, {key: float("nan")})
-        with pytest.raises(ScenarioError, match="solver settings"):
+        with pytest.raises(ScenarioError, match=key.split(".")[1]):
             load_scenario(path)
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"driver.delta": math.nan},
+            {"driver.r_ball": math.nan},
+            {"grid.beta": math.nan},
+            {"grid.beta": math.inf},
+            {"grid.n_points": math.inf},
+            {"volatility.params.scales": [math.nan]},
+            {"volatility.name": "constant_vector", "volatility.params": {"levels": [math.nan]}},
+            {"solver.initial_curve.short": "x"},
+            {"verify": {"checks": ["bichteler_jacod"], "orders": [1.0]}},
+            {"verify": {"checks": ["bichteler_jacod"], "orders": [math.nan]}},
+            {"verify": {"checks": ["bichteler_jacod"], "horizons": [0.0]}},
+            {"verify": {"checks": ["bichteler_jacod"], "factor_cap": "x"}},
+            {"verify": {"checks": ["martingale_bonds"], "maturities": ["x"]}},
+        ],
+        ids=[
+            "delta_nan", "r_ball_nan", "beta_nan", "beta_inf", "n_points_inf", "scales_nan",
+            "levels_nan", "initial_curve_str", "order_1", "order_nan", "horizon_0",
+            "factor_cap_str", "maturity_str",
+        ],
+    )
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out"
+        assert run_scenario(write_config(tmp_path, overrides), out_dir=out) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run_scenario(tmp_path / "nope.yaml") == EXIT_CONFIG_ERROR
@@ -444,22 +549,29 @@ class TestMainEntry:
         assert all(r["exit_code"] == "0" for r in rows)
         assert (out / "solver_n_steps_10" / "summary.csv").exists()
 
-    def test_sweep_unknown_param_is_config_error(self, tmp_path):
+    def test_sweep_unknown_param_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
-        code = main(
-            [
-                "sweep",
-                "--config",
-                str(path),
-                "--param",
-                "solver.bogus",
-                "--values",
-                "1",
-                "--out",
-                str(tmp_path / "s"),
-            ]
-        )
-        assert code == EXIT_CONFIG_ERROR
+        # an unknown key, a missing file, and a path through a non-mapping
+        for config, param in [
+            (path, "solver.bogus"),
+            (tmp_path / "missing.yaml", "solver.n_steps"),
+            (path, "seed.x"),
+        ]:
+            code = main(
+                [
+                    "sweep",
+                    "--config",
+                    str(config),
+                    "--param",
+                    param,
+                    "--values",
+                    "1",
+                    "--out",
+                    str(tmp_path / "s"),
+                ]
+            )
+            assert code == EXIT_CONFIG_ERROR
+            assert "config error: " in capsys.readouterr().err
 
     def test_bundled_smoke_scenario_runs_clean(self, tmp_path):
         code = main(
