@@ -28,6 +28,7 @@ from .curvespace import (
     rescale_to_norm,
     seminorm_H,
     shift,
+    shift_gain,
 )
 from .levy import (
     CompoundPoissonComponent,

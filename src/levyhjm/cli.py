@@ -22,6 +22,7 @@ Outputs are byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -87,6 +88,35 @@ def _require_int(value, what: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ScenarioError(f"{what} must be an integer >= {low}, got {value!r}")
     return value
+
+
+def _require_float(value, what: str) -> float:
+    """``value`` as a float if it is a number; a bool is not (``float(True)`` is 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_floats(values, what: str) -> list[float]:
+    """A list of numbers as floats, each as ``_require_float`` takes it."""
+    if not isinstance(values, list):
+        raise ScenarioError(f"{what} must be a list of numbers, got {values!r}")
+    return [_require_float(v, f"{what}[{i}]") for i, v in enumerate(values)]
+
+
+# Defaults of the verify section, read both where a scenario is checked at load
+# and where its checks run.  The bond check's horizon is the first horizon.
+_VERIFY_ORDERS = [2.0, 4.0]
+_VERIFY_HORIZONS = [0.5, 1.0, 2.0]
+_BOND_HORIZONS = [1.0]
+_FACTOR_CAP = 3.0
+# the checks that run at every verify order
+_ORDER_CHECKS = {"bichteler_jacod", "convolution"}
+
+
+def _verify_floats(vc: dict, key: str, default: list[float]) -> list[float]:
+    """``verify.<key>`` as floats, ``default`` when the key is absent."""
+    return _require_floats(vc.get(key, default), f"verify.{key}")
 
 
 def _take(section: dict, where: str, allowed: dict[str, bool]) -> dict:
@@ -287,16 +317,20 @@ def _cross_validate(sc: Scenario) -> None:
     _initial_curve(bundle.u0, cfg, bundle.grid)
     moment_mp(bundle.driver, cfg.p)
     vc = sc.verify or {}
-    for p in vc.get("orders", []):
+    checks = set(vc.get("checks", []))
+    # explicit orders always, the default ones where a check runs at them
+    for p in _verify_floats(vc, "orders", _VERIFY_ORDERS if checks & _ORDER_CHECKS else []):
         moment_mp(bundle.driver, p)
-    horizons = vc.get("horizons", [1.0])
+    horizons = _verify_floats(vc, "horizons", _VERIFY_HORIZONS)
     if not horizons or not all(0 < T < math.inf for T in horizons):
         raise ValueError(f"verify.horizons must be nonempty, positive and finite, got {horizons!r}")
-    factor_cap = vc.get("factor_cap", 3.0)
+    factor_cap = _require_float(vc.get("factor_cap", _FACTOR_CAP), "verify.factor_cap")
     if not 1 <= factor_cap < math.inf:
         raise ValueError(f"verify.factor_cap must be finite and >= 1, got {factor_cap!r}")
-    if "martingale_bonds" in vc.get("checks", []):
-        _bond_maturities(vc.get("maturities", []), bundle.grid, _bond_config(vc, sc.seed).horizon)
+    if "martingale_bonds" in checks:
+        _bond_maturities(
+            _verify_floats(vc, "maturities", []), bundle.grid, _bond_config(vc, sc.seed).horizon
+        )
 
 
 @dataclass(frozen=True)
@@ -309,43 +343,62 @@ class ModelBundle:
 
 def build_bundle(sc: Scenario) -> ModelBundle:
     """Materialize grid, driver, model and initial curve from a scenario."""
-    grid = make_grid(sc.grid["x_max"], sc.grid["n_points"], sc.grid["beta"])
+    grid = make_grid(
+        _require_float(sc.grid["x_max"], "grid.x_max"),
+        sc.grid["n_points"],
+        _require_float(sc.grid["beta"], "grid.beta"),
+    )
     tail = 0.0
     if "components" in sc.driver:
         comps = []
-        for c in sc.driver["components"]:
+        for i, c in enumerate(sc.driver["components"]):
             kind = c["kind"]
+            num = {
+                k: _require_float(v, f"driver.components[{i}].{k}")
+                for k, v in c.items()
+                if k != "kind"
+            }
             if kind == "wiener":
-                comps.append(WienerComponent(variance=float(c["variance"])))
+                comps.append(WienerComponent(variance=num["variance"]))
             elif kind == "gamma":
-                comps.append(GammaComponent(c=float(c["c"]), rate=float(c["rate"])))
+                comps.append(GammaComponent(c=num["c"], rate=num["rate"]))
             else:
                 comps.append(
-                    CompoundPoissonComponent(
-                        intensity=float(c["intensity"]), jump_std=float(c["jump_std"])
-                    )
+                    CompoundPoissonComponent(intensity=num["intensity"], jump_std=num["jump_std"])
                 )
     else:
         fam = sc.driver["family"]
-        comps, tail = gamma_geometric_family(
-            float(fam["c0"]), float(fam["ratio"]), float(fam["rate"]), fam["d_trunc"]
+        c0, ratio, rate = (
+            _require_float(fam[k], f"driver.family.{k}") for k in ("c0", "ratio", "rate")
         )
+        comps, tail = gamma_geometric_family(c0, ratio, rate, fam["d_trunc"])
     driver = build_driver(
         comps,
-        r_ball=float(sc.driver["r_ball"]),
-        delta=float(sc.driver["delta"]),
-        p_max=float(sc.driver.get("p_max", 4.0)),
+        r_ball=_require_float(sc.driver["r_ball"], "driver.r_ball"),
+        delta=_require_float(sc.driver["delta"], "driver.delta"),
+        p_max=_require_float(sc.driver.get("p_max", 4.0), "driver.p_max"),
         tail_second_moment=tail,
     )
-    vol = volatility_from_config(sc.volatility["name"], sc.volatility["params"])
+    params = _require_mapping(sc.volatility["params"], "volatility.params")
+    vol = volatility_from_config(
+        sc.volatility["name"],
+        # a builtin takes one number or a list of them per parameter
+        {
+            k: _require_floats(v if isinstance(v, list) else [v], f"volatility.params.{k}")
+            for k, v in params.items()
+        },
+    )
     model = HjmModel(
         grid=grid,
         driver=driver,
         cumulant=CumulantModel(driver),
         vol=vol,
-        drift_sign=float(sc.volatility.get("drift_sign", -1.0)),
+        drift_sign=_require_float(sc.volatility.get("drift_sign", -1.0), "volatility.drift_sign"),
     )
-    ic = sc.solver["initial_curve"]
+    ic = {
+        k: _require_float(v, f"solver.initial_curve.{k}")
+        for k, v in sc.solver["initial_curve"].items()
+    }
     # a non-finite setting gives a non-finite curve, which _initial_curve rejects
     with np.errstate(invalid="ignore", over="ignore"):
         u0 = ic["long"] + (ic["short"] - ic["long"]) * np.exp(-ic["decay"] * grid.nodes)
@@ -355,12 +408,12 @@ def build_bundle(sc: Scenario) -> ModelBundle:
 def solver_config(sc: Scenario, seed: int) -> SolverConfig:
     s = sc.solver
     return SolverConfig(
-        horizon=float(s["horizon"]),
+        horizon=_require_float(s["horizon"], "solver.horizon"),
         n_steps=s["n_steps"],
         n_paths=s["n_paths"],
-        picard_tol=float(s.get("picard_tol", 1e-8)),
-        r_local=float(s.get("r_local", 1e6)),
-        p=float(s.get("p", 2.0)),
+        picard_tol=_require_float(s.get("picard_tol", 1e-8), "solver.picard_tol"),
+        r_local=_require_float(s.get("r_local", 1e6), "solver.r_local"),
+        p=_require_float(s.get("p", 2.0), "solver.p"),
         seed=seed,
     )
 
@@ -401,7 +454,7 @@ def _run_exponential_moment(bundle: ModelBundle, vc: dict, seed: int) -> list[Ch
 def _bond_config(vc: dict, seed: int) -> SolverConfig:
     """The bond check's solver settings; its horizon is the first verify horizon."""
     return SolverConfig(
-        horizon=float(vc.get("horizons", [1.0])[0]),
+        horizon=_verify_floats(vc, "horizons", _BOND_HORIZONS)[0],
         n_steps=vc.get("n_steps", 20),
         n_paths=vc.get("n_paths", 20000),
         seed=_check_seed(seed, "bond"),
@@ -410,17 +463,17 @@ def _bond_config(vc: dict, seed: int) -> SolverConfig:
 
 def _run_martingale_bonds(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
     return verify_martingale_bonds(
-        bundle.model, bundle.u0, vc.get("maturities", []), _bond_config(vc, seed)
+        bundle.model, bundle.u0, _verify_floats(vc, "maturities", []), _bond_config(vc, seed)
     )
 
 
 def _run_maximal_inequalities(
     bundle: ModelBundle, vc: dict, seed: int, convolution: bool
 ) -> list[CheckReport]:
-    orders = [float(p) for p in vc.get("orders", [2.0, 4.0])]
-    horizons = [float(T) for T in vc.get("horizons", [0.5, 1.0, 2.0])]
+    orders = _verify_floats(vc, "orders", _VERIFY_ORDERS)
+    horizons = _verify_floats(vc, "horizons", _VERIFY_HORIZONS)
     n_paths = vc.get("n_paths", 8000)
-    factor_cap = float(vc.get("factor_cap", 3.0))
+    factor_cap = _require_float(vc.get("factor_cap", _FACTOR_CAP), "verify.factor_cap")
     steps_per_year = vc.get("n_steps", 32)
     label = "convolution" if convolution else "bichteler_jacod"
     reports: list[CheckReport] = []
@@ -643,8 +696,9 @@ def _parse_value(text: str):
     return text
 
 
-def _override_config(config_path: Path, dotted: str, value, target: Path) -> None:
-    _, raw = _read_config(config_path)
+def _override_config(raw, dotted: str, value) -> str:
+    """The YAML of config ``raw`` with the key at ``dotted`` set to ``value``."""
+    raw = copy.deepcopy(raw)
     node = raw
     *head, last = dotted.split(".")
     for key in head:
@@ -654,22 +708,24 @@ def _override_config(config_path: Path, dotted: str, value, target: Path) -> Non
     if not isinstance(node, dict) or last not in node:
         raise ScenarioError(f"sweep parameter {dotted!r}: unknown key {last!r}")
     node[last] = value
-    target.write_text(yaml.safe_dump(raw, sort_keys=True))
+    return yaml.safe_dump(raw, sort_keys=True)
 
 
 def run_sweep(config_path: Path, param: str, values: list, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every override is made before any directory, so a config error leaves none
+    try:
+        _, raw = _read_config(config_path)
+        texts = [_override_config(raw, param, v) for v in values]
+    except ScenarioError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     rows = []
     worst = EXIT_OK
-    for v in values:
+    for v, text in zip(values, texts):
         sub = out_dir / f"{param.replace('.', '_')}_{v}"
         sub.mkdir(parents=True, exist_ok=True)
         cfg_file = sub / "scenario.yaml"
-        try:
-            _override_config(config_path, param, v, cfg_file)
-        except ScenarioError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+        cfg_file.write_text(text)
         code = run_scenario(cfg_file, out_dir=sub)
         worst = max(worst, code)
         rows.append((param, v, code))

@@ -40,6 +40,7 @@ __all__ = [
     "norm_frak_H",
     "seminorm_H",
     "shift",
+    "shift_gain",
     "check_embeddings",
     "pointwise_norm_curve",
     "HarmonicFamily",
@@ -416,6 +417,31 @@ def _shift_values(
     np.multiply(v[..., j - 1], 1.0 - frac, out=out)
     out += v[..., j] * frac
     return out
+
+
+def shift_gain(grid: WeightGrid, t: float) -> float:
+    """The operator norm C = sup |shift(u, t)|_H / |u|_H on the grid.
+
+    ``norm_H`` is the quadratic form u^T A u with Gram matrix
+    A = e_0 e_0^T + D^T diag(alpha w) D, D the matrix of ``grid_derivative``;
+    ``shift`` is a matrix S.  C^2 is the largest eigenvalue of the pencil
+    (S^T A S, A), reduced to a symmetric one through the Cholesky factor
+    A = L L^T.  A is positive definite: D u = 0 only for constant u, and
+    u(0) pins the constant.  C exceeds 1 because a checkerboard, which the
+    centered differences see only at the edges, moves into the weighted
+    interior; on the bundled grids a one-cell shift has C = 1.734.
+    """
+    n = grid.n_nodes
+    eye = np.eye(n)
+    D = grid_derivative(eye, grid, axis=0)
+    S = _shift_values(eye, t, grid).T
+    A = D.T @ (grid.weighted_quad[:, None] * D)
+    A[0, 0] += 1.0
+    L = np.linalg.cholesky(A)
+    half = np.linalg.solve(L, S.T @ A @ S)  # L^-1 S^T A S
+    pencil = np.linalg.solve(L, half.T)  # L^-1 S^T A S L^-T
+    top = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1]
+    return float(np.sqrt(top))
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,59 @@ class TestScenarioParsing:
             load_scenario(path)
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CONFIG_ERROR
 
+    def test_default_orders_checked_at_load(self, tmp_path):
+        # the maximal inequalities run at orders 2 and 4 unless told otherwise;
+        # order 4 needs p_max >= 4, so p_max 3 is a config error before any run
+        verify = {"checks": ["bichteler_jacod"], "horizons": [0.5], "n_paths": 100}
+        path = write_config(tmp_path, {"driver.p_max": 3.0, "verify": verify})
+        with pytest.raises(ScenarioError, match="moment order 4"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+        # explicit orders within p_max, or checks that run at no order, load
+        for overrides in ({"verify.orders": [2.0, 3.0]}, {"verify.checks": ["isometry"]}):
+            path = write_config(
+                tmp_path, {"driver.p_max": 3.0, "verify": verify, **overrides}
+            )
+            load_scenario(path)
+
+    @pytest.mark.parametrize("base", [BASE_CONFIG, FAMILY_CONFIG], ids=["components", "family"])
+    def test_bool_in_float_key_is_config_error(self, tmp_path, base):
+        # YAML's true is no number: float(True) would read it as 1.0
+        integer_keys = {"seed", "n_points", "n_steps", "n_paths", "d_trunc"}
+        leaves = []
+        for leaf in config_leaves(base):
+            node = base
+            for key in leaf:
+                node = node[key]
+            number = isinstance(node, (int, float)) and not isinstance(node, bool)
+            if number and not set(leaf) & integer_keys:
+                leaves.append(leaf)
+        assert len(leaves) >= 13
+        loaded = []
+        for leaf in leaves:
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = True
+            path = tmp_path / "scenario.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            try:
+                load_scenario(path)
+            except ScenarioError as exc:
+                assert "must be a number" in str(exc), leaf
+            else:
+                loaded.append(leaf)
+        assert not loaded
+
+    def test_bool_grid_x_max_exits_2(self, tmp_path):
+        path = write_config(tmp_path, {"grid.x_max": True})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
     def test_initial_curve_outside_radius_is_config_error(self, tmp_path):
         # BASE_CONFIG's initial curve has |u0|_H = 0.0207
         path = write_config(tmp_path, {"solver.r_local": 0.02})
@@ -572,6 +625,8 @@ class TestMainEntry:
             )
             assert code == EXIT_CONFIG_ERROR
             assert "config error: " in capsys.readouterr().err
+            # the config is read and overridden before any directory is made
+            assert not (tmp_path / "s").exists()
 
     def test_bundled_smoke_scenario_runs_clean(self, tmp_path):
         code = main(

@@ -809,6 +809,206 @@ class TestBlockInvariance:
         ]
 
 
+def _euler_every_norm(model, u0, cfg, dM):
+    """Test-side Euler solve that takes every live path's norm at every step.
+
+    The step sums in the solver's order, so curves and exit indices must
+    equal the solver's bitwise whatever norms the solver skips.
+    """
+    from levyhjm.solver import _shift_values
+
+    grid, m, P = model.grid, cfg.n_steps, cfg.n_paths
+    kernel = _step_kernel(model, cfg.times[:-1])
+    curves = np.empty((P, m + 1, grid.n_nodes))
+    curves[:, 0] = u0
+    exits = np.full(P, m + 1)
+    for j in range(m):
+        u = curves[:, j]
+        sig, f, ok = kernel(j, u)
+        cand = _shift_values(u, cfg.dt, grid)
+        cand += f * cfg.dt
+        cand += np.einsum("pnd,pd->pn", sig, dM[j])
+        assert np.isfinite(cand).all()
+        exits[(exits > m) & ~np.broadcast_to(ok, (P,))] = j
+        frozen = exits <= m
+        cand[frozen] = u[frozen]
+        exits[~frozen & (lh.norm_H(cand, grid) > cfg.r_local)] = j + 1
+        curves[:, j + 1] = cand
+    return curves, exits
+
+
+def _radius_for_exit_at(norms, k):
+    """A radius at which some path's first norm over it is at step k.
+
+    ``norms`` are the unlocalized (paths, times) norms; the radius lies
+    between a path's running max through t_{k-1} and its norm at t_k.
+    """
+    before = norms[:, :k].max(axis=1)
+    p = int(np.argmax(norms[:, k] - before))
+    assert norms[p, k] > before[p]
+    return float(0.5 * (before[p] + norms[p, k]))
+
+
+class TestCertifiedNormSkip:
+    """Euler skips norms its bound certifies, with exits and curves unchanged."""
+
+    N_STEPS = 8
+
+    @staticmethod
+    def _setup(vol_name, aligned, u0_kind):
+        # aligned: dt is one cell, the shift an index rotation; otherwise the
+        # shift interpolates between nodes (1.25 cells, gain 1.05).  A rough
+        # initial curve carries a damped checkerboard, which the aligned shift
+        # amplifies 1.73x, so there a bound without the shift's gain fails.
+        grid = aligned_grid(10.0, 1.0 / 16.0) if aligned else lh.make_grid(10.0, 201, BETA)
+        if vol_name == "constant":
+            vol = lh.constant_volatility([0.1])
+        else:
+            vol = lh.exp_decay_volatility([0.08, 0.05], [0.5, 1.0])
+        assert vol.state_free
+        model = _model(grid, vol)
+        u0 = initial_curve(grid)
+        if u0_kind == "rough":
+            board = (-1.0) ** np.arange(grid.n_nodes) * np.exp(-0.5 * grid.nodes)
+            board[0] = board[1] / 3.0
+            u0 = u0 + 0.01 * board
+        cfg = lh.SolverConfig(
+            horizon=0.5, n_steps=TestCertifiedNormSkip.N_STEPS, n_paths=40, seed=21
+        )
+        assert math.isclose(cfg.dt * 16, 1.0) and (grid.spacing == cfg.dt) == aligned
+        return model, u0, cfg
+
+    @staticmethod
+    def _count_norms(monkeypatch):
+        """Count the curves the solver takes norms of, by call."""
+        from levyhjm import solver
+
+        counts = []
+
+        def counting(curve, grid):
+            counts.append(int(np.prod(np.shape(curve)[:-1])))
+            return lh.norm_H(curve, grid)
+
+        monkeypatch.setattr(solver, "norm_H", counting)
+        return counts
+
+    @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
+    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
+    def test_exits_and_curves_bitwise_those_of_every_norm(
+        self, vol_name, aligned, block_rows, u0_kind, monkeypatch
+    ):
+        from levyhjm import solver
+
+        model, u0, cfg = self._setup(vol_name, aligned, u0_kind)
+        m = cfg.n_steps
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * model.grid.n_nodes)
+        free = lh.euler_solve(model, u0, cfg)
+        norms = lh.norm_H(free.curves, model.grid)
+        radii = {
+            "first": _radius_for_exit_at(norms, 1),
+            "middle": _radius_for_exit_at(norms, m // 2),
+            "last": _radius_for_exit_at(norms, m),
+            "just_above_u0": float(norms[0, 0]) * 1.0000001,
+            "sentinel": 1e6,
+        }
+        for name, r_local in radii.items():
+            run = dataclasses.replace(cfg, r_local=r_local)
+            ens = lh.euler_solve(model, u0, run, increments=free.increments)
+            curves, exits = _euler_every_norm(model, u0, run, free.increments)
+            assert np.array_equal(ens.exit_index, exits), name
+            assert np.array_equal(ens.curves, curves), name
+            step = {"first": 1, "middle": m // 2, "last": m}.get(name)
+            if step is not None:
+                assert (exits == step).any(), name
+                assert (exits > step).any(), name
+        assert (exits == m + 1).all()
+
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
+    def test_skips_what_the_bound_certifies(self, aligned, monkeypatch):
+        model, u0, cfg = self._setup("exp_decay", aligned, "smooth")
+        counts = self._count_norms(monkeypatch)
+        # the initial curve's check and the bound's start, then once per step
+        # the drift and the two sigmas
+        fixed = 2 + 3 * cfg.n_steps
+        lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=1e6))
+        assert sum(counts) == fixed
+        counts.clear()
+        lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=math.inf))
+        assert sum(counts) == fixed
+        # a radius some paths reach by the last step: the first steps are
+        # certified, and some norms are taken later on
+        free = lh.euler_solve(model, u0, cfg)
+        r_local = _radius_for_exit_at(lh.norm_H(free.curves, model.grid), cfg.n_steps)
+        counts.clear()
+        lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=r_local))
+        taken = sum(counts) - fixed
+        assert 0 < taken < cfg.n_paths * cfg.n_steps
+
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_without_a_bound_every_live_norm_is_taken(
+        self, solver_name, gamma_model, monkeypatch
+    ):
+        # tanh sigma reads the state, and Picard has no bound: the bound is
+        # infinite at every step, so every live path's norm is taken and
+        # replaces it; with an infinite radius none is taken
+        from levyhjm import solver
+
+        localize = solver._localize
+        taken = []
+
+        def recording(exits, frozen, ok, candidate, prev, i, grid, r_local, bound):
+            assert np.isinf(bound).all()
+            out = localize(exits, frozen, ok, candidate, prev, i, grid, r_local, bound)
+            live = exits >= i + 1  # alive after t_i, the norm exits included
+            taken.append((live.sum(), np.isfinite(bound).sum()))
+            return out
+
+        monkeypatch.setattr(solver, "_localize", recording)
+        u0 = initial_curve(gamma_model.grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=32, seed=8)
+        free = _solve(solver_name, gamma_model, u0, cfg)
+        r_local = _radius_for_exit_at(lh.norm_H(free.curves, gamma_model.grid), 4)
+        taken.clear()
+        ens = _solve(solver_name, gamma_model, u0, dataclasses.replace(cfg, r_local=r_local))
+        assert len(set(ens.exit_index.tolist())) > 1  # paths leave at different steps
+        assert all(live == normed for live, normed in taken)
+        taken.clear()
+        _solve(solver_name, gamma_model, u0, dataclasses.replace(cfg, r_local=math.inf))
+        assert taken and not any(normed for _, normed in taken)
+
+    @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
+    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
+    def test_bound_dominates_every_live_norm(
+        self, vol_name, aligned, block_rows, u0_kind, monkeypatch
+    ):
+        from levyhjm import solver
+
+        model, u0, cfg = self._setup(vol_name, aligned, u0_kind)
+        grid = model.grid
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * grid.n_nodes)
+        localize = solver._localize
+        seen = []
+
+        def checked(exits, frozen, ok, candidate, prev, i, grid, r_local, bound):
+            before, was_frozen = bound.copy(), frozen.copy()
+            out = localize(exits, frozen, ok, candidate, prev, i, grid, r_local, bound)
+            live = ~was_frozen & (exits != i)  # the paths whose candidate is kept
+            seen.append(live.sum())
+            assert np.all(lh.norm_H(candidate[live], grid) <= before[live])
+            return out
+
+        monkeypatch.setattr(solver, "_localize", checked)
+        free = lh.euler_solve(model, u0, cfg)
+        r_local = _radius_for_exit_at(lh.norm_H(free.curves, grid), cfg.n_steps // 2)
+        for r in (1e6, r_local):
+            lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=r))
+        assert sum(seen) > 0
+
+
 _THREAD_RUN = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
