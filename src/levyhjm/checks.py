@@ -16,7 +16,8 @@ seeded Monte Carlo experiment and returns a :class:`CheckReport`:
   semigroup is a contraction (integrands vanish at x_max).
 * ``verify_martingale_bonds``        discounted zero-coupon bonds along
   simulated paths have zero drift slope; the decisive arbiter for the sign
-  of the drift functional.
+  of the drift functional.  Every row fails when localization froze more
+  than ``_LOCALIZED_CAP`` of the paths.
 * ``verify_cumulant_derivatives``    closed-form cumulant derivatives against
   finite differences, and an empirical Lipschitz constant of the Hessian.
 * ``verify_exponential_moment``      sampled finiteness of E e^{|<z, M(1)>|}
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -411,6 +412,15 @@ def verify_convolution_inequality(
 # ---------------------------------------------------------------------------
 
 
+# Largest fraction of paths localization may freeze in the bond check.  A
+# frozen curve stands still while its discount keeps accruing, so its
+# discounted bond falls at about its short rate, a few percent a year: a
+# fraction phi of paths frozen for the whole run moves the mean slope by up
+# to about 0.03 phi, a few standard errors of the bundled scenario's slope
+# (8e-6 at 8000 paths) at phi = 1e-3.  Above the cap every row fails.
+_LOCALIZED_CAP = 1e-3
+
+
 def _bond_maturities(maturities, grid: WeightGrid, horizon: float) -> list[float]:
     """The bond check's maturities as floats: at least one, each in [horizon, x_max]."""
     maturities = [float(T) for T in np.atleast_1d(maturities)]
@@ -437,7 +447,9 @@ def verify_martingale_bonds(
     requires the per-path regression slope of D against time, and the
     endpoint difference D(horizon) - D(0), to vanish within three standard
     errors.  With the wrong drift sign the slope is of the order of twice
-    the drift magnitude and the test must fail.
+    the drift magnitude and the test must fail.  Localized paths bias the
+    slope, so every row fails when more than ``_LOCALIZED_CAP`` of the paths
+    exited.
 
     The bank account is discretized by rolling one-period bonds,
     exp(int_0^dt u(t_j, y) dy) per step, a consistent quadrature of the
@@ -489,7 +501,9 @@ def verify_martingale_bonds(
                 n_samples=cfg.n_paths, standard_error=se_diff, config=config,
             )
         )
-    return reports
+    if n_exited <= _LOCALIZED_CAP * cfg.n_paths:
+        return reports
+    return [replace(r, passed=False) for r in reports]
 
 
 # ---------------------------------------------------------------------------

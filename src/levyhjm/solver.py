@@ -1,20 +1,21 @@
 """Path solvers for the transport-plus-noise curve dynamics.
 
-Two schemes on a shared time grid t_j = j * dt:
+Two schemes on a shared time grid t_j = j * dt, with S the shift by dt and
+G_j = f(t_j, u_j) dt + B(t_j, u_j) dM_j the step increment:
 
-* ``euler_solve``   explicit stepping
-      u_{j+1} = shift(u_j, dt) + f(t_j, u_j) dt + B(t_j, u_j) dM_j,
-* ``picard_solve``  the fixed point of the variation-of-constants map
-      (F u)(t_j) = shift(u0, t_j)
-                   + sum_{i<j} shift(f(t_i, u(t_i)) dt + B(t_i, u(t_i)) dM_i,
-                                t_j - t_i),
-  on one fixed noise record shared by both passes.  F is causal: (F u)(t_j)
-  reads u only before t_j.  So a causal pass, which evaluates each step on
-  the iterate it is building, returns the exact fixed point u* of the
-  discrete map (in exact arithmetic the exponential-Euler recursion
-  u_{j+1} = shift(u_j + f(t_j, u_j) dt + B(t_j, u_j) dM_j, dt)).  A second,
-  certifying pass applies F to u* with the same operations; its residual is
-  0.0, and a residual not below the tolerance raises.
+* ``euler_solve``   explicit stepping u_{j+1} = S u_j + G_j,
+* ``picard_solve``  the fixed point u* of the variation-of-constants map
+      (F u)(t_j) = S^j u0 + sum_{i<j} S^{j-i} G_i(u(t_i)).
+  F is causal: (F u)(t_j) reads u only before t_j.  So u* is the
+  exponential-Euler recursion u_{j+1} = S(u_j + G_j), which differs from
+  Euler only in that S acts after the increment is added.
+
+Both schemes step through one loop, ``euler_transitions``.  ``picard_solve``
+then certifies the curves it collected with one pass of F in its
+convolution form on the same noise record: F(u*)(t_j) must reproduce
+u*(t_j) up to each path's exit index, and a sup-in-time root mean square
+residual not below ``picard_tol`` raises.  The two forms agree to rounding
+on the fixed point; Euler's curves miss it by the schemes' distance.
 
 Integrands are evaluated at the left endpoint of each step (predictable
 convention; anything else biases jump terms), and the drift time integral
@@ -28,22 +29,21 @@ initial curve must lie within ``r_local``, so every index 0 .. n_steps is
 tested once.  The norm is computed only where it could decide: each path
 carries an upper bound on its norm, and a norm whose bound stays inside
 ``r_local`` is certified without being taken.  With a state-free volatility
-Euler's bound is b_{j+1} = C b_j + |f_j|_H dt + sum_d |sigma_{j,d}|_H |dM_{j,d}|,
-C the shift's operator norm (``shift_gain``), reset to the norm whenever that
-is taken; otherwise, and in Picard, the bound is infinite and every live
-path's norm is taken.  Exit indices are those of taking every norm.
+the bound is b_{j+1} = C b_j + g_j in Euler and C (b_j + g_j) in Picard,
+g_j = |f_j|_H dt + sum_d |sigma_{j,d}|_H |dM_{j,d}| >= |G_j|_H and C the
+shift's operator norm (``shift_gain``), reset to the norm whenever that is
+taken; otherwise the bound is infinite and every live path's norm is taken.
+Exit indices are those of taking every norm.
 
 Both schemes take sigma and the drift of each step from one kernel, which
 evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
 drift once per step for all paths, bitwise as the per-path evaluation would.
 
-Paths are independent, so both schemes step them in blocks of rows sized to
-stay in cache.  Picard runs all time steps of both passes on one block
-before the next; the causal pass writes the curves buffer, the certifying
-pass one block-sized scratch buffer.  Curves, exit indices and Picard
-residuals are bitwise those of stepping the whole ensemble at once: every
-operation is per path, and the residual's mean over paths is one reduction
-over all of them.
+Paths are independent, so the loop steps them in blocks of rows sized to
+stay in cache, and the certificate runs all time steps on one block before
+the next.  Curves, exit indices and Picard residuals are bitwise those of
+stepping the whole ensemble at once: every operation is per path, and a
+residual's mean over paths is one reduction over all of them.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -79,16 +79,16 @@ __all__ = [
 
 
 class PicardDivergenceError(RuntimeError):
-    """The certifying Picard pass moved the causal iterate by ``picard_tol`` or more."""
+    """F of the curves ``picard_solve`` collected is ``picard_tol`` or more away from them."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Time grid, path budget, fixed-point and localization controls.
 
-    ``picard_tol`` bounds the certifying Picard pass's residual: the
-    sup-in-time root mean square curve norm of its distance to the causal
-    iterate.  ``r_local`` is the localization radius in the curve norm
+    ``picard_tol`` bounds the Picard certificate's residual: the sup-in-time
+    root mean square curve norm of the distance between the collected curves
+    and F applied to them.  ``r_local`` is the localization radius in the curve norm
     (infinite turns localization off); ``p`` the moment order the run is
     meant to support (must not exceed the driver's declared p_max).  A NaN
     in any of them, or a non-finite horizon, is rejected.
@@ -135,7 +135,7 @@ class SolutionEnsemble:
     is the first time index at which path p froze (curves are constant from
     there on); the sentinel n_steps + 1 means the path never exited and its
     exit time is reported as infinity.  ``increments`` is the (n_steps,
-    n_paths, d) noise record, reusable across solvers and Picard sweeps.
+    n_paths, d) noise record, reusable across solvers.
     """
 
     grid: WeightGrid
@@ -165,12 +165,12 @@ class SolutionEnsemble:
 
 @dataclass(frozen=True)
 class PicardResult:
-    """The causal iterate u* and the residuals of the two passes that made it.
+    """The fixed point u* and the residuals that describe it.
 
-    ``residuals`` holds the causal pass's distance to the transported initial
-    curve and the certifying pass's distance to u*.  ``sweeps`` counts the
-    passes, always 2; ``converged`` is always True, since a failed
-    certification raises.
+    ``residuals`` holds u*'s distance to the transported initial curve
+    S^j u0 and the certificate's distance between F(u*) and u*.  ``sweeps``
+    counts the stepping loop and the certificate, always 2; ``converged`` is
+    always True, since a failed certificate raises.
     """
 
     ensemble: SolutionEnsemble
@@ -239,12 +239,13 @@ def _step_kernel(model: HjmModel, times: np.ndarray):
 
 
 def _norm_bound(model: HjmModel, kernel, cfg: SolverConfig):
-    """(C, increment) with |u_{j+1}|_H <= C |u_j|_H + increment(j, dM_j) in Euler.
+    """(C, increment) with |G_j|_H <= increment(j, dM_j) and |S u|_H <= C |u|_H.
 
     C is the shift's operator norm, with its slack.  ``increment`` bounds each
-    path's |f_j dt + sum_d sigma_{j,d} dM_{j,d}|_H by the triangle inequality,
-    from the norms of a state-free kernel's shared drift and sigma, taken once
-    per step.  A state-dependent sigma has no such bound: it is +inf.
+    path's |G_j|_H = |f_j dt + sum_d sigma_{j,d} dM_{j,d}|_H by the triangle
+    inequality, from the norms of a state-free kernel's shared drift and
+    sigma, taken once per step.  A state-dependent sigma has no such bound:
+    it is +inf.
     """
     if not model.vol.state_free:
         return 1.0, lambda j, dM: math.inf
@@ -294,31 +295,24 @@ def _localize(
     candidate[frozen] = prev[frozen]
     need = ~frozen & ~(bound * _BOUND_SLACK <= r_local)
     if need.any():
-        rows = slice(None) if need.all() else need  # a view when no row is skipped
-        bound[rows] = norm_H(candidate[rows], grid)
+        # the whole block: norm_H rounds each row alone, and norming a
+        # row-indexed copy costs more than norming every row in place
+        bound[need] = norm_H(candidate, grid)[need]
     over = need & (bound > r_local)
     exits[over] = i + 1
     frozen |= over
     return stopped & ok & ~finite
 
 
-def _warn_nonfinite(n_paths: int, where: str) -> None:
-    warnings.warn(
-        f"{n_paths} path(s) produced non-finite curves {where}; "
-        "frozen at their last finite state",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def euler_transitions(
-    model: HjmModel, u0, cfg: SolverConfig, increments=None
+    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
     """Yield (j, t_j, states, exit_index) for j = 0 .. n_steps, streaming.
 
     ``states`` is a live (n_paths, n_nodes) buffer that the step after next
     overwrites; consumers must copy anything they keep.  Each step is
-    localized as the module docstring describes.
+    localized as the module docstring describes.  ``_exponential``, set only
+    by ``picard_solve``, shifts after the step increment is added.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
@@ -339,37 +333,49 @@ def euler_transitions(
         for rows in blocks:
             u, exits, candidate = U[rows], exit_index[rows], nxt[rows]
             sig, f, ok = kernel(j, u)
-            # (shift + f dt) + <sigma, dM>, summed in place in the next state
-            _shift_values(u, cfg.dt, grid, out=candidate)
-            candidate += f * cfg.dt
             noise = noise_term[: len(u)]
             np.einsum("pnd,pd->pn", sig, dM[j, rows], out=noise)
-            candidate += noise
-            frozen = exits != sentinel
             b = bound[rows]
-            b *= gain
-            b += increment(j, dM[j, rows])
+            if _exponential:
+                # shift(u + (f dt + <sigma, dM>)), summed in place in the noise
+                noise += f * cfg.dt
+                noise += u
+                _shift_values(noise, cfg.dt, grid, out=candidate)
+                b += increment(j, dM[j, rows])
+                b *= gain
+            else:
+                # (shift + f dt) + <sigma, dM>, summed in place in the next state
+                _shift_values(u, cfg.dt, grid, out=candidate)
+                candidate += f * cfg.dt
+                candidate += noise
+                b *= gain
+                b += increment(j, dM[j, rows])
+            frozen = exits != sentinel
             bad = _localize(exits, frozen, ok, candidate, u, j, grid, cfg.r_local, b)
             n_bad += int(bad.sum())
         if n_bad:
-            _warn_nonfinite(n_bad, f"at step {j}")
+            warnings.warn(
+                f"{n_bad} path(s) produced non-finite curves at step {j}; "
+                "frozen at their last finite state",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         U, nxt = nxt, U
         yield j + 1, float(times[j + 1]), U, exit_index
 
 
-def euler_solve(
-    model: HjmModel, u0, cfg: SolverConfig, increments=None
+def _collect(
+    model: HjmModel, u0, cfg: SolverConfig, increments, exponential: bool = False
 ) -> SolutionEnsemble:
-    """Explicit scheme over the full path ensemble; see the module docstring."""
-    grid = model.grid
+    """Every state of ``euler_transitions``, over the full path ensemble."""
     dM = _noise(model, cfg, increments)
-    curves = np.empty((cfg.n_paths, cfg.n_steps + 1, grid.n_nodes))
-    exit_index = np.full(cfg.n_paths, cfg.n_steps + 1, dtype=int)
-    for j, _t, U, exit_idx in euler_transitions(model, u0, cfg, increments=dM):
+    curves = np.empty((cfg.n_paths, cfg.n_steps + 1, model.grid.n_nodes))
+    for j, _t, U, exit_index in euler_transitions(
+        model, u0, cfg, increments=dM, _exponential=exponential
+    ):
         curves[:, j] = U
-        exit_index = exit_idx
     return SolutionEnsemble(
-        grid=grid,
+        grid=model.grid,
         times=cfg.times,
         curves=curves,
         exit_index=exit_index,
@@ -379,40 +385,47 @@ def euler_solve(
     )
 
 
-def _picard_pass(
-    kernel, cfg: SolverConfig, grid: WeightGrid, transported: np.ndarray,
-    dM: np.ndarray, src: np.ndarray, out: np.ndarray, ref: np.ndarray,
-    diff: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the variation-of-constants map F to a block of paths: out = F(src).
+def euler_solve(
+    model: HjmModel, u0, cfg: SolverConfig, increments=None
+) -> SolutionEnsemble:
+    """Explicit scheme over the full path ensemble; see the module docstring."""
+    return _collect(model, u0, cfg, increments)
 
-    Step j evaluates the kernel on ``src[:, j - 1]``, writes (F src)(t_j)
-    into ``out[:, j]`` and records ``norm_H(out[:, j] - ref[:, j])`` in
-    ``diff[:, j]`` while the row is in cache; ``out[:, 0]`` must hold the
-    initial curves.  With ``src`` = ``out`` the pass is causal.  ``dM`` holds
-    the block's (n_steps, rows, d) noise.  Returns the exit indices and the
-    mask of paths that produced a non-finite curve.
+
+def _certify(
+    model: HjmModel, cfg: SolverConfig, ens: SolutionEnsemble
+) -> tuple[float, float]:
+    """Residuals of the curves u: to S^j u0, and to F(u) up to each exit index.
+
+    F is applied once, in its convolution form S^j u0 + sum_{i<j} S^{j-i}
+    G_i(u(t_i)), on the ensemble's noise, a block of paths at a time.  G_i is
+    zero from a path's exit index on, before its noise enters, so no step
+    computes with a path that has exited.  Each residual is the sup over
+    time nodes of the root mean square curve-norm distance over all paths.
     """
-    rows, m = out.shape[0], cfg.n_steps
-    exits = np.full(rows, m + 1, dtype=int)
-    frozen = np.zeros(rows, dtype=bool)
-    nonfinite = np.zeros(rows, dtype=bool)
-    conv = np.zeros((rows, grid.n_nodes))
-    for j in range(1, m + 1):
-        i = j - 1
-        sig, f, ok = kernel(i, src[:, i])
-        G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[i])
-        conv = _shift_values(conv + G, cfg.dt, grid)
-        candidate = transported[j] + conv
-        bound = np.full(rows, np.inf)
-        bad = _localize(exits, frozen, ok, candidate, out[:, i], i, grid, cfg.r_local, bound)
-        # a non-finite path's convolution restarts at zero, so no later step
-        # computes with it
-        conv[bad] = 0.0
-        nonfinite |= bad
-        out[:, j] = candidate
-        diff[:, j] = norm_H(out[:, j] - ref[:, j], grid)
-    return exits, nonfinite
+    grid, dt, m = model.grid, cfg.dt, cfg.n_steps
+    kernel = _step_kernel(model, cfg.times[:-1])
+    transported = np.empty((m + 1, grid.n_nodes))
+    transported[0] = ens.curves[0, 0]  # every path starts at u0
+    for j in range(m):
+        _shift_values(transported[j], dt, grid, out=transported[j + 1])
+    gaps = np.zeros((2, ens.n_paths, m + 1))  # both vanish at t_0
+    for rows in _row_blocks(ens.n_paths, grid.n_nodes):
+        u, exits, dM = ens.curves[rows], ens.exit_index[rows], ens.increments[:, rows]
+        conv = np.zeros((len(u), grid.n_nodes))
+        for j in range(1, m + 1):
+            live = exits >= j  # step j - 1 is before the exit index
+            sig, f, _ok = kernel(j - 1, u[:, j - 1])
+            G = np.einsum("pnd,pd->pn", sig, np.where(live[:, None], dM[j - 1], 0.0))
+            G += f * dt
+            G[~live] = 0.0
+            G += conv
+            _shift_values(G, dt, grid, out=conv)
+            gap = u[:, j] - transported[j]
+            gaps[0, rows, j] = norm_H(gap, grid)
+            gap -= conv  # u(t_j) - (F u)(t_j)
+            gaps[1, rows, j] = np.where(live, norm_H(gap, grid), 0.0)
+    return tuple(float(np.sqrt(np.square(g).mean(axis=0).max())) for g in gaps)
 
 
 def picard_solve(
@@ -420,64 +433,19 @@ def picard_solve(
 ) -> PicardResult:
     """Solve the variation-of-constants map for its fixed point, and certify it.
 
-    Two passes of F run on each block of paths, on one noise record.  The
-    causal pass evaluates step j on the iterate it is building, in the
-    (n_paths, n_steps + 1, n_nodes) curves buffer, which reaches the fixed
-    point u* of the discrete map.  The certifying pass reads u* and writes
-    F(u*) into one block-sized scratch buffer, never into u*; it recomputes
-    u* bitwise.  Each pass's residual is the sup over time nodes of the
-    root mean square curve-norm distance to what it started from (the
-    transported initial curve, then u*).  u* is returned; a certifying
+    The stepping loop runs the exponential-Euler recursion, which is the
+    fixed point u* of the discrete map F, into an (n_paths, n_steps + 1,
+    n_nodes) curves buffer.  One pass of F in its convolution form then
+    certifies u* on the same noise record.  u* is returned; a certificate
     residual not below ``picard_tol`` raises ``PicardDivergenceError``.
     """
-    grid = model.grid
-    dM = _noise(model, cfg, increments)
-    m = cfg.n_steps
-    times = cfg.times
-    u0_vals = _initial_curve(u0, cfg, grid)
-    transported = np.empty((m + 1, grid.n_nodes))
-    for j in range(m + 1):
-        transported[j] = _shift_values(u0_vals, float(times[j]), grid)
-
-    U = np.empty((cfg.n_paths, m + 1, grid.n_nodes))
-    U[:, 0] = u0_vals
-    blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
-    scratch = np.empty_like(U[blocks[0]])
-    # every iterate starts at u0: both residuals are 0 at time index 0
-    diffs = np.zeros((2, cfg.n_paths, m + 1))
-    exit_index = np.empty(cfg.n_paths, dtype=int)
-    nonfinite = np.empty(cfg.n_paths, dtype=bool)
-    kernel = _step_kernel(model, times[:-1])
-    for rows in blocks:
-        cur, noise = U[rows], dM[:, rows]
-        exit_index[rows], nonfinite[rows] = _picard_pass(
-            kernel, cfg, grid, transported, noise,
-            src=cur, out=cur, ref=transported[None], diff=diffs[0, rows],
-        )
-        out = scratch[: len(cur)]
-        out[:, 0] = cur[:, 0]
-        _picard_pass(
-            kernel, cfg, grid, transported, noise,
-            src=cur, out=out, ref=cur, diff=diffs[1, rows],
-        )
-    residuals = tuple(float(np.sqrt(np.square(d).mean(axis=0).max())) for d in diffs)
-
-    if nonfinite.any():
-        _warn_nonfinite(int(nonfinite.sum()), "in the causal pass")
+    ensemble = _collect(model, u0, cfg, increments, exponential=True)
+    residuals = _certify(model, cfg, ensemble)
     if not residuals[1] < cfg.picard_tol:
         raise PicardDivergenceError(
-            f"certifying pass residual {residuals[1]:.3g} is not below picard_tol "
-            f"{cfg.picard_tol:.3g}: the causal iterate is not a fixed point"
+            f"certificate residual {residuals[1]:.3g} is not below picard_tol "
+            f"{cfg.picard_tol:.3g}: the curves are not the fixed point of F"
         )
-    ensemble = SolutionEnsemble(
-        grid=grid,
-        times=times,
-        curves=U,
-        exit_index=exit_index,
-        increments=dM,
-        seed=cfg.seed,
-        p_order=cfg.p,
-    )
     return PicardResult(
         ensemble=ensemble, sweeps=2, residuals=residuals, converged=True
     )

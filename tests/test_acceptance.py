@@ -370,8 +370,8 @@ def test_criterion_07_picard_contraction():
     r = res.residuals
     decreasing = all(r[i + 1] < r[i] for i in range(len(r) - 1))
     terminal_ratio = r[-1] / r[-2] if len(r) >= 2 else 0.0
-    # the residuals reach 0.0 by construction once the causal pass is exact,
-    # so the solve is also compared with the recursion it must equal, and a
+    # the certificate residual is rounding on the fixed point, so the solve
+    # is also compared with an independent recursion it must equal, and a
     # wrong-sign recursion must fail that comparison
     ens = res.ensemble
     all_alive = bool((ens.exit_index == cfg.n_steps + 1).all())

@@ -362,6 +362,24 @@ class TestMartingaleBonds:
         slope = next(r for r in reports if r.name.startswith("bond_slope"))
         assert not slope.passed
 
+    def test_localized_fraction_above_cap_fails_every_row(self, bond_grid, u0):
+        # negative control: a radius that one path in a hundred reaches
+        # freezes ten times the cap, and the correct sign must then fail
+        from levyhjm.checks import _LOCALIZED_CAP
+
+        m = self._model(bond_grid, -1.0)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=20, n_paths=4000, seed=3)
+        assert all(r.passed for r in lh.verify_martingale_bonds(m, u0, [2.0, 5.0], cfg))
+        free = lh.euler_solve(m, u0, cfg)
+        r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
+        tight = dataclasses.replace(cfg, r_local=r_local)
+        reports = lh.verify_martingale_bonds(m, u0, [2.0, 5.0], tight)
+        assert len(reports) == 4
+        for r in reports:
+            assert r.config["n_localized"] > _LOCALIZED_CAP * cfg.n_paths
+            assert r.config["n_localized"] < cfg.n_paths
+            assert not r.passed, r.name
+
     def test_maturity_beyond_grid_rejected(self, bond_grid, u0):
         m = self._model(bond_grid, -1.0)
         cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=2, seed=1)

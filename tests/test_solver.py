@@ -188,31 +188,6 @@ class TestSchemeAgreement:
             assert 1.5 < r < 2.8
 
 
-def pass_dependent_kernel(n_steps):
-    """``_step_kernel`` stand-in whose drift is bumped by 1e-3, then 5e-4.
-
-    Each pass of a block calls the kernel once per step, and a block runs
-    its causal pass before its certifying pass, so the pass is
-    ``(calls // n_steps) % 2`` for any block size.  The bumped map differs
-    between the passes, so its certifying residual is not 0.0.
-    """
-    calls = 0
-
-    def factory(model, times):
-        kernel = _step_kernel(model, times)
-
-        def bumped(j, U):
-            nonlocal calls
-            sig, f, ok = kernel(j, U)
-            bump = (1e-3, 5e-4)[(calls // n_steps) % 2]
-            calls += 1
-            return sig, f + bump, ok
-
-        return bumped
-
-    return factory
-
-
 class TestPicardIteration:
     def test_common_noise_reused_across_sweeps(self, gamma_model):
         u0 = initial_curve(gamma_model.grid)
@@ -221,100 +196,98 @@ class TestPicardIteration:
         expected = lh.increment_table(gamma_model.driver, cfg.dt, 8, 8, seed=6)
         np.testing.assert_array_equal(res.ensemble.increments, expected)
 
-    def test_pass_dependent_drift_fails_certification(self, gamma_model, monkeypatch):
-        # negative control: a map that changes between the causal and the
-        # certifying pass has no common fixed point, and must not pass
+    def test_euler_curves_fail_certification(self, gamma_model, monkeypatch):
+        # negative control: Euler's curves on the same noise are not the fixed
+        # point of F, and the certificate must reject them
         from levyhjm import solver
 
         u0 = initial_curve(gamma_model.grid)
-        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=8, seed=7)
-        monkeypatch.setattr(solver, "_step_kernel", pass_dependent_kernel(cfg.n_steps))
-        with pytest.raises(PicardDivergenceError, match="certifying pass residual"):
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=16, n_paths=32, seed=5)
+        transitions = solver.euler_transitions
+
+        def euler_order(*args, **kwargs):
+            return transitions(*args, **{**kwargs, "_exponential": False})
+
+        monkeypatch.setattr(solver, "euler_transitions", euler_order)
+        with pytest.raises(PicardDivergenceError, match="certificate residual"):
+            lh.picard_solve(gamma_model, u0, cfg)
+        # the certificate saw exactly Euler's curves, and misses them by far
+        # more than rounding
+        loose = lh.picard_solve(gamma_model, u0, dataclasses.replace(cfg, picard_tol=1.0))
+        euler = lh.euler_solve(gamma_model, u0, cfg, increments=loose.ensemble.increments)
+        assert np.array_equal(loose.ensemble.curves, euler.curves)
+        assert loose.residuals[1] > 100 * cfg.picard_tol
+
+    def test_certificate_reads_the_exit_index(self, gamma_model, monkeypatch):
+        # negative control: a path whose curve froze one step before its exit
+        # index differs from F of it only at and after that index
+        from levyhjm import solver
+
+        u0 = initial_curve(gamma_model.grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=10, seed=7)
+        free = lh.picard_solve(gamma_model, u0, cfg).ensemble
+        r_local = _radius_for_exit_at(lh.norm_H(free.curves, gamma_model.grid), 4)
+        cfg = dataclasses.replace(cfg, r_local=r_local)
+        collect = solver._collect
+
+        def frozen_early(*args, **kwargs):
+            ens = collect(*args, **kwargs)
+            p = int(np.argmin(ens.exit_index))
+            e = ens.exit_index[p]
+            assert 1 < e <= cfg.n_steps
+            ens.curves[p, e:] = ens.curves[p, e - 1]
+            return ens
+
+        assert lh.picard_solve(gamma_model, u0, cfg).converged
+        monkeypatch.setattr(solver, "_collect", frozen_early)
+        with pytest.raises(PicardDivergenceError, match="certificate residual"):
             lh.picard_solve(gamma_model, u0, cfg)
 
 
-def _two_buffer_jacobi(model, u0, cfg, kernel, dM):
-    """Test-side Picard solve that keeps each iterate in its own buffer.
-
-    Sweep 0 is the causal pass; sweep 1 reads only the causal iterate and
-    never writes it.  The whole ensemble is one block.  Returns the causal
-    iterate's curves and exit indices, and the residuals of both sweeps.
-    """
-    from levyhjm.solver import _shift_values
-
-    grid, m, P = model.grid, cfg.n_steps, cfg.n_paths
-    transported = np.array([_shift_values(u0, float(t), grid) for t in cfg.times])
-    prev = np.broadcast_to(transported, (P, m + 1, grid.n_nodes))
-    residuals = []
-    for sweep in range(2):
-        new = np.empty((P, m + 1, grid.n_nodes))
-        new[:, 0] = u0
-        src = new if sweep == 0 else prev
-        exits = np.full(P, m + 1)
-        conv = np.zeros((P, grid.n_nodes))
-        for j in range(1, m + 1):
-            sig, f, ok = kernel(j - 1, src[:, j - 1])
-            exits[(exits > m) & ~np.broadcast_to(ok, (P,))] = j - 1
-            G = f * cfg.dt + np.einsum("pnd,pd->pn", sig, dM[j - 1])
-            conv = _shift_values(conv + G, cfg.dt, grid)
-            new[:, j] = transported[j] + conv
-            assert np.isfinite(new[:, j]).all()
-            exits[(exits > m) & (lh.norm_H(new[:, j], grid) > cfg.r_local)] = j
-            frozen = np.nonzero(exits <= j)[0]
-            new[frozen, j] = new[frozen, exits[frozen]]
-        diff = lh.norm_H(new - prev, grid)
-        residuals.append(float(np.sqrt(np.square(diff).mean(axis=0).max())))
-        if sweep == 0:
-            prev, causal_exits = new, exits
-    return prev, causal_exits, tuple(residuals)
-
-
-class TestOneBufferSweeps:
-    """The certifying pass reads only the causal iterate, never its own rows."""
+class TestOneSteppingLoop:
+    """Picard steps the exponential-Euler recursion through Euler's loop."""
 
     @pytest.mark.parametrize("block_rows", [3, 64], ids=["blocks_of_3", "one_block"])
-    @pytest.mark.parametrize("r_local", [1e6, 0.0239], ids=["all_alive", "some_frozen"])
-    def test_multi_sweep_matches_two_buffer_jacobi(
-        self, gamma_model, monkeypatch, block_rows, r_local
+    @pytest.mark.parametrize("some_frozen", [False, True], ids=["all_alive", "some_frozen"])
+    def test_picard_is_the_exponential_euler_recursion(
+        self, gamma_model, monkeypatch, block_rows, some_frozen
     ):
-        # the drift bump differs between the passes, so the certifying pass
-        # moves the iterate; tanh makes sigma read the state, so a certifying
-        # step that read its own rows instead of the causal iterate would differ
+        # tanh makes sigma read the state, so a step evaluated on any state
+        # but the recursion's own would differ
         from levyhjm import solver
 
         grid = gamma_model.grid
         u0 = initial_curve(grid)
-        cfg = lh.SolverConfig(
-            horizon=0.5, n_steps=8, n_paths=10, seed=7, picard_tol=1.0, r_local=r_local,
-        )
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=10, seed=7)
         monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * grid.n_nodes)
-        monkeypatch.setattr(solver, "_step_kernel", pass_dependent_kernel(cfg.n_steps))
+        if some_frozen:
+            free = lh.picard_solve(gamma_model, u0, cfg).ensemble
+            norms = lh.norm_H(free.curves, grid)
+            # half of the paths exceed it at some step
+            cfg = dataclasses.replace(cfg, r_local=float(np.median(norms.max(axis=1))))
         res = lh.picard_solve(gamma_model, u0, cfg)
-        ref_kernel = pass_dependent_kernel(cfg.n_steps)(gamma_model, cfg.times[:-1])
-        curves, exits, residuals = _two_buffer_jacobi(
-            gamma_model, u0, cfg, ref_kernel, res.ensemble.increments
+        curves, exits = _step_every_norm(
+            gamma_model, u0, cfg, res.ensemble.increments, exponential=True
         )
         assert res.sweeps == 2 and res.converged
-        assert residuals[1] > 0.0
         frozen = exits <= cfg.n_steps
-        assert frozen.any() == (r_local < 1.0) and not frozen.all()
+        assert frozen.any() == some_frozen and not frozen.all()
         # some paths freeze before the last step, so frozen rows are copied
-        assert (exits < cfg.n_steps).any() == (r_local < 1.0)
+        assert (exits < cfg.n_steps).any() == some_frozen
         assert np.array_equal(res.ensemble.curves, curves)
         assert np.array_equal(res.ensemble.exit_index, exits)
-        assert res.residuals == residuals
 
 
 class TestOnePassSolve:
-    """The first sweep is the causal pass to the fixed point; the second certifies it."""
+    """The stepping loop reaches the fixed point; the certificate confirms it."""
 
-    def test_second_sweep_certifies_with_zero_residual(self, gamma_model):
+    def test_certificate_residual_is_rounding(self, gamma_model):
         u0 = initial_curve(gamma_model.grid)
         cfg = lh.SolverConfig(horizon=0.5, n_steps=16, n_paths=32, seed=5)
         res = lh.picard_solve(gamma_model, u0, cfg)
         assert res.sweeps == 2
         assert res.residuals[0] > cfg.picard_tol
-        assert res.residuals[1] == 0.0
+        assert res.residuals[1] <= 1e-14
         assert res.converged
 
     def test_matches_left_endpoint_recursion(self, gamma_model):
@@ -666,13 +639,11 @@ class TestExitConventions:
         cfg = lh.SolverConfig(horizon=0.5, n_steps=5, n_paths=4, seed=1)
         inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=1)
         inc[2, 1, 0] = np.inf
-        messages = {
-            "euler": "1 path(s) produced non-finite curves at step 2; "
-            "frozen at their last finite state",
-            "picard": "1 path(s) produced non-finite curves in the causal pass; "
-            "frozen at their last finite state",
-        }
-        for solver, message in messages.items():
+        message = (
+            "1 path(s) produced non-finite curves at step 2; "
+            "frozen at their last finite state"
+        )
+        for solver in ("euler", "picard"):
             with np.errstate(invalid="ignore"), warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 ens = _solve(solver, model, u0, cfg, increments=inc)
@@ -809,11 +780,13 @@ class TestBlockInvariance:
         ]
 
 
-def _euler_every_norm(model, u0, cfg, dM):
-    """Test-side Euler solve that takes every live path's norm at every step.
+def _step_every_norm(model, u0, cfg, dM, exponential=False):
+    """Test-side solve that takes every live path's norm at every step.
 
-    The step sums in the solver's order, so curves and exit indices must
-    equal the solver's bitwise whatever norms the solver skips.
+    Euler's step is shift(u) + f dt + <sigma, dM>; the exponential-Euler step
+    of Picard is shift(u + (f dt + <sigma, dM>)).  Each sums in the solver's
+    order, so curves and exit indices must equal the solver's bitwise
+    whatever norms the solver skips.
     """
     from levyhjm.solver import _shift_values
 
@@ -825,9 +798,13 @@ def _euler_every_norm(model, u0, cfg, dM):
     for j in range(m):
         u = curves[:, j]
         sig, f, ok = kernel(j, u)
-        cand = _shift_values(u, cfg.dt, grid)
-        cand += f * cfg.dt
-        cand += np.einsum("pnd,pd->pn", sig, dM[j])
+        noise = np.einsum("pnd,pd->pn", sig, dM[j])
+        if exponential:
+            cand = _shift_values(u + (noise + f * cfg.dt), cfg.dt, grid)
+        else:
+            cand = _shift_values(u, cfg.dt, grid)
+            cand += f * cfg.dt
+            cand += noise
         assert np.isfinite(cand).all()
         exits[(exits > m) & ~np.broadcast_to(ok, (P,))] = j
         frozen = exits <= m
@@ -850,7 +827,7 @@ def _radius_for_exit_at(norms, k):
 
 
 class TestCertifiedNormSkip:
-    """Euler skips norms its bound certifies, with exits and curves unchanged."""
+    """Both schemes skip norms their bound certifies, with exits and curves unchanged."""
 
     N_STEPS = 8
 
@@ -880,31 +857,46 @@ class TestCertifiedNormSkip:
 
     @staticmethod
     def _count_norms(monkeypatch):
-        """Count the curves the solver takes norms of, by call."""
+        """Record the solver's norms: curves by call, in all and in localization.
+
+        Also records, per localization, the paths that needed their norm: a
+        taken norm replaces the bound bitwise, and a certified bound stays
+        strictly above the norm.
+        """
         from levyhjm import solver
 
-        counts = []
+        counts, localizing, needed = [], [], []
+        localize = solver._localize
 
         def counting(curve, grid):
             counts.append(int(np.prod(np.shape(curve)[:-1])))
             return lh.norm_H(curve, grid)
 
+        def recording(exits, frozen, ok, candidate, prev, i, grid, r_local, bound):
+            before = len(counts)
+            out = localize(exits, frozen, ok, candidate, prev, i, grid, r_local, bound)
+            localizing.extend(counts[before:])
+            needed.append(int((bound == lh.norm_H(candidate, grid)).sum()))
+            return out
+
         monkeypatch.setattr(solver, "norm_H", counting)
-        return counts
+        monkeypatch.setattr(solver, "_localize", recording)
+        return counts, localizing, needed
 
     @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
     @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
     @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
     def test_exits_and_curves_bitwise_those_of_every_norm(
-        self, vol_name, aligned, block_rows, u0_kind, monkeypatch
+        self, solver_name, vol_name, aligned, block_rows, u0_kind, monkeypatch
     ):
         from levyhjm import solver
 
         model, u0, cfg = self._setup(vol_name, aligned, u0_kind)
         m = cfg.n_steps
         monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * model.grid.n_nodes)
-        free = lh.euler_solve(model, u0, cfg)
+        free = _solve(solver_name, model, u0, cfg)
         norms = lh.norm_H(free.curves, model.grid)
         radii = {
             "first": _radius_for_exit_at(norms, 1),
@@ -915,8 +907,10 @@ class TestCertifiedNormSkip:
         }
         for name, r_local in radii.items():
             run = dataclasses.replace(cfg, r_local=r_local)
-            ens = lh.euler_solve(model, u0, run, increments=free.increments)
-            curves, exits = _euler_every_norm(model, u0, run, free.increments)
+            ens = _solve(solver_name, model, u0, run, increments=free.increments)
+            curves, exits = _step_every_norm(
+                model, u0, run, free.increments, exponential=solver_name == "picard"
+            )
             assert np.array_equal(ens.exit_index, exits), name
             assert np.array_equal(ens.curves, curves), name
             step = {"first": 1, "middle": m // 2, "last": m}.get(name)
@@ -926,31 +920,40 @@ class TestCertifiedNormSkip:
         assert (exits == m + 1).all()
 
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
-    def test_skips_what_the_bound_certifies(self, aligned, monkeypatch):
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_skips_what_the_bound_certifies(self, solver_name, aligned, monkeypatch):
         model, u0, cfg = self._setup("exp_decay", aligned, "smooth")
-        counts = self._count_norms(monkeypatch)
+        counts, localizing, needed = self._count_norms(monkeypatch)
         # the initial curve's check and the bound's start, then once per step
-        # the drift and the two sigmas
+        # the drift and the two sigmas; Picard's certificate adds two norms
+        # of every path per step
         fixed = 2 + 3 * cfg.n_steps
-        lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=1e6))
-        assert sum(counts) == fixed
-        counts.clear()
-        lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=math.inf))
-        assert sum(counts) == fixed
-        # a radius some paths reach by the last step: the first steps are
-        # certified, and some norms are taken later on
-        free = lh.euler_solve(model, u0, cfg)
+        if solver_name == "picard":
+            fixed += 2 * cfg.n_steps * cfg.n_paths
+        for r_local in (1e6, math.inf):
+            counts.clear()
+            localizing.clear()
+            _solve(solver_name, model, u0, dataclasses.replace(cfg, r_local=r_local))
+            assert sum(counts) == fixed
+            assert localizing == [] and not any(needed)
+        # a radius some paths reach by the last step: some paths need their
+        # norm, not all of them at every step, and a norm is taken of the
+        # whole block (one block here)
+        free = _solve(solver_name, model, u0, cfg)
         r_local = _radius_for_exit_at(lh.norm_H(free.curves, model.grid), cfg.n_steps)
         counts.clear()
-        lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=r_local))
-        taken = sum(counts) - fixed
-        assert 0 < taken < cfg.n_paths * cfg.n_steps
+        localizing.clear()
+        needed.clear()
+        _solve(solver_name, model, u0, dataclasses.replace(cfg, r_local=r_local))
+        assert sum(counts) == fixed + sum(localizing)
+        assert localizing and set(localizing) == {cfg.n_paths}
+        assert 0 < sum(needed) < cfg.n_paths * cfg.n_steps
 
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
     def test_without_a_bound_every_live_norm_is_taken(
         self, solver_name, gamma_model, monkeypatch
     ):
-        # tanh sigma reads the state, and Picard has no bound: the bound is
+        # tanh sigma reads the state, so neither scheme has a bound: it is
         # infinite at every step, so every live path's norm is taken and
         # replaces it; with an infinite radius none is taken
         from levyhjm import solver
@@ -978,18 +981,11 @@ class TestCertifiedNormSkip:
         _solve(solver_name, gamma_model, u0, dataclasses.replace(cfg, r_local=math.inf))
         assert taken and not any(normed for _, normed in taken)
 
-    @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
-    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
-    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
-    @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
-    def test_bound_dominates_every_live_norm(
-        self, vol_name, aligned, block_rows, u0_kind, monkeypatch
-    ):
+    @staticmethod
+    def _dominance_checked(monkeypatch):
+        """Wrap ``_localize`` to assert each kept live candidate's norm is within its bound."""
         from levyhjm import solver
 
-        model, u0, cfg = self._setup(vol_name, aligned, u0_kind)
-        grid = model.grid
-        monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * grid.n_nodes)
         localize = solver._localize
         seen = []
 
@@ -1002,10 +998,45 @@ class TestCertifiedNormSkip:
             return out
 
         monkeypatch.setattr(solver, "_localize", checked)
-        free = lh.euler_solve(model, u0, cfg)
+        return seen
+
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_bound_covers_a_shifted_checkerboard_increment(self, solver_name, monkeypatch):
+        # a zero initial curve and a checkerboard sigma: every increment is
+        # the mode the aligned shift amplifies most, so Picard's bound needs
+        # C (b + g); C b + g would not cover shift(u + G)
+        def sig(t, x, u):
+            board = (-1.0) ** np.arange(np.shape(x)[-1]) * np.exp(-0.5 * np.asarray(x))
+            board[0] = board[1] / 3.0
+            shape = np.broadcast_shapes(np.shape(x), np.shape(u))
+            return np.broadcast_to(0.05 * board, shape)[..., None].copy()
+
+        vol = lh.VolatilitySpec(name="board", dim=1, sigma=sig, gamma_seq=np.zeros(1))
+        model = _model(aligned_grid(10.0, 1.0 / 16.0), vol)
+        assert vol.state_free
+        seen = self._dominance_checked(monkeypatch)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=40, seed=21)
+        _solve(solver_name, model, np.zeros(model.grid.n_nodes), cfg)
+        assert sum(seen) == cfg.n_paths * cfg.n_steps
+
+    @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
+    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_bound_dominates_every_live_norm(
+        self, solver_name, vol_name, aligned, block_rows, u0_kind, monkeypatch
+    ):
+        from levyhjm import solver
+
+        model, u0, cfg = self._setup(vol_name, aligned, u0_kind)
+        grid = model.grid
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * grid.n_nodes)
+        seen = self._dominance_checked(monkeypatch)
+        free = _solve(solver_name, model, u0, cfg)
         r_local = _radius_for_exit_at(lh.norm_H(free.curves, grid), cfg.n_steps // 2)
         for r in (1e6, r_local):
-            lh.euler_solve(model, u0, dataclasses.replace(cfg, r_local=r))
+            _solve(solver_name, model, u0, dataclasses.replace(cfg, r_local=r))
         assert sum(seen) > 0
 
 
