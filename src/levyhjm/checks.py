@@ -460,16 +460,20 @@ def verify_martingale_bonds(
     maturities = _bond_maturities(maturities, grid, cfg.horizon)
     times = cfg.times
     D = np.empty((cfg.n_paths, cfg.n_steps + 1, len(maturities)))
-    disc = np.zeros(cfg.n_paths)
-    exit_index = None
-    for j, t_j, U, exit_idx in euler_transitions(model, u0, cfg):
+    n_exited = 0
+    done = 0
+    for j, t_j, U, exits in euler_transitions(model, u0, cfg):
+        if j == 0:  # a new block of rows, following the last one
+            rows = slice(done, done + len(U))
+            done = rows.stop
+            disc = np.zeros(len(U))
         # the bond integrals and the one-period integral in one pass over U
         integrals = partial_integral(U, grid, [T - t_j for T in maturities] + [cfg.dt])
-        D[:, j] = np.exp(-disc[:, None] - integrals[:, :-1])
-        disc = disc + integrals[:, -1]
-        exit_index = exit_idx
+        np.exp(-disc[:, None] - integrals[:, :-1], out=D[rows, j])
+        disc += integrals[:, -1]
+        if j == cfg.n_steps:
+            n_exited += int((exits <= cfg.n_steps).sum())
 
-    n_exited = int((exit_index <= cfg.n_steps).sum())
     centered_t = times - times.mean()
     slope_weights = centered_t / np.square(centered_t).sum()
     reports = []

@@ -424,24 +424,27 @@ def shift_gain(grid: WeightGrid, t: float) -> float:
 
     ``norm_H`` is the quadratic form u^T A u with Gram matrix
     A = e_0 e_0^T + D^T diag(alpha w) D, D the matrix of ``grid_derivative``;
-    ``shift`` is a matrix S.  C^2 is the largest eigenvalue of the pencil
-    (S^T A S, A), reduced to a symmetric one through the Cholesky factor
-    A = L L^T.  A is positive definite: D u = 0 only for constant u, and
-    u(0) pins the constant.  C exceeds 1 because a checkerboard, which the
-    centered differences see only at the edges, moves into the weighted
-    interior; on the bundled grids a one-cell shift has C = 1.734.
+    ``shift`` is a matrix S.  With the Cholesky factor A = L L^T,
+    |u|_H = |L^T u|, so C is the largest singular value of L^T S L^-T, or of
+    its transpose L^-1 S^T L, which one solve gives.  A is
+    positive definite: D u = 0 only for constant u, and u(0) pins the
+    constant.  C exceeds 1 because a checkerboard, which the centered
+    differences see only at the edges, moves into the weighted interior; on
+    the bundled grids a one-cell shift has C = 1.734.  Each n x n
+    intermediate is dropped as soon as it is used.
     """
-    n = grid.n_nodes
-    eye = np.eye(n)
-    D = grid_derivative(eye, grid, axis=0)
-    S = _shift_values(eye, t, grid).T
-    A = D.T @ (grid.weighted_quad[:, None] * D)
-    A[0, 0] += 1.0
-    L = np.linalg.cholesky(A)
-    half = np.linalg.solve(L, S.T @ A @ S)  # L^-1 S^T A S
-    pencil = np.linalg.solve(L, half.T)  # L^-1 S^T A S L^-T
-    top = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1]
-    return float(np.sqrt(top))
+    eye = np.eye(grid.n_nodes)
+    shift_t = _shift_values(eye, t, grid)  # row i is S e_i: S^T
+    deriv_t = grid_derivative(eye, grid)  # row i is D e_i: D^T
+    del eye
+    gram = (deriv_t * grid.weighted_quad) @ deriv_t.T
+    del deriv_t
+    gram[0, 0] += 1.0
+    L = np.linalg.cholesky(gram)
+    del gram
+    shift_t = shift_t @ L
+    shift_t = np.linalg.solve(L, shift_t)  # L^-1 S^T L
+    return float(np.linalg.svd(shift_t, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)

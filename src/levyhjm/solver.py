@@ -39,11 +39,14 @@ Both schemes take sigma and the drift of each step from one kernel, which
 evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
 drift once per step for all paths, bitwise as the per-path evaluation would.
 
-Paths are independent, so the loop steps them in blocks of rows sized to
-stay in cache, and the certificate runs all time steps on one block before
-the next.  Curves, exit indices and Picard residuals are bitwise those of
-stepping the whole ensemble at once: every operation is per path, and a
-residual's mean over paths is one reduction over all of them.
+Paths are independent, so the loop runs them in blocks of consecutive rows
+sized to stay in cache, each block through every time step before the next,
+and so does the certificate.  No buffer holds the whole ensemble's state at
+one time: the loop writes a block's states straight into the curves of
+``euler_solve`` and ``picard_solve``, and otherwise alternates two
+block-sized states.  Curves, exit indices and Picard residuals are bitwise
+those of stepping the whole ensemble at once: every operation is per path,
+and a residual's mean over paths is one reduction over all of them.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -214,7 +217,7 @@ def _row_blocks(n_paths: int, n_nodes: int) -> Iterator[slice]:
     """Consecutive slices of the path axis, about _BLOCK_VALUES / n_nodes rows each."""
     rows = max(1, _BLOCK_VALUES // n_nodes)
     for start in range(0, n_paths, rows):
-        yield slice(start, start + rows)
+        yield slice(start, min(start + rows, n_paths))
 
 
 def _step_kernel(model: HjmModel, times: np.ndarray):
@@ -261,14 +264,14 @@ def _norm_bound(model: HjmModel, kernel, cfg: SolverConfig):
 
 # Relative slack on the norm bound, applied to the shift gain C and to the
 # bound's test against r_local, so that rounding can never let a skipped norm
-# exceed r_local.  The exact bound leaves out only rounding.  C comes from an
-# eigenproblem whose Gram matrix A has cond(A) <= 1.5e5 on the bundled grids,
-# so it is accurate to about eps * cond(A) = 3e-11 relative (it agrees with an
-# SVD of the same operator to 2e-15).  An error e of a few ulps per node in a
-# step's values moves a norm by at most |e|_inf sqrt(n lambda_max(A)), and
-# |u|_inf <= |u|_H max sqrt(diag A^-1): about 520 eps = 1.2e-13 relative per
-# rounding on the 321-node bundled grid.  Over a run's roundings both stay far
-# below 1e-6.
+# exceed r_local.  The exact bound leaves out only rounding.  C comes from the
+# Cholesky factor of the Gram matrix A, cond(A) <= 1.5e5 on the bundled grids,
+# so it is accurate to about eps * cond(A) = 3e-11 relative (it agrees with the
+# top eigenvalue of the pencil (S^T A S, A) to 2e-15).  An error e of a few
+# ulps per node in a step's values moves a norm by at most |e|_inf
+# sqrt(n lambda_max(A)), and |u|_inf <= |u|_H max sqrt(diag A^-1): about
+# 520 eps = 1.2e-13 relative per rounding on the 321-node bundled grid.  Over
+# a run's roundings both stay far below 1e-6.
 _BOUND_SLACK = 1.0 + 1e-6
 
 
@@ -305,75 +308,93 @@ def _localize(
 
 
 def euler_transitions(
-    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False
+    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False,
+    _curves=None,
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
-    """Yield (j, t_j, states, exit_index) for j = 0 .. n_steps, streaming.
+    """Yield (j, t_j, states, exits) for each block of rows and j = 0 .. n_steps.
 
-    ``states`` is a live (n_paths, n_nodes) buffer that the step after next
-    overwrites; consumers must copy anything they keep.  Each step is
-    localized as the module docstring describes.  ``_exponential``, set only
-    by ``picard_solve``, shifts after the step increment is added.
+    The paths run in blocks of consecutive rows, in path order, each from
+    j = 0 to n_steps before the next starts: a new block starts whenever j
+    is 0, and its rows directly follow the previous block's.  ``states`` is
+    the block's (rows, n_nodes) state at t_j and ``exits`` its exit indices,
+    both live buffers that later steps overwrite; consumers must copy
+    anything they keep.  Each step is localized as the module docstring
+    describes; the non-finite exits of a step are counted over all blocks
+    and warned about once per step, in step order, after the last block.
+    ``_exponential``, set only by ``picard_solve``, shifts after the step
+    increment is added.  ``_curves``, set only by ``_collect``, is the
+    (n_paths, n_steps + 1, n_nodes) buffer the states are written into.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
     u0_vals = _initial_curve(u0, cfg, grid)
-    U = np.tile(u0_vals, (cfg.n_paths, 1))
-    nxt = np.empty_like(U)
-    blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
-    noise_term = np.empty_like(U[blocks[0]])
     sentinel = cfg.n_steps + 1
-    exit_index = np.full(cfg.n_paths, sentinel, dtype=int)
     times = cfg.times
     kernel = _step_kernel(model, times[:-1])
     gain, increment = _norm_bound(model, kernel, cfg)
-    bound = np.full(cfg.n_paths, norm_H(u0_vals, grid))
-    yield 0, 0.0, U, exit_index
-    for j in range(cfg.n_steps):
-        n_bad = 0
-        for rows in blocks:
-            u, exits, candidate = U[rows], exit_index[rows], nxt[rows]
+    norm0 = norm_H(u0_vals, grid)
+    n_bad = np.zeros(cfg.n_steps, dtype=int)
+    blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
+    # the noise term, then two states to alternate unless _curves holds them
+    scratch = np.empty((1 if _curves is not None else 3, blocks[0].stop, grid.n_nodes))
+    for rows in blocks:
+        n_rows = rows.stop - rows.start
+        noise = scratch[0, :n_rows]
+        if _curves is None:
+            states = scratch[1:, :n_rows]
+        else:
+            states = _curves[rows].swapaxes(0, 1)  # (n_steps + 1, rows, n_nodes)
+        u = states[0]
+        u[...] = u0_vals
+        exits = np.full(len(u), sentinel)
+        bound = np.full(len(u), norm0)
+        yield 0, 0.0, u, exits
+        for j in range(cfg.n_steps):
+            candidate = states[(j + 1) % len(states)]  # t_{j+1}, or the spare state
             sig, f, ok = kernel(j, u)
-            noise = noise_term[: len(u)]
             np.einsum("pnd,pd->pn", sig, dM[j, rows], out=noise)
-            b = bound[rows]
             if _exponential:
                 # shift(u + (f dt + <sigma, dM>)), summed in place in the noise
                 noise += f * cfg.dt
                 noise += u
                 _shift_values(noise, cfg.dt, grid, out=candidate)
-                b += increment(j, dM[j, rows])
-                b *= gain
+                bound += increment(j, dM[j, rows])
+                bound *= gain
             else:
                 # (shift + f dt) + <sigma, dM>, summed in place in the next state
                 _shift_values(u, cfg.dt, grid, out=candidate)
                 candidate += f * cfg.dt
                 candidate += noise
-                b *= gain
-                b += increment(j, dM[j, rows])
+                bound *= gain
+                bound += increment(j, dM[j, rows])
             frozen = exits != sentinel
-            bad = _localize(exits, frozen, ok, candidate, u, j, grid, cfg.r_local, b)
-            n_bad += int(bad.sum())
-        if n_bad:
-            warnings.warn(
-                f"{n_bad} path(s) produced non-finite curves at step {j}; "
-                "frozen at their last finite state",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        U, nxt = nxt, U
-        yield j + 1, float(times[j + 1]), U, exit_index
+            bad = _localize(exits, frozen, ok, candidate, u, j, grid, cfg.r_local, bound)
+            n_bad[j] += int(bad.sum())
+            u = candidate
+            yield j + 1, float(times[j + 1]), u, exits
+    for j in np.flatnonzero(n_bad):
+        warnings.warn(
+            f"{n_bad[j]} path(s) produced non-finite curves at step {j}; "
+            "frozen at their last finite state",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
 
 def _collect(
     model: HjmModel, u0, cfg: SolverConfig, increments, exponential: bool = False
 ) -> SolutionEnsemble:
-    """Every state of ``euler_transitions``, over the full path ensemble."""
+    """Every state of ``euler_transitions``, written straight into the curves."""
     dM = _noise(model, cfg, increments)
     curves = np.empty((cfg.n_paths, cfg.n_steps + 1, model.grid.n_nodes))
-    for j, _t, U, exit_index in euler_transitions(
-        model, u0, cfg, increments=dM, _exponential=exponential
+    exit_index = np.empty(cfg.n_paths, dtype=int)
+    done = 0
+    for j, _t, _states, exits in euler_transitions(
+        model, u0, cfg, increments=dM, _exponential=exponential, _curves=curves
     ):
-        curves[:, j] = U
+        if j == cfg.n_steps:  # a block's last step: its rows follow the last block's
+            exit_index[done : done + len(exits)] = exits
+            done += len(exits)
     return SolutionEnsemble(
         grid=model.grid,
         times=cfg.times,

@@ -285,6 +285,20 @@ class TestShiftGain:
         assert lh.shift_gain(grid, t) == pytest.approx(expected, abs=1e-4)
 
     @pytest.mark.parametrize("grid, t, expected", CASES, ids=["121", "321", "interp"])
+    def test_matches_the_pencil_eigenvalue(self, grid, t, expected):
+        # C^2 is the top eigenvalue of the pencil (S^T A S, A), here reduced
+        # with two solves against the Cholesky factor of A
+        eye = np.eye(grid.n_nodes)
+        D = lh.grid_derivative(eye, grid, axis=0)
+        S = lh.shift(eye, t, grid).T
+        A = D.T @ (grid.weighted_quad[:, None] * D)
+        A[0, 0] += 1.0
+        L = np.linalg.cholesky(A)
+        pencil = np.linalg.solve(L, np.linalg.solve(L, S.T @ A @ S).T)
+        top = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1]
+        assert lh.shift_gain(grid, t) == pytest.approx(math.sqrt(top), rel=1e-12)
+
+    @pytest.mark.parametrize("grid, t, expected", CASES, ids=["121", "321", "interp"])
     def test_no_curve_exceeds_it(self, grid, t, expected):
         rng = np.random.default_rng(31)
         gain = lh.shift_gain(grid, t)

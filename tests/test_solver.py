@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -691,6 +692,18 @@ class TestExitConventions:
         _assert_frozen_at_exit(ens, cfg.n_steps)
 
 
+# Block sizes of the block-major contract: one row, a short block, all rows.
+_BLOCK_ROWS = pytest.mark.parametrize(
+    "rows", [1, 7, None], ids=["rows_1", "rows_7", "all_rows"]
+)
+
+
+def _set_block_rows(monkeypatch, rows, n_paths, n_nodes):
+    from levyhjm import solver
+
+    monkeypatch.setattr(solver, "_BLOCK_VALUES", (rows or n_paths) * n_nodes)
+
+
 class TestBlockInvariance:
     """Stepping the paths in row blocks of any size gives the whole-ensemble results."""
 
@@ -766,18 +779,153 @@ class TestBlockInvariance:
             assert p1.residuals == p2.residuals
             assert b1 == b2
 
-    def test_nonfinite_paths_in_two_blocks_warn_once(self, monkeypatch):
-        from levyhjm import solver
-
-        model, u0, cfg, inc, _bad = self._setup("constant_vector")
-        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * model.grid.n_nodes)
+    @pytest.mark.parametrize("rows", [1, 7], ids=["rows_1", "rows_7"])
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_nonfinite_paths_in_two_blocks_warn_once(
+        self, monkeypatch, solver_name, rows
+    ):
+        model, u0, cfg, inc, bad = self._setup("constant_vector")
+        step = self.STEP
+        # one more non-finite increment, two steps later, on a path still
+        # alive then, in a 7-row block of its own
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "[0-9]+ path.s. produced non-finite")
+            alive = lh.euler_solve(model, u0, cfg, increments=inc).exit_index > step + 2
+        late = next(p for p in np.flatnonzero(alive) if p // 7 not in {b // 7 for b in bad})
+        inc[step + 2, late, 0] = np.inf
+        _set_block_rows(monkeypatch, rows, cfg.n_paths, model.grid.n_nodes)
+        assert len({p // rows for p in [*bad, late]}) == 3
+        expected = [
+            f"{n} path(s) produced non-finite curves at step {j}; "
+            "frozen at their last finite state"
+            for n, j in ((2, step), (1, step + 2))
+        ]
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            lh.euler_solve(model, u0, cfg, increments=inc)
-        assert [str(w.message) for w in seen if "non-finite" in str(w.message)] == [
-            f"2 path(s) produced non-finite curves at step {self.STEP}; "
-            "frozen at their last finite state"
+            transitions = lh.euler_transitions(
+                model, u0, cfg, increments=inc, _exponential=solver_name == "picard"
+            )
+            # the items yielded before any warning: all of them
+            n_items = sum(1 for _ in transitions if not seen)
+            messages = [str(w.message) for w in seen]
+        assert n_items == -(-cfg.n_paths // rows) * (cfg.n_steps + 1)
+        assert messages == expected
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            ens = _solve(solver_name, model, u0, cfg, increments=inc)
+        assert [str(w.message) for w in seen] == expected
+        np.testing.assert_array_equal(ens.exit_index[bad], step)
+        assert ens.exit_index[late] == step + 2
+
+
+class TestBlockMajorOrder:
+    """``euler_transitions`` steps one block of rows through every time step before the next."""
+
+    @_BLOCK_ROWS
+    def test_blocks_follow_in_path_order_through_every_step(
+        self, gamma_model, monkeypatch, rows
+    ):
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=30, seed=7)
+        free = lh.euler_solve(gamma_model, u0, cfg)
+        cfg = dataclasses.replace(
+            cfg, r_local=_radius_for_exit_at(lh.norm_H(free.curves, grid), 4)
+        )
+        _set_block_rows(monkeypatch, rows, cfg.n_paths, grid.n_nodes)
+        steps, blocks, exits = [], [], []
+        for j, t, states, block_exits in lh.euler_transitions(
+            gamma_model, u0, cfg, increments=free.increments
+        ):
+            assert t == cfg.times[j] and states.shape[1:] == (grid.n_nodes,)
+            if j == 0:
+                blocks.append(np.empty((cfg.n_steps + 1,) + states.shape))
+            blocks[-1][j] = states
+            steps.append(j)
+            if j == cfg.n_steps:
+                exits.append(block_exits.copy())
+        size = rows or cfg.n_paths
+        assert [len(b[0]) for b in blocks] == [
+            min(size, cfg.n_paths - start) for start in range(0, cfg.n_paths, size)
         ]
+        assert steps == list(range(cfg.n_steps + 1)) * len(blocks)
+        ens = lh.euler_solve(gamma_model, u0, cfg, increments=free.increments)
+        assert (ens.exit_index <= cfg.n_steps).any()
+        assert np.array_equal(np.concatenate(blocks, axis=1).swapaxes(0, 1), ens.curves)
+        assert np.array_equal(np.concatenate(exits), ens.exit_index)
+
+    @_BLOCK_ROWS
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_curves_and_exits_those_of_every_norm(
+        self, gamma_model, monkeypatch, solver_name, rows
+    ):
+        # tanh sigma reads the state, so each step must see its own block's
+        # state at t_j; radii that make paths exit at the first, a middle and
+        # the last step: the median norm there, since the transport of u0
+        # raises every path's norm at the first step
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=30, seed=9)
+        m = cfg.n_steps
+        free = _solve(solver_name, gamma_model, u0, cfg)
+        norms = lh.norm_H(free.curves, grid)
+        _set_block_rows(monkeypatch, rows, cfg.n_paths, grid.n_nodes)
+        for step in (1, m // 2, m):
+            run = dataclasses.replace(cfg, r_local=float(np.median(norms[:, step])))
+            ens = _solve(solver_name, gamma_model, u0, run, increments=free.increments)
+            curves, exits = _step_every_norm(
+                gamma_model, u0, run, free.increments, exponential=solver_name == "picard"
+            )
+            assert (exits == step).any() and (exits > step).any(), step
+            assert np.array_equal(ens.exit_index, exits), step
+            assert np.array_equal(ens.curves, curves), step
+
+
+class TestPeakMemory:
+    """The stepping loop holds block-sized state, never a whole-ensemble copy of it.
+
+    tracemalloc sees numpy's allocations.  One (n_paths, n_nodes) float64
+    array at 4000 x 321 is 10.3 MB; a loop that kept the ensemble's state at
+    one time, let alone two, would exceed it.
+    """
+
+    N_PATHS, N_STEPS = 4000, 4
+
+    @classmethod
+    def _run(cls):
+        grid = lh.make_grid(10.0, 321, BETA)
+        driver = lh.build_driver([lh.GammaComponent(1.0, 2.0)], r_ball=0.5, delta=1.5)
+        model = lh.HjmModel(
+            grid=grid, driver=driver, cumulant=lh.CumulantModel(driver),
+            vol=lh.tanh_volatility([0.05], [1.0]),
+        )
+        cfg = lh.SolverConfig(horizon=0.125, n_steps=cls.N_STEPS, n_paths=cls.N_PATHS, seed=2)
+        return model, initial_curve(grid), cfg, cls.N_PATHS * grid.n_nodes * 8
+
+    @staticmethod
+    def _peak(fn):
+        """``fn()`` and the peak of its traced allocations over what was live before."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_bond_check_peak_below_one_ensemble_state(self):
+        model, u0, cfg, state_bytes = self._run()
+        reports, peak = self._peak(
+            lambda: lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
+        )
+        assert all(r.passed for r in reports)
+        assert peak < state_bytes, (peak, state_bytes)
+
+    def test_euler_peak_above_its_curves_by_less_than_one_ensemble_state(self):
+        model, u0, cfg, state_bytes = self._run()
+        ens, peak = self._peak(lambda: lh.euler_solve(model, u0, cfg))
+        assert ens.curves.nbytes == state_bytes * (cfg.n_steps + 1)
+        assert peak - ens.curves.nbytes < state_bytes, (peak, ens.curves.nbytes, state_bytes)
 
 
 def _step_every_norm(model, u0, cfg, dM, exponential=False):
