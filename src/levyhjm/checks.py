@@ -47,9 +47,9 @@ from .curvespace import (
     WeightGrid,
     grid_derivative,
     norm_H,  # unused here; perfbench's tracer test reads the levyhjm.checks alias
-    partial_integral,
     random_harmonic_family,
     rescale_to_norm,
+    _partial_weights,
     _shift_values,
 )
 from .levy import (
@@ -460,15 +460,22 @@ def verify_martingale_bonds(
     maturities = _bond_maturities(maturities, grid, cfg.horizon)
     times = cfg.times
     D = np.empty((cfg.n_paths, cfg.n_steps + 1, len(maturities)))
+    # each step's node weights of the bond integrals and the one-period
+    # integral, as partial_integral builds them, once for every block
+    weights = [
+        np.array([_partial_weights(grid, float(T - t_j)) for T in maturities]
+                 + [_partial_weights(grid, float(cfg.dt))])
+        for t_j in times
+    ]
     n_exited = 0
     done = 0
-    for j, t_j, U, exits in euler_transitions(model, u0, cfg):
+    for j, _t, U, exits in euler_transitions(model, u0, cfg):
         if j == 0:  # a new block of rows, following the last one
             rows = slice(done, done + len(U))
             done = rows.stop
             disc = np.zeros(len(U))
-        # the bond integrals and the one-period integral in one pass over U
-        integrals = partial_integral(U, grid, [T - t_j for T in maturities] + [cfg.dt])
+        # partial_integral's one pass over U, on this step's weights
+        integrals = np.einsum("...n,kn->...k", U, weights[j])
         np.exp(-disc[:, None] - integrals[:, :-1], out=D[rows, j])
         disc += integrals[:, -1]
         if j == cfg.n_steps:

@@ -42,11 +42,11 @@ drift once per step for all paths, bitwise as the per-path evaluation would.
 Paths are independent, so the loop runs them in blocks of consecutive rows
 sized to stay in cache, each block through every time step before the next,
 and so does the certificate.  No buffer holds the whole ensemble's state at
-one time: the loop writes a block's states straight into the curves of
-``euler_solve`` and ``picard_solve``, and otherwise alternates two
-block-sized states.  Curves, exit indices and Picard residuals are bitwise
-those of stepping the whole ensemble at once: every operation is per path,
-and a residual's mean over paths is one reduction over all of them.
+one time: the loop alternates two block-sized states, which ``euler_solve``
+and ``picard_solve`` copy into their curves at every step.  Curves, exit
+indices and Picard residuals are bitwise those of stepping the whole
+ensemble at once: every operation is per path, and a residual's mean over
+paths is one reduction over all of them.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -308,8 +308,7 @@ def _localize(
 
 
 def euler_transitions(
-    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False,
-    _curves=None,
+    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
     """Yield (j, t_j, states, exits) for each block of rows and j = 0 .. n_steps.
 
@@ -322,8 +321,7 @@ def euler_transitions(
     describes; the non-finite exits of a step are counted over all blocks
     and warned about once per step, in step order, after the last block.
     ``_exponential``, set only by ``picard_solve``, shifts after the step
-    increment is added.  ``_curves``, set only by ``_collect``, is the
-    (n_paths, n_steps + 1, n_nodes) buffer the states are written into.
+    increment is added.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
@@ -335,22 +333,18 @@ def euler_transitions(
     norm0 = norm_H(u0_vals, grid)
     n_bad = np.zeros(cfg.n_steps, dtype=int)
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
-    # the noise term, then two states to alternate unless _curves holds them
-    scratch = np.empty((1 if _curves is not None else 3, blocks[0].stop, grid.n_nodes))
+    # the noise term, then the two states that the steps alternate
+    scratch = np.empty((3, blocks[0].stop, grid.n_nodes))
     for rows in blocks:
         n_rows = rows.stop - rows.start
-        noise = scratch[0, :n_rows]
-        if _curves is None:
-            states = scratch[1:, :n_rows]
-        else:
-            states = _curves[rows].swapaxes(0, 1)  # (n_steps + 1, rows, n_nodes)
+        noise, states = scratch[0, :n_rows], scratch[1:, :n_rows]
         u = states[0]
         u[...] = u0_vals
-        exits = np.full(len(u), sentinel)
-        bound = np.full(len(u), norm0)
+        exits = np.full(n_rows, sentinel)
+        bound = np.full(n_rows, norm0)
         yield 0, 0.0, u, exits
         for j in range(cfg.n_steps):
-            candidate = states[(j + 1) % len(states)]  # t_{j+1}, or the spare state
+            candidate = states[(j + 1) % 2]
             sig, f, ok = kernel(j, u)
             np.einsum("pnd,pd->pn", sig, dM[j, rows], out=noise)
             if _exponential:
@@ -384,17 +378,20 @@ def euler_transitions(
 def _collect(
     model: HjmModel, u0, cfg: SolverConfig, increments, exponential: bool = False
 ) -> SolutionEnsemble:
-    """Every state of ``euler_transitions``, written straight into the curves."""
+    """Every state of ``euler_transitions``, copied into the curves a block at a time."""
     dM = _noise(model, cfg, increments)
     curves = np.empty((cfg.n_paths, cfg.n_steps + 1, model.grid.n_nodes))
     exit_index = np.empty(cfg.n_paths, dtype=int)
     done = 0
-    for j, _t, _states, exits in euler_transitions(
-        model, u0, cfg, increments=dM, _exponential=exponential, _curves=curves
+    for j, _t, states, exits in euler_transitions(
+        model, u0, cfg, increments=dM, _exponential=exponential
     ):
-        if j == cfg.n_steps:  # a block's last step: its rows follow the last block's
-            exit_index[done : done + len(exits)] = exits
-            done += len(exits)
+        if j == 0:  # a new block of rows, following the last one
+            rows = slice(done, done + len(states))
+            done = rows.stop
+        curves[rows, j] = states
+        if j == cfg.n_steps:
+            exit_index[rows] = exits
     return SolutionEnsemble(
         grid=model.grid,
         times=cfg.times,

@@ -380,32 +380,6 @@ class TestMartingaleBonds:
             assert r.config["n_localized"] < cfg.n_paths
             assert not r.passed, r.name
 
-    @pytest.mark.parametrize("rows", [1, 7], ids=["rows_1", "rows_7"])
-    def test_reports_bitwise_across_row_blocks(self, bond_grid, u0, rows, monkeypatch):
-        # the check folds one block of rows at a time through every step; its
-        # reports equal those of one block of all rows, and a radius that
-        # freezes a tenth of the paths still fails every row
-        from levyhjm import solver
-
-        m = self._model(bond_grid, -1.0, kind="gamma")
-        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=60, seed=3)
-        free = lh.euler_solve(m, u0, cfg)
-        r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.9))
-        tight = dataclasses.replace(cfg, r_local=r_local)
-        runs = []
-        for block_rows in (rows, cfg.n_paths):
-            monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * bond_grid.n_nodes)
-            runs.append(
-                [lh.verify_martingale_bonds(m, u0, [2.0, 5.0], c) for c in (cfg, tight)]
-            )
-        assert runs[0] == runs[1]
-        free_reports, tight_reports = runs[0]
-        assert all(r.passed for r in free_reports)
-        assert all(r.config["n_localized"] == 0 for r in free_reports)
-        for r in tight_reports:
-            assert 0 < r.config["n_localized"] < cfg.n_paths
-            assert not r.passed, r.name
-
     def test_maturity_beyond_grid_rejected(self, bond_grid, u0):
         m = self._model(bond_grid, -1.0)
         cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=2, seed=1)

@@ -854,32 +854,6 @@ class TestBlockMajorOrder:
         assert np.array_equal(np.concatenate(blocks, axis=1).swapaxes(0, 1), ens.curves)
         assert np.array_equal(np.concatenate(exits), ens.exit_index)
 
-    @_BLOCK_ROWS
-    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
-    def test_curves_and_exits_those_of_every_norm(
-        self, gamma_model, monkeypatch, solver_name, rows
-    ):
-        # tanh sigma reads the state, so each step must see its own block's
-        # state at t_j; radii that make paths exit at the first, a middle and
-        # the last step: the median norm there, since the transport of u0
-        # raises every path's norm at the first step
-        grid = gamma_model.grid
-        u0 = initial_curve(grid)
-        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=30, seed=9)
-        m = cfg.n_steps
-        free = _solve(solver_name, gamma_model, u0, cfg)
-        norms = lh.norm_H(free.curves, grid)
-        _set_block_rows(monkeypatch, rows, cfg.n_paths, grid.n_nodes)
-        for step in (1, m // 2, m):
-            run = dataclasses.replace(cfg, r_local=float(np.median(norms[:, step])))
-            ens = _solve(solver_name, gamma_model, u0, run, increments=free.increments)
-            curves, exits = _step_every_norm(
-                gamma_model, u0, run, free.increments, exponential=solver_name == "picard"
-            )
-            assert (exits == step).any() and (exits > step).any(), step
-            assert np.array_equal(ens.exit_index, exits), step
-            assert np.array_equal(ens.curves, curves), step
-
 
 class TestPeakMemory:
     """The stepping loop holds block-sized state, never a whole-ensemble copy of it.
@@ -1032,7 +1006,9 @@ class TestCertifiedNormSkip:
         return counts, localizing, needed
 
     @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
-    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
+    @pytest.mark.parametrize(
+        "block_rows", [1, 7, 1000], ids=["blocks_of_1", "blocks_of_7", "one_block"]
+    )
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
     @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
@@ -1168,7 +1144,9 @@ class TestCertifiedNormSkip:
         assert sum(seen) == cfg.n_paths * cfg.n_steps
 
     @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
-    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
+    @pytest.mark.parametrize(
+        "block_rows", [1, 7, 1000], ids=["blocks_of_1", "blocks_of_7", "one_block"]
+    )
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
     @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
