@@ -771,6 +771,7 @@ class TestBlockInvariance:
         assert (len({p // 7 for p in ball}) > 1) == (vol_name == "linear")
 
         e1, p1, b1 = runs[-1]
+        assert not any(r.passed for r in b1)  # half the paths exited: above the cap
         for e2, p2, b2 in runs[:-1]:
             assert np.array_equal(e1.curves, e2.curves)
             assert np.array_equal(e1.exit_index, e2.exit_index)
@@ -1144,9 +1145,7 @@ class TestCertifiedNormSkip:
         assert sum(seen) == cfg.n_paths * cfg.n_steps
 
     @pytest.mark.parametrize("u0_kind", ["smooth", "rough"])
-    @pytest.mark.parametrize(
-        "block_rows", [1, 7, 1000], ids=["blocks_of_1", "blocks_of_7", "one_block"]
-    )
+    @pytest.mark.parametrize("block_rows", [7, 1000], ids=["blocks_of_7", "one_block"])
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "interpolating"])
     @pytest.mark.parametrize("vol_name", ["constant", "exp_decay"])
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
