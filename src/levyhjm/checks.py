@@ -17,7 +17,11 @@ seeded Monte Carlo experiment and returns a :class:`CheckReport`:
 * ``verify_martingale_bonds``        discounted zero-coupon bonds along
   simulated paths have zero drift slope; the decisive arbiter for the sign
   of the drift functional.  Every row fails when localization froze more
-  than ``_LOCALIZED_CAP`` of the paths.
+  than ``_LOCALIZED_CAP`` of the paths.  With a state-free volatility the
+  bond integrals are affine in each path's noise, and when the noise
+  certifies that no path localizes they come from the discrete mild form
+  without stepping any curve (``solver._mild_readouts``); otherwise, and
+  always for a state-dependent volatility, the paths are stepped.
 * ``verify_cumulant_derivatives``    closed-form cumulant derivatives against
   finite differences, and an empirical Lipschitz constant of the Hessian.
 * ``verify_exponential_moment``      sampled finiteness of E e^{|<z, M(1)>|}
@@ -64,7 +68,7 @@ from .levy import (
     sample_increment_array,
 )
 from .model import HjmModel
-from .solver import SolverConfig, euler_transitions
+from .solver import SolverConfig, euler_transitions, _mild_readouts, _row_blocks
 
 __all__ = [
     "CheckReport",
@@ -422,16 +426,68 @@ _LOCALIZED_CAP = 1e-3
 
 
 def _bond_maturities(maturities, grid: WeightGrid, horizon: float) -> list[float]:
-    """The bond check's maturities as floats: at least one, each in [horizon, x_max]."""
+    """The bond check's maturities as floats: at least one, distinct, each in [horizon, x_max]."""
     maturities = [float(T) for T in np.atleast_1d(maturities)]
     if not maturities:
         raise ValueError("the bond check needs at least one maturity")
+    if len(set(maturities)) < len(maturities):
+        raise ValueError(f"bond maturities must be distinct, got {maturities}")
     for T in maturities:
         if not T <= grid.x_max:
             raise ValueError(f"maturity {T} beyond the grid truncation x_max = {grid.x_max}")
         if not horizon <= T:
             raise ValueError(f"simulation horizon {horizon} exceeds maturity {T}")
     return maturities
+
+
+def _discount(integrals: np.ndarray, out: np.ndarray) -> None:
+    """A block's discounted prices from its (n_steps + 1, K + 1, rows) integrals.
+
+    out[p, j, k] = exp(-sum_{i<j} I[i, K, p] - I[j, k, p]) for k < K: the
+    bond integral at t_j under the rolling one-period discount.
+    """
+    disc = np.zeros(integrals.shape[-1])
+    for j, step in enumerate(integrals):
+        np.exp(-disc - step[:-1], out=out[:, j].T)
+        disc += step[-1]
+
+
+def _stepped_prices(D, model, u0, cfg, weights, dM) -> int:
+    """Fill D by stepping every path; returns how many paths localized."""
+    n_exited = 0
+    done = 0
+    for j, _t, U, exits in euler_transitions(model, u0, cfg, increments=dM):
+        if j == 0:  # a new block of rows, following the last one
+            rows = slice(done, done + len(U))
+            done = rows.stop
+            integrals = np.empty(weights.shape[:2] + (len(U),))
+        # partial_integral's one pass over U, on this step's weights
+        integrals[j] = np.einsum("...n,kn->...k", U, weights[j]).T
+        if j == cfg.n_steps:
+            _discount(integrals, D[rows])
+            n_exited += int((exits <= cfg.n_steps).sum())
+    return n_exited
+
+
+def _mild_prices(D, readouts, dM, n_nodes) -> bool:
+    """Fill D from the mild readouts (a0, coef), a block of rows at a time.
+
+    Each path's integrals are a0 plus its noise times coef, accumulated
+    elementwise in one fixed order, so no value depends on the block or
+    the BLAS thread count.  Returns False on a non-finite integral.
+    """
+    a0, coef = readouts
+    m, dim = coef.shape[:2]
+    for rows in _row_blocks(len(D), n_nodes):
+        integrals = np.empty(a0.shape + (rows.stop - rows.start,))
+        integrals[:] = a0[..., None]
+        for i in range(m):
+            for d in range(dim):
+                integrals[i + 1 :] += coef[i, d, i + 1 :, :, None] * dM[i, rows, d]
+        if not np.isfinite(integrals).all():
+            return False
+        _discount(integrals, D[rows])
+    return True
 
 
 def verify_martingale_bonds(
@@ -449,37 +505,38 @@ def verify_martingale_bonds(
     errors.  With the wrong drift sign the slope is of the order of twice
     the drift magnitude and the test must fail.  Localized paths bias the
     slope, so every row fails when more than ``_LOCALIZED_CAP`` of the paths
-    exited.
+    exited.  The standard errors need at least 2 paths.
 
     The bank account is discretized by rolling one-period bonds,
     exp(int_0^dt u(t_j, y) dy) per step, a consistent quadrature of the
     short-rate integral that makes D exactly constant when the volatility
     vanishes.
+
+    Every integral is a weight vector applied to u(t_j), built once per
+    check.  When ``_mild_readouts`` certifies that no path localizes, each
+    path's integrals come from its noise through the discrete mild form,
+    and no curve is stepped; they differ from stepping only by rounding.
+    Otherwise the paths step through ``euler_transitions`` on the same noise.
     """
+    if cfg.n_paths < 2:
+        raise ValueError(f"the bond check needs at least 2 paths, got {cfg.n_paths}")
     grid = model.grid
     maturities = _bond_maturities(maturities, grid, cfg.horizon)
     times = cfg.times
-    D = np.empty((cfg.n_paths, cfg.n_steps + 1, len(maturities)))
     # each step's node weights of the bond integrals and the one-period
-    # integral, as partial_integral builds them, once for every block
-    weights = [
-        np.array([_partial_weights(grid, float(T - t_j)) for T in maturities]
-                 + [_partial_weights(grid, float(cfg.dt))])
+    # integral, as partial_integral builds them, once for the check
+    weights = np.array([
+        [_partial_weights(grid, float(T - t_j)) for T in maturities]
+        + [_partial_weights(grid, float(cfg.dt))]
         for t_j in times
-    ]
-    n_exited = 0
-    done = 0
-    for j, _t, U, exits in euler_transitions(model, u0, cfg):
-        if j == 0:  # a new block of rows, following the last one
-            rows = slice(done, done + len(U))
-            done = rows.stop
-            disc = np.zeros(len(U))
-        # partial_integral's one pass over U, on this step's weights
-        integrals = np.einsum("...n,kn->...k", U, weights[j])
-        np.exp(-disc[:, None] - integrals[:, :-1], out=D[rows, j])
-        disc += integrals[:, -1]
-        if j == cfg.n_steps:
-            n_exited += int((exits <= cfg.n_steps).sum())
+    ])
+    dM = increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
+    D = np.empty((cfg.n_paths, cfg.n_steps + 1, len(maturities)))
+    readouts = _mild_readouts(model, u0, cfg, weights, dM)
+    if readouts is not None and _mild_prices(D, readouts, dM, grid.n_nodes):
+        n_exited = 0
+    else:
+        n_exited = _stepped_prices(D, model, u0, cfg, weights, dM)
 
     centered_t = times - times.mean()
     slope_weights = centered_t / np.square(centered_t).sum()

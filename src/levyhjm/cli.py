@@ -289,9 +289,10 @@ def _parse_scenario(raw, raw_bytes: bytes) -> Scenario:
                 "factor_cap": False,
             },
         )
-        for key in ("n_steps", "n_paths"):
+        # every Monte Carlo check takes a standard error over its paths
+        for key, low in (("n_steps", 1), ("n_paths", 2)):
             if key in verify:
-                _require_int(verify[key], f"verify.{key}", 1)
+                _require_int(verify[key], f"verify.{key}", low)
         unknown = set(verify["checks"]) - set(CHECK_REGISTRY)
         if unknown:
             raise ScenarioError(

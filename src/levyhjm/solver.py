@@ -48,6 +48,16 @@ indices and Picard residuals are bitwise those of stepping the whole
 ensemble at once: every operation is per path, and a residual's mean over
 paths is one reduction over all of them.
 
+With a state-free volatility the Euler scheme is linear with additive noise,
+so u_j = c_j + sum_{i<j} S^{j-1-i} sigma_i dM_i, c_j the zero-noise
+recursion, for every path that stays unlocalized.  ``_mild_readouts`` gives
+the coefficients of any per-step linear readout of u_j in this discrete mild
+form, so a caller that only reads such functionals (the bond check) needs no
+stepping.  It returns them only when the run's own noise certifies that no
+path can localize: every ball flag holds, and each path's bound |c_j|_H +
+sum_{i<j,d} |dM_{i,d}| max_a |S^a sigma_{i,d}|_H stays within ``r_local``;
+otherwise the caller steps.
+
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
 bitwise, and rerunning with the same seed reproduces every curve bitwise.
@@ -373,6 +383,61 @@ def euler_transitions(
             RuntimeWarning,
             stacklevel=2,
         )
+
+
+def _mild_readouts(
+    model: HjmModel, u0, cfg: SolverConfig, weights: np.ndarray, increments=None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Linear readouts of Euler's states in the discrete mild form, or None.
+
+    With a state-free sigma the Euler step is affine in the noise:
+    u_j = c_j + sum_{i<j} S^{j-1-i} sigma_i dM_i, with c_0 = u0 and
+    c_{j+1} = S c_j + f_j dt the zero-noise recursion.  For ``weights`` of
+    shape (n_steps + 1, K, n_nodes) this returns (a0, coef), a0[j, k] =
+    w_{j,k} . c_j and coef[i, d, j, k] = w_{j,k} . S^{j-1-i} sigma_{i,d}
+    (zero for j <= i), so that each path p reads w_{j,k} . u_j =
+    a0[j, k] + sum_{i<j,d} dM[i, p, d] coef[i, d, j, k] up to rounding.
+
+    The form holds only while no path localizes, so this returns None,
+    and the caller must step, unless the noise certifies that stepping
+    would freeze no path: every step's ball flag holds, and for every path
+    and j >= 1 the bound |c_j|_H + sum_{i<j,d} |dM_{i,d}| max_a
+    |S^a sigma_{i,d}|_H >= |u_j|_H is finite and, with its slack, within
+    ``r_local``.  A state-dependent sigma always returns None.
+    """
+    if not model.vol.state_free:
+        return None
+    grid, dt, m = model.grid, cfg.dt, cfg.n_steps
+    dM = _noise(model, cfg, increments)
+    c = np.empty((m + 1, grid.n_nodes))
+    c[0] = _initial_curve(u0, cfg, grid)
+    kernel = _step_kernel(model, cfg.times[:-1])
+    zero = np.zeros((1, grid.n_nodes))
+    kicks = np.empty((m, model.driver.dim, grid.n_nodes))  # row i: sigma_i
+    for j in range(m):
+        sig, f, ok = kernel(j, zero)
+        if not ok.all():
+            return None
+        kicks[j] = sig[0].T
+        _shift_values(c[j], dt, grid, out=c[j + 1])
+        c[j + 1] += f[0] * dt
+    # at a, row i of kicks is S^a sigma_i for i < m - a: it enters the
+    # readouts at j = i + 1 + a, and its norm the bound's running maximum
+    coef = np.zeros((m, model.driver.dim, m + 1, weights.shape[1]))
+    gains = np.zeros(kicks.shape[:2])
+    for a in range(m):
+        i = np.arange(m - a)
+        coef[i, :, i + 1 + a] = np.einsum("idn,ikn->idk", kicks, weights[a + 1 :])
+        np.maximum(gains[: m - a], norm_H(kicks, grid), out=gains[: m - a])
+        kicks = _shift_values(kicks[:-1], dt, grid)
+    drift_norms = norm_H(c, grid)
+    noise_bound = np.zeros(cfg.n_paths)
+    for j in range(m):
+        noise_bound += np.einsum("pd,d->p", np.abs(dM[j]), gains[j])
+        bound = drift_norms[j + 1] + noise_bound
+        if not np.all(np.isfinite(bound) & (bound * _BOUND_SLACK <= cfg.r_local)):
+            return None
+    return np.einsum("jn,jkn->jk", c, weights), coef
 
 
 def _collect(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import levyhjm as lh
+from levyhjm import checks, solver
 from levyhjm.checks import (
     _quadratic_forms,
     identity_report,
@@ -391,6 +392,148 @@ class TestMartingaleBonds:
         cfg = lh.SolverConfig(horizon=3.0, n_steps=4, n_paths=2, seed=1)
         with pytest.raises(ValueError, match="exceeds maturity"):
             lh.verify_martingale_bonds(m, u0, [2.0], cfg)
+
+    def test_duplicate_maturities_rejected(self, bond_grid, u0):
+        # two rows of one name would reach checks.csv
+        m = self._model(bond_grid, -1.0)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=2, seed=1)
+        with pytest.raises(ValueError, match="distinct"):
+            lh.verify_martingale_bonds(m, u0, [2.0, 5.0, 2.0], cfg)
+
+    def test_one_path_rejected(self, bond_grid, u0):
+        # a standard error over one path is NaN
+        m = self._model(bond_grid, -1.0)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=1, seed=1)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            lh.verify_martingale_bonds(m, u0, [2.0], cfg)
+
+
+def _bond_route(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
+    """The bond check's reports, the arguments and result of its mild readouts,
+    and how many times it stepped."""
+    seen = {"steps": 0}
+    readouts, transitions = checks._mild_readouts, checks.euler_transitions
+
+    def spy_readouts(*args):
+        seen["args"], seen["readouts"] = args, readouts(*args)
+        return seen["readouts"]
+
+    def spy_transitions(*args, **kwargs):
+        seen["steps"] += 1
+        return transitions(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_mild_readouts", spy_readouts)
+        patch.setattr(checks, "euler_transitions", spy_transitions)
+        reports = lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
+    return reports, seen
+
+
+def _stepped_reports(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
+    """The bond check's reports with the mild route turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_mild_readouts", lambda *args: None)
+        return lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
+
+
+def _state_free_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0):
+    levels = [level, 0.5 * level][:dim]
+    if vol_kind == "constant":
+        vol = lh.constant_volatility(levels)
+    else:
+        vol = lh.exp_decay_volatility(levels, [0.5, 1.0][:dim])
+    if driver_kind == "wiener":
+        comps = [lh.WienerComponent(1.0) for _ in range(dim)]
+    else:
+        comps = [lh.GammaComponent(1.0, 2.0) for _ in range(dim)]
+    driver = lh.build_driver(comps, r_ball=1.0, delta=1.5)
+    return lh.HjmModel(
+        grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=vol, drift_sign=sign
+    )
+
+
+class TestMildBondRoute:
+    """A state-free bond check reads its integrals from the discrete mild form
+    when no path can localize, and steps otherwise."""
+
+    @pytest.mark.parametrize("n_steps", [10, 7], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("driver_kind", ["wiener", "gamma"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("vol_kind", ["constant", "exp_decay"])
+    def test_mild_prices_match_stepping(
+        self, monkeypatch, bond_grid, u0, vol_kind, dim, driver_kind, n_steps
+    ):
+        model = _state_free_model(bond_grid, vol_kind, dim, driver_kind)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=40, seed=9)
+        stepped = _stepped_reports(monkeypatch, model, u0, cfg)
+        first = None
+        for rows in (1, 7, cfg.n_paths):
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", rows * bond_grid.n_nodes)
+            reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+            assert seen["readouts"] is not None and seen["steps"] == 0
+            # the stepped D is the reference, on the check's own weights and noise
+            _model, _u0, _cfg, weights, dM = seen["args"]
+            shape = (cfg.n_paths, cfg.n_steps + 1, 2)
+            mild, step = np.empty(shape), np.empty(shape)
+            assert checks._mild_prices(mild, seen["readouts"], dM, bond_grid.n_nodes)
+            assert checks._stepped_prices(step, model, u0, cfg, weights, dM) == 0
+            np.testing.assert_allclose(mild, step, rtol=1e-12, atol=0.0)
+            assert [r.passed for r in reports] == [r.passed for r in stepped]
+            for r, s in zip(reports, stepped):
+                assert r.lhs == pytest.approx(s.lhs, rel=1e-9, abs=1e-15)
+            # the integrals are accumulated elementwise: bitwise in the block
+            rows_out = [report_row(r) for r in reports]
+            assert first is None or rows_out == first
+            first = rows_out
+
+    def test_fallback_at_a_reached_radius_is_bitwise_stepping(self, monkeypatch, bond_grid, u0):
+        model = _state_free_model(bond_grid, "constant", 1, "wiener")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=20, n_paths=400, seed=3)
+        free = lh.euler_solve(model, u0, cfg)
+        r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
+        # the zero-noise curves c_j stay well inside the radius, so a bound
+        # without its noise term would certify every path
+        zero = np.zeros((cfg.n_steps, 1, 1))
+        drift_only = lh.euler_solve(model, u0, dataclasses.replace(cfg, n_paths=1), zero)
+        assert lh.norm_H(drift_only.curves[0], bond_grid).max() < 0.5 * r_local
+        tight = dataclasses.replace(cfg, r_local=r_local)
+        reports, seen = _bond_route(monkeypatch, model, u0, tight)
+        assert seen["readouts"] is None and seen["steps"] == 1
+        assert 0 < reports[0].config["n_localized"] < cfg.n_paths
+        assert reports == _stepped_reports(monkeypatch, model, u0, tight)
+
+    def test_fallback_under_a_ball_violation_is_bitwise_stepping(self, monkeypatch, bond_grid, u0):
+        # int_0^6 of 0.5 is 3 > r_ball = 1: every path exits at step 0
+        model = _state_free_model(bond_grid, "constant", 1, "gamma", level=0.5)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=50, seed=3)
+        reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        assert seen["readouts"] is None and seen["steps"] == 1
+        assert reports[0].config["n_localized"] == cfg.n_paths
+        assert [report_row(r) for r in reports] == [
+            report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)
+        ]
+
+    def test_state_dependent_volatility_steps(self, bond_grid, u0):
+        driver = lh.build_driver([lh.GammaComponent(1.0, 2.0)], r_ball=1.0, delta=1.5)
+        model = lh.HjmModel(
+            grid=bond_grid, driver=driver, cumulant=lh.CumulantModel(driver),
+            vol=lh.tanh_volatility([0.12], [1.0]),
+        )
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=3, seed=1)
+        weights = np.ones((cfg.n_steps + 1, 2, bond_grid.n_nodes))
+        assert solver._mild_readouts(model, u0, cfg, weights) is None
+
+    def test_nonfinite_integral_refuses_the_mild_prices(self, bond_grid, u0):
+        model = _state_free_model(bond_grid, "constant", 1, "wiener")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=5, n_paths=6, seed=1)
+        weights = np.ones((cfg.n_steps + 1, 2, bond_grid.n_nodes))
+        dM = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
+        readouts = solver._mild_readouts(model, u0, cfg, weights, dM)
+        assert readouts is not None
+        D = np.empty((cfg.n_paths, cfg.n_steps + 1, 1))
+        assert checks._mild_prices(D, readouts, dM, bond_grid.n_nodes)
+        dM[2, 4, 0] = np.inf
+        assert not checks._mild_prices(D, readouts, dM, bond_grid.n_nodes)
 
 
 class TestCumulantDerivativeChecks:

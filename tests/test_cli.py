@@ -178,6 +178,29 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="x_max"):
             load_scenario(path)
 
+    def test_duplicate_maturities_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"verify": {"checks": ["martingale_bonds"], "maturities": [2.0, 2.0]}},
+        )
+        with pytest.raises(ScenarioError, match="distinct"):
+            load_scenario(path)
+
+    def test_one_verify_path_exits_2(self, tmp_path, capsys):
+        # a standard error over one path is NaN, so every Monte Carlo row
+        # would fail after the run; one solver path stays valid
+        raw = yaml.safe_load((CONFIG_DIR / "gamma_hjm.yaml").read_text())
+        raw["verify"].update(checks=["martingale_bonds", "isometry"], n_paths=1)
+        path = tmp_path / "one_path.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert run_scenario(path, out_dir=out) == EXIT_CONFIG_ERROR
+        assert "verify.n_paths must be an integer >= 2" in capsys.readouterr().err
+        assert not out.exists()
+        raw["solver"]["n_paths"], raw["verify"]["n_paths"] = 1, 2
+        path.write_text(yaml.safe_dump(raw))
+        assert load_scenario(path).solver["n_paths"] == 1
+
     def test_unknown_check_name_rejected(self, tmp_path):
         path = write_config(tmp_path, {"verify": {"checks": ["not_a_check"]}})
         with pytest.raises(ScenarioError, match="unknown check"):

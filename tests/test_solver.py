@@ -1185,6 +1185,15 @@ cfg = lh.SolverConfig(
 )
 ens = lh.euler_solve(model, u0, cfg)
 rows = [report_row(r) for r in lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)]
+# a constant sigma's bond check reads its integrals from the mild form
+flat = lh.HjmModel(
+    grid=grid, driver=driver, cumulant=lh.CumulantModel(driver),
+    vol=lh.constant_volatility([0.05]),
+)
+flat_cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=1500, seed=5)
+weights = np.ones((flat_cfg.n_steps + 1, 1, grid.n_nodes))
+mild = lh.solver._mild_readouts(flat, u0, flat_cfg, weights) is not None
+rows += [report_row(r) for r in lh.verify_martingale_bonds(flat, u0, [2.0, 5.0], flat_cfg)]
 big = lh.make_grid(10.0, 321, 0.1)
 curves = lh.random_curves(big, 2003, np.random.default_rng(3))
 h = hashlib.sha256()
@@ -1192,7 +1201,7 @@ for a in (ens.curves, ens.exit_index, lh.norm_H(curves, big),
           lh.partial_integral(curves, big, 2.3)):
     h.update(np.ascontiguousarray(a).tobytes())
 exited = int((ens.exit_index <= cfg.n_steps).sum())
-print(h.hexdigest(), exited, repr(rows))
+print(h.hexdigest(), exited, mild, repr(rows))
 """
 
 
@@ -1212,6 +1221,7 @@ class TestBlasThreadInvariance:
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             outs.append(run.stdout)
-        _digest, exited, _rows = outs[0].split(" ", 2)
+        _digest, exited, mild, _rows = outs[0].split(" ", 3)
         assert 0 < int(exited) < 1500  # the norm localizes some paths, not all
+        assert mild == "True"
         assert outs[0] == outs[1]
