@@ -205,6 +205,12 @@ def step_integrands(
     return flat.reshape(n_steps, dim, grid.n_nodes).transpose(0, 2, 1)
 
 
+def _require_paths(n_paths: int, check: str) -> None:
+    """A check's standard errors take ddof = 1, so they need at least 2 paths."""
+    if n_paths < 2:
+        raise ValueError(f"the {check} check needs at least 2 paths, got {n_paths}")
+
+
 def _step_integral_data(driver, F, horizon, n_paths, seed) -> tuple[np.ndarray, np.ndarray]:
     """Integrand rows (m*d, n_nodes) and noise coefficients (n_paths, m*d).
 
@@ -262,7 +268,11 @@ def verify_isometry(
     seed: int,
     name: str = "isometry",
 ) -> CheckReport:
-    """Monte Carlo second moment of int F dM against the covariance quadrature."""
+    """Monte Carlo second moment of int F dM against the covariance quadrature.
+
+    The standard error needs at least 2 paths.
+    """
+    _require_paths(n_paths, "isometry")
     m = len(F)
     rows, c = _step_integral_data(driver, F, horizon, n_paths, seed)
     G = _gram(rows, grid)
@@ -300,6 +310,7 @@ def verify_isometry_predictability_control(
     the identity by an O(1) amount.  Both sides are estimated by Monte
     Carlo on the same draws.
     """
+    _require_paths(n_paths, "isometry")
     dt = horizon / n_steps
     dM = increment_table(driver, dt, n_steps, n_paths, seed)[..., :1]  # first component
     M = np.concatenate([np.zeros((1, n_paths, 1)), np.cumsum(dM, axis=0)], axis=0)
@@ -359,8 +370,10 @@ def verify_bichteler_jacod(
 
     The report's ratio is the implied constant N-hat = lhs / rhs; ``passed``
     only asserts finiteness.  Stability across drivers and the Doob bound at
-    p = 2 are asserted by the caller over a sweep of these reports.
+    p = 2 are asserted by the caller over a sweep of these reports.  The
+    standard error needs at least 2 paths.
     """
+    _require_paths(n_paths, "Bichteler-Jacod")
     rows, c = _step_integral_data(driver, F, horizon, n_paths, seed)
     G = _gram(rows, grid)
     sup_p = _sup_p(c, _prefix_grams(G, driver.dim), p)
@@ -382,8 +395,10 @@ def verify_convolution_inequality(
     The convolution sup is measured in the boundary-value norm on curves
     that vanish at x_max, where the shift semigroup contracts.  The second
     report asserts the convolved sup stays within 1.5 times the unconvolved
-    sup on the same noise (a dilation-free sanity bound).
+    sup on the same noise (a dilation-free sanity bound).  The standard
+    errors need at least 2 paths.
     """
+    _require_paths(n_paths, "convolution")
     d, dt, plain_factor_cap = driver.dim, horizon / len(F), 1.5
     rows, c = _step_integral_data(driver, F, horizon, n_paths, seed)
     # after step k the convolved integral is sum_{i <= k} S^{k-i+1} F_i dM_i
@@ -518,8 +533,7 @@ def verify_martingale_bonds(
     and no curve is stepped; they differ from stepping only by rounding.
     Otherwise the paths step through ``euler_transitions`` on the same noise.
     """
-    if cfg.n_paths < 2:
-        raise ValueError(f"the bond check needs at least 2 paths, got {cfg.n_paths}")
+    _require_paths(cfg.n_paths, "bond")
     grid = model.grid
     maturities = _bond_maturities(maturities, grid, cfg.horizon)
     times = cfg.times

@@ -156,6 +156,27 @@ class WeightGrid:
             tile.flags.writeable = False
         return tiles, dx[0], dx[-1]
 
+    @cached_property
+    def sup_gain(self) -> float:
+        """K with |u|_H <= K max|u| for every curve u on the grid.
+
+        Each derivative node is a stencil a u[i-1] + b u[i] + c u[i+1] of
+        ``grid_derivative`` (one sided at the edges), so |u'(x_i)| <=
+        (|a| + |b| + |c|) max|u| and K = sqrt(1 + sum_i weighted_quad_i
+        (|a_i| + |b_i| + |c_i|)^2).  Rounding moves K and a computed norm by
+        about n eps relative, which callers cover with a relative slack.
+        """
+        dx = np.diff(self.nodes)
+        dx1, dx2 = dx[:-1], dx[1:]
+        stencil = np.empty(self.n_nodes)
+        stencil[0], stencil[-1] = 2.0 / dx[0], 2.0 / dx[-1]
+        stencil[1:-1] = (
+            dx2 / (dx1 * (dx1 + dx2))
+            + np.abs(dx2 - dx1) / (dx1 * dx2)
+            + dx1 / (dx2 * (dx1 + dx2))
+        )
+        return math.sqrt(1.0 + float(np.square(stencil) @ self.weighted_quad))
+
     def refine(self, factor: int = 2) -> "WeightGrid":
         """Grid with the node count scaled by ``factor`` (same x_max, beta)."""
         if self.spacing is None:

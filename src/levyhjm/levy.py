@@ -503,23 +503,26 @@ def grad_components(model: CumulantModel, z: np.ndarray, clamp: bool = False) ->
     localizing paths, so the clamped values never enter reported results.
     """
     z = np.asarray(z, dtype=float)
-    if clamp:
-        return _clamped_grad(model, z, np.sqrt(np.square(z).sum(axis=-1)))
-    return _grad(model, _check_domain(model, z))
+    if not clamp:
+        return _grad(model, _check_domain(model, z))
+    scale = _ball_scale(model, np.sqrt(np.square(z).sum(axis=-1)))
+    if scale is not None:
+        z = z * scale[..., None]
+    return _grad(model, z)
 
 
-def _clamped_grad(model: CumulantModel, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Gradient at z radially projected onto the ball; ``norms`` holds |z|.
+def _ball_scale(model: CumulantModel, norms: np.ndarray) -> np.ndarray | None:
+    """Factors that radially project vectors of length ``norms`` onto the ball.
 
-    Only vectors beyond the ball are scaled; when there are none z is used as
-    is, which is exactly scaling by 1.0.  NaN norms compare false and keep
-    their vectors.
+    The factor is 1.0 inside the ball; when no vector lies beyond it the
+    result is None, and using the vectors as they are is exactly scaling by
+    1.0.  NaN norms compare false and keep their vectors.
     """
     limit = model.r_ball * (1.0 - 1e-9)
     over = norms > limit
-    if over.any():
-        z = z * np.where(over, limit / np.maximum(norms, 1e-300), 1.0)[..., None]
-    return _grad(model, z)
+    if not over.any():
+        return None
+    return np.where(over, limit / np.maximum(norms, 1e-300), 1.0)
 
 
 def _grad(model: CumulantModel, z: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .curvespace import (
     random_harmonic_family,
     rescale_to_norm,
 )
-from .levy import CumulantModel, LevyDriver, _clamped_grad, moment_mp
+from .levy import CumulantModel, LevyDriver, _ball_scale, _component_value, moment_mp
 
 __all__ = [
     "BallViolationError",
@@ -334,15 +334,35 @@ def drift_functional(model: HjmModel, nu: np.ndarray) -> tuple[np.ndarray, np.nd
     entries whose running integral stayed inside the cumulant ball.  Entries
     with ok == False contain clamped-evaluation values and must be discarded
     by the caller (path localization).
+
+    After the running integral, each step runs on one component's (..., n)
+    slab of -S at a time: the squared ball norm summed over k in index
+    order, the clamp of the vectors beyond the ball, and the gradient
+    component times sigma^k, accumulated in k order.
     """
     nu = np.asarray(nu, dtype=float)
-    S = running_volatility_integral(model, nu)
-    zeta = -S
-    norms = np.sqrt(np.square(zeta).sum(axis=-1))
+    cumulant = model.cumulant
+    zeta = running_volatility_integral(model, nu)
+    np.negative(zeta, out=zeta)
+    slabs = [zeta[..., k] for k in range(nu.shape[-1])]
+    sq = np.square(slabs[0])
+    for z_k in slabs[1:]:
+        sq += np.square(z_k)
+    norms = np.sqrt(sq, out=sq)
     ok = norms.max(axis=-1) <= model.driver.r_ball * (1.0 + 1e-9)
-    grad = _clamped_grad(model.cumulant, zeta, norms)
-    g = np.einsum("...nd,...nd->...n", nu, grad)
-    return model.drift_sign * g, ok
+    scale = _ball_scale(cumulant, norms)
+    if scale is not None:
+        for z_k in slabs:
+            z_k *= scale
+    terms = (
+        _component_value(cumulant, k, z_k, order=1) * nu[..., k]
+        for k, z_k in enumerate(slabs)
+    )
+    g = next(terms)
+    for term in terms:
+        g += term
+    g *= model.drift_sign
+    return g, ok
 
 
 def hjm_drift(model: HjmModel, t: float, u) -> np.ndarray:

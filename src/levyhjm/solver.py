@@ -32,8 +32,9 @@ carries an upper bound on its norm, and a norm whose bound stays inside
 the bound is b_{j+1} = C b_j + g_j in Euler and C (b_j + g_j) in Picard,
 g_j = |f_j|_H dt + sum_d |sigma_{j,d}|_H |dM_{j,d}| >= |G_j|_H and C the
 shift's operator norm (``shift_gain``), reset to the norm whenever that is
-taken; otherwise the bound is infinite and every live path's norm is taken.
-Exit indices are those of taking every norm.
+taken.  With a state-dependent volatility it is K max|u_{j+1}|, K the
+grid's sup-norm gain (``WeightGrid.sup_gain``), so a norm is taken only
+where that exceeds ``r_local``.  Exit indices are those of taking every norm.
 
 Both schemes take sigma and the drift of each step from one kernel, which
 evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
@@ -55,8 +56,9 @@ the coefficients of any per-step linear readout of u_j in this discrete mild
 form, so a caller that only reads such functionals (the bond check) needs no
 stepping.  It returns them only when the run's own noise certifies that no
 path can localize: every ball flag holds, and each path's bound |c_j|_H +
-sum_{i<j,d} |dM_{i,d}| max_a |S^a sigma_{i,d}|_H stays within ``r_local``;
-otherwise the caller steps.
+sum_{i<j,d} |dM_{i,d}| max_a |S^a sigma_{i,d}|_H stays within ``r_local``,
+and only when its d K n_steps^2 / 2 products per path for K readouts per
+step do not exceed stepping's n_steps n_nodes; otherwise the caller steps.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -251,25 +253,35 @@ def _step_kernel(model: HjmModel, times: np.ndarray):
     return lambda j, U: shared[j]
 
 
-def _norm_bound(model: HjmModel, kernel, cfg: SolverConfig):
-    """(C, increment) with |G_j|_H <= increment(j, dM_j) and |S u|_H <= C |u|_H.
+def _norm_bound(model: HjmModel, kernel, cfg: SolverConfig, exponential: bool):
+    """``bound(j, dM_j, prior, candidate)``: an upper bound on each candidate's norm.
 
-    C is the shift's operator norm, with its slack.  ``increment`` bounds each
-    path's |G_j|_H = |f_j dt + sum_d sigma_{j,d} dM_{j,d}|_H by the triangle
-    inequality, from the norms of a state-free kernel's shared drift and
-    sigma, taken once per step.  A state-dependent sigma has no such bound:
-    it is +inf.
+    With a state-free sigma it is the recurrence C prior + g_j (Euler) or
+    C (prior + g_j) (exponential Euler), from ``prior``, the bound at t_j.
+    C is the shift's operator norm, with its slack, and g_j >= |G_j|_H =
+    |f_j dt + sum_d sigma_{j,d} dM_{j,d}|_H by the triangle inequality, from
+    the norms of the kernel's shared drift and sigma, taken once per step.
+    A state-dependent sigma has no such recurrence; its bound is the grid's
+    sup-norm bound K max|candidate| (``WeightGrid.sup_gain``), NaN or
+    infinite for a non-finite candidate.
     """
-    if not model.vol.state_free:
-        return 1.0, lambda j, dM: math.inf
     grid = model.grid
+    if not model.vol.state_free:
+        sup_gain = grid.sup_gain
+        return lambda j, dM, prior, candidate: sup_gain * np.abs(candidate).max(axis=-1)
     zero = np.zeros((1, grid.n_nodes))
     terms = []
     for j in range(cfg.n_steps):
         sig, f, _ok = kernel(j, zero)
         terms.append((norm_H(f[0], grid) * cfg.dt, norm_H(sig[0].T, grid)))
     gain = shift_gain(grid, cfg.dt) * _BOUND_SLACK
-    return gain, lambda j, dM: terms[j][0] + np.abs(dM) @ terms[j][1]
+
+    def increment(j, dM):
+        return terms[j][0] + np.abs(dM) @ terms[j][1]
+
+    if exponential:
+        return lambda j, dM, prior, candidate: gain * (prior + increment(j, dM))
+    return lambda j, dM, prior, candidate: gain * prior + increment(j, dM)
 
 
 # Relative slack on the norm bound, applied to the shift gain C and to the
@@ -281,7 +293,9 @@ def _norm_bound(model: HjmModel, kernel, cfg: SolverConfig):
 # ulps per node in a step's values moves a norm by at most |e|_inf
 # sqrt(n lambda_max(A)), and |u|_inf <= |u|_H max sqrt(diag A^-1): about
 # 520 eps = 1.2e-13 relative per rounding on the 321-node bundled grid.  Over
-# a run's roundings both stay far below 1e-6.
+# a run's roundings both stay far below 1e-6.  The sup-norm bound K max|u| of
+# a state-dependent sigma rounds only in K and in the computed norm it must
+# cover, each a sum of n terms: about n eps = 7e-14 relative there.
 _BOUND_SLACK = 1.0 + 1e-6
 
 
@@ -295,9 +309,11 @@ def _localize(
     false) or its ``candidate`` state at t_{i+1} is not finite.  Every frozen
     path's candidate is then reset to ``prev``, its state at t_i.  A live
     candidate whose norm exceeds ``r_local`` exits at i + 1 and is kept.
-    ``bound`` holds an upper bound on each candidate's norm; the norm is taken
-    only where the bound, with its slack, does not stay within ``r_local``
-    (an infinite or NaN bound never does), and then replaces the bound.
+    ``bound`` holds an upper bound on each candidate's norm, from the
+    recurrence of a state-free sigma or the sup-norm bound K max|candidate|;
+    the norm is taken only where the bound, with its slack, does not stay
+    within ``r_local`` (an infinite or NaN bound never does), and then
+    replaces the bound.
     Updates ``exits``, ``frozen``, ``candidate`` and ``bound``; returns the
     mask of the paths that exited on a non-finite candidate.
     """
@@ -339,7 +355,7 @@ def euler_transitions(
     sentinel = cfg.n_steps + 1
     times = cfg.times
     kernel = _step_kernel(model, times[:-1])
-    gain, increment = _norm_bound(model, kernel, cfg)
+    next_bound = _norm_bound(model, kernel, cfg, _exponential)
     norm0 = norm_H(u0_vals, grid)
     n_bad = np.zeros(cfg.n_steps, dtype=int)
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
@@ -362,15 +378,12 @@ def euler_transitions(
                 noise += f * cfg.dt
                 noise += u
                 _shift_values(noise, cfg.dt, grid, out=candidate)
-                bound += increment(j, dM[j, rows])
-                bound *= gain
             else:
                 # (shift + f dt) + <sigma, dM>, summed in place in the next state
                 _shift_values(u, cfg.dt, grid, out=candidate)
                 candidate += f * cfg.dt
                 candidate += noise
-                bound *= gain
-                bound += increment(j, dM[j, rows])
+            bound = next_bound(j, dM[j, rows], bound, candidate)
             frozen = exits != sentinel
             bad = _localize(exits, frozen, ok, candidate, u, j, grid, cfg.r_local, bound)
             n_bad[j] += int(bad.sum())
@@ -403,11 +416,15 @@ def _mild_readouts(
     would freeze no path: every step's ball flag holds, and for every path
     and j >= 1 the bound |c_j|_H + sum_{i<j,d} |dM_{i,d}| max_a
     |S^a sigma_{i,d}|_H >= |u_j|_H is finite and, with its slack, within
-    ``r_local``.  A state-dependent sigma always returns None.
+    ``r_local``.  A state-dependent sigma always returns None, and so does
+    a readout whose mild form costs more than stepping: per path the mild
+    form takes about d K n_steps^2 / 2 products, for K readouts per step,
+    and stepping n_steps n_nodes, so the caller steps when d K n_steps / 2
+    exceeds n_nodes.
     """
-    if not model.vol.state_free:
-        return None
     grid, dt, m = model.grid, cfg.dt, cfg.n_steps
+    if not model.vol.state_free or model.driver.dim * weights.shape[1] * m > 2 * grid.n_nodes:
+        return None
     dM = _noise(model, cfg, increments)
     c = np.empty((m + 1, grid.n_nodes))
     c[0] = _initial_curve(u0, cfg, grid)

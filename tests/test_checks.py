@@ -111,8 +111,29 @@ class TestIsometry:
         assert ok.passed
         assert not bad.passed  # anticipating integrand breaks the identity
 
+    @pytest.mark.parametrize("control", [False, True], ids=["isometry", "predictability"])
+    def test_one_path_rejected(self, grid, drivers, control):
+        # a standard error over one path is NaN
+        with pytest.raises(ValueError, match="isometry check needs at least 2 paths, got 1"):
+            if control:
+                verify_isometry_predictability_control(grid, drivers["gamma"], 1.0, 4, 1, seed=6)
+            else:
+                F = step_integrands(grid, 1, 4, seed=21)
+                lh.verify_isometry(grid, drivers["gamma"], F, 1.0, n_paths=1, seed=1)
+
 
 class TestMaximalInequalities:
+    def test_bichteler_jacod_one_path_rejected(self, grid, drivers):
+        # one path used to give a NaN standard error on a passing row
+        F = step_integrands(grid, 1, 4, seed=21)
+        with pytest.raises(ValueError, match="Bichteler-Jacod check needs at least 2 paths"):
+            verify_bichteler_jacod(grid, drivers["wiener"], F, 2.0, 1.0, 1, seed=1)
+
+    def test_convolution_one_path_rejected(self, grid, drivers):
+        F = step_integrands(grid, 1, 4, seed=21, vanish_at_end=True)
+        with pytest.raises(ValueError, match="convolution check needs at least 2 paths"):
+            verify_convolution_inequality(grid, drivers["wiener"], F, 2.0, 1.0, 1, seed=1)
+
     def test_doob_bound_at_p2(self, grid, drivers):
         F = step_integrands(grid, 1, 16, seed=22)
         for name, driver in drivers.items():
@@ -522,6 +543,61 @@ class TestMildBondRoute:
         cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=3, seed=1)
         weights = np.ones((cfg.n_steps + 1, 2, bond_grid.n_nodes))
         assert solver._mild_readouts(model, u0, cfg, weights) is None
+
+    def test_mild_form_costlier_than_stepping_steps(self, monkeypatch):
+        # d K n_steps / 2 = 1 * 5 * 40 / 2 = 100 readout products per path and
+        # step against 25 nodes: the mild form would cost more than stepping
+        grid = lh.make_grid(6.0, 25, BETA)
+        u0 = 0.02 + 0.015 * (1.0 - np.exp(-0.4 * grid.nodes))
+        model = _state_free_model(grid, "constant", 1, "wiener")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=40, n_paths=50, seed=3)
+        maturities = (2.0, 3.0, 4.0, 5.0)
+        reports, seen = _bond_route(monkeypatch, model, u0, cfg, maturities)
+        assert seen["readouts"] is None and seen["steps"] == 1
+        assert reports[0].config["n_localized"] == 0
+        assert [report_row(r) for r in reports] == [
+            report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg, maturities)
+        ]
+        # the same check at 4 steps and one maturity is cheaper in mild form
+        short = dataclasses.replace(cfg, n_steps=4)
+        _reports, seen = _bond_route(monkeypatch, model, u0, short, (2.0,))
+        assert seen["readouts"] is not None and seen["steps"] == 0
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["bond_arbiter_wiener", "bond_arbiter_gamma", "criterion_04_wiener", "criterion_04_gamma"],
+    )
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_shipped_bond_checks_take_the_mild_route(self, monkeypatch, bond_grid, u0, shape, sign):
+        # the bond_arbiter benchmark's configs (10k paths) and acceptance
+        # criterion 04 (100k paths), with their own noise; the route is
+        # decided before any price, so the check stops there
+        component, r_ball, level = {
+            "bond_arbiter_wiener": (lh.WienerComponent(1.0), 2.0, 0.2),
+            "bond_arbiter_gamma": (lh.GammaComponent(1.0, 2.0), 1.0, 0.12),
+            "criterion_04_wiener": (lh.WienerComponent(1.0), 2.0, 0.2),
+            "criterion_04_gamma": (lh.GammaComponent(1.0, 2.0), 0.4, 0.05),
+        }[shape]
+        driver = lh.build_driver([component], r_ball=r_ball, delta=1.5)
+        model = lh.HjmModel(
+            grid=bond_grid, driver=driver, cumulant=lh.CumulantModel(driver),
+            vol=lh.constant_volatility([level]), drift_sign=sign,
+        )
+        n_paths = 10_000 if shape.startswith("bond_arbiter") else 100_000
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=20, n_paths=n_paths, seed=401)
+
+        class Routed(Exception):
+            pass
+
+        readouts = checks._mild_readouts
+
+        def decide(*args):
+            raise Routed(readouts(*args) is not None)
+
+        monkeypatch.setattr(checks, "_mild_readouts", decide)
+        with pytest.raises(Routed) as routed:
+            lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
+        assert routed.value.args == (True,)
 
     def test_nonfinite_integral_refuses_the_mild_prices(self, bond_grid, u0):
         model = _state_free_model(bond_grid, "constant", 1, "wiener")

@@ -332,6 +332,74 @@ class TestDrift:
             )
 
 
+def _drift_references(model, nu):
+    """The drift as one (..., n, d) pass computed it before component slabs.
+
+    Returns (einsum, ordered, ok): the contraction over components by einsum,
+    and the same products summed in component order.
+    """
+    from levyhjm.levy import grad_components
+
+    zeta = -lh.cumulative_integral(nu, model.grid, axis=-2)
+    norms = np.sqrt(np.square(zeta).sum(axis=-1))
+    ok = norms.max(axis=-1) <= model.driver.r_ball * (1.0 + 1e-9)
+    limit = model.cumulant.r_ball * (1.0 - 1e-9)
+    over = norms > limit
+    if over.any():
+        zeta = zeta * np.where(over, limit / np.maximum(norms, 1e-300), 1.0)[..., None]
+    grad = grad_components(model.cumulant, zeta)
+    einsum = np.einsum("...nd,...nd->...n", nu, grad)
+    products = nu * grad
+    ordered = products[..., 0].copy()
+    for k in range(1, nu.shape[-1]):
+        ordered += products[..., k]
+    return model.drift_sign * einsum, model.drift_sign * ordered, ok
+
+
+class TestSlabDrift:
+    """The drift on component slabs is the (..., n, d) formula it replaced."""
+
+    @staticmethod
+    def _model(grid, d, sign):
+        kinds = (
+            lh.WienerComponent(1.0), lh.GammaComponent(1.0, 2.0),
+            lh.CompoundPoissonComponent(1.0, 0.5),
+        )
+        driver = lh.build_driver([kinds[k % 3] for k in range(d)], r_ball=1.0, delta=1.5)
+        modes = [("closed_form", "quadrature", "closed_form")[k % 3] for k in range(d)]
+        return lh.HjmModel(
+            grid=grid, driver=driver, cumulant=lh.CumulantModel(driver, modes),
+            vol=lh.constant_volatility([0.01] * d), drift_sign=sign,
+        )
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_bitwise_the_einsum_formula(self, grid, d, sign):
+        rng = np.random.default_rng(10 + d)
+        nu = rng.uniform(-0.05, 0.05, size=(5, grid.n_nodes, d))
+        nu[1] = 0.2  # its running integral reaches 2 > r_ball: clamped
+        nu[2, 30:40] = np.nan
+        nu[3] *= 0.01
+        nu[4, 150:] = -0.5  # beyond the ball only near x_max
+        model = self._model(grid, d, sign)
+        f, ok = drift_functional(model, nu)
+        einsum, ordered, ok_ref = _drift_references(model, nu)
+        assert ok.tolist() == ok_ref.tolist() == [True, False, False, True, False]
+        # the slabs sum the components in index order, as einsum does for
+        # d <= 2; for d >= 3 einsum pairs them in its own SIMD order, and
+        # from d = 8 the reference's norms are pairwise sums.  At d = 8 a
+        # component slab is a view with a 64-byte stride, where numpy 2.4's
+        # in-place np.negative writes wrong values
+        np.testing.assert_allclose(f, einsum, rtol=1e-14, atol=1e-16)
+        if d < 8:
+            np.testing.assert_array_equal(f, ordered)
+        if d <= 2:
+            np.testing.assert_array_equal(f, einsum)
+        assert np.isnan(f[2, 30:40]).all() and np.isfinite(np.delete(f, 2, axis=0)).all()
+        flipped, _ = drift_functional(self._model(grid, d, -sign), nu)
+        np.testing.assert_array_equal(flipped, -f)
+
+
 class TestHypothesesAudit:
     def test_tanh_passes_all(self, tanh_model):
         report = lh.check_hypotheses(tanh_model, 2000, seed=0)

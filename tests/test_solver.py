@@ -1075,36 +1075,133 @@ class TestCertifiedNormSkip:
         assert 0 < sum(needed) < cfg.n_paths * cfg.n_steps
 
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
-    def test_without_a_bound_every_live_norm_is_taken(
+    def test_state_dependent_norm_taken_where_the_sup_bound_exceeds_the_radius(
         self, solver_name, gamma_model, monkeypatch
     ):
-        # tanh sigma reads the state, so neither scheme has a bound: it is
-        # infinite at every step, so every live path's norm is taken and
-        # replaces it; with an infinite radius none is taken
+        # tanh sigma reads the state, so neither scheme has a recurrence: the
+        # bound is K max|candidate|, and a live path's norm is taken exactly
+        # where that, with its slack, exceeds r_local, and then replaces it
         from levyhjm import solver
 
         localize = solver._localize
         taken = []
 
         def recording(exits, frozen, ok, candidate, prev, i, grid, r_local, bound):
-            assert np.isinf(bound).all()
+            assert np.array_equal(bound, grid.sup_gain * np.abs(candidate).max(axis=-1))
+            before = bound.copy()
+            live = ~frozen & ok & np.isfinite(candidate).all(axis=-1)
             out = localize(exits, frozen, ok, candidate, prev, i, grid, r_local, bound)
-            live = exits >= i + 1  # alive after t_i, the norm exits included
-            taken.append((live.sum(), np.isfinite(bound).sum()))
+            need = live & (before * solver._BOUND_SLACK > r_local)
+            assert np.array_equal(bound[need], lh.norm_H(candidate[need], grid))
+            assert np.array_equal(bound[~need], before[~need])
+            taken.append((int(need.sum()), int(live.sum())))
             return out
 
         monkeypatch.setattr(solver, "_localize", recording)
         u0 = initial_curve(gamma_model.grid)
         cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=32, seed=8)
         free = _solve(solver_name, gamma_model, u0, cfg)
+        assert taken and not any(n for n, _ in taken)  # the default radius, 1e6
+        # a radius that paths reach: K max|u| is far above every norm, so
+        # every live path's norm is taken
         r_local = _radius_for_exit_at(lh.norm_H(free.curves, gamma_model.grid), 4)
         taken.clear()
         ens = _solve(solver_name, gamma_model, u0, dataclasses.replace(cfg, r_local=r_local))
         assert len(set(ens.exit_index.tolist())) > 1  # paths leave at different steps
-        assert all(live == normed for live, normed in taken)
+        assert all(n == live for n, live in taken)
         taken.clear()
         _solve(solver_name, gamma_model, u0, dataclasses.replace(cfg, r_local=math.inf))
-        assert taken and not any(normed for _, normed in taken)
+        assert taken and not any(n for n, _ in taken)
+        # the bundled shape's bounds are all near K times its long rate; on
+        # rough curves they spread, and a radius inside their range has some
+        # norms taken and others certified
+        model, u0, cfg = self._rough_tanh_setup()
+        free = _solve(solver_name, model, u0, cfg)
+        sup_bounds = model.grid.sup_gain * np.abs(free.curves[:, 1:]).max(axis=-1)
+        taken.clear()
+        r_local = float(np.quantile(sup_bounds, 0.75))
+        _solve(solver_name, model, u0, dataclasses.replace(cfg, r_local=r_local))
+        assert 0 < sum(n for n, _ in taken) < sum(live for _, live in taken)
+
+    @staticmethod
+    def _rough_tanh_setup():
+        """A tanh model that keeps a rough curve rough, so |u|_H is near K max|u|.
+
+        u0 alternates in pairs (+a, +a, -a, -a, ...), so every centered
+        difference is 2a and the curve's norm nearly attains the sup-norm
+        bound.  A nearly flat envelope on a Wiener driver scales that pattern
+        by about 1 + 0.5 dW per step, so norms rise and fall along a path.
+        """
+        grid = aligned_grid(10.0, 1.0 / 16.0)
+        driver = lh.build_driver([lh.WienerComponent(1.0)], r_ball=60.0, delta=1.5)
+        model = lh.HjmModel(
+            grid=grid, driver=driver, cumulant=lh.CumulantModel(driver),
+            vol=lh.tanh_volatility([0.5], [0.01]),
+        )
+        u0 = 0.01 * np.where(np.arange(grid.n_nodes) % 4 < 2, 1.0, -1.0)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=40, seed=21)
+        assert lh.norm_H(u0, grid) > 0.9 * grid.sup_gain * 0.01
+        return model, u0, cfg
+
+    @staticmethod
+    def _exits_against_every_norm(solver_name, model, u0, cfg):
+        """Exit indices and curves of the solver and of taking every norm, per radius."""
+        m = cfg.n_steps
+        free = _solve(solver_name, model, u0, cfg)
+        norms = lh.norm_H(free.curves, model.grid)
+        radii = {
+            "first": _radius_for_exit_at(norms, 1),
+            "middle": _radius_for_exit_at(norms, m // 2),
+            "last": _radius_for_exit_at(norms, m),
+            "sentinel": 1e6,
+        }
+        out = {}
+        for name, r_local in radii.items():
+            run = dataclasses.replace(cfg, r_local=r_local)
+            ens = _solve(solver_name, model, u0, run, increments=free.increments)
+            every = _step_every_norm(
+                model, u0, run, free.increments, exponential=solver_name == "picard"
+            )
+            out[name] = (ens.exit_index, ens.curves) + every
+        return out
+
+    @pytest.mark.parametrize("block_rows", [1, None], ids=["blocks_of_1", "default_blocks"])
+    @pytest.mark.parametrize("case", ["bundled_tanh", "rough_tanh"])
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_state_dependent_exits_and_curves_bitwise_those_of_every_norm(
+        self, solver_name, case, block_rows, gamma_model, monkeypatch
+    ):
+        from levyhjm import solver
+
+        if case == "bundled_tanh":
+            model, u0 = gamma_model, initial_curve(gamma_model.grid)
+            cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=32, seed=8)
+        else:
+            model, u0, cfg = self._rough_tanh_setup()
+        if block_rows is not None:
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", block_rows * model.grid.n_nodes)
+        m = cfg.n_steps
+        for name, (exits, curves, every_curves, every_exits) in self._exits_against_every_norm(
+            solver_name, model, u0, cfg
+        ).items():
+            assert np.array_equal(exits, every_exits), name
+            assert np.array_equal(curves, every_curves), name
+            step = {"first": 1, "middle": m // 2, "last": m}.get(name)
+            if step is not None:
+                assert (exits == step).any(), name
+        assert (exits == m + 1).all()
+
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_half_the_sup_gain_misses_exits(self, solver_name, monkeypatch):
+        # the control: a bound of K/2 max|u| sits below the rough curves'
+        # norms, certifies paths past the radius and loses their exits
+        model, u0, cfg = self._rough_tanh_setup()
+        monkeypatch.setitem(vars(model.grid), "sup_gain", 0.5 * model.grid.sup_gain)
+        runs = self._exits_against_every_norm(solver_name, model, u0, cfg)
+        assert any(
+            not np.array_equal(exits, every_exits)
+            for exits, _curves, _every_curves, every_exits in runs.values()
+        )
 
     @staticmethod
     def _dominance_checked(monkeypatch):
