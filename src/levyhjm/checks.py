@@ -20,8 +20,10 @@ seeded Monte Carlo experiment and returns a :class:`CheckReport`:
   than ``_LOCALIZED_CAP`` of the paths.  With a state-free volatility the
   bond integrals are affine in each path's noise, and when the noise
   certifies that no path localizes they come from the discrete mild form
-  without stepping any curve (``solver._mild_readouts``); otherwise, and
-  always for a state-dependent volatility, the paths are stepped.
+  without stepping any curve (``solver._mild_readouts``).  Otherwise, and
+  always for a state-dependent volatility, the paths are stepped: on the
+  nodes the bond integrals can reach (``solver._readout_cone``) when the
+  noise certifies that no path localizes, and on the full grid if not.
 * ``verify_cumulant_derivatives``    closed-form cumulant derivatives against
   finite differences, and an empirical Lipschitz constant of the Hessian.
 * ``verify_exponential_moment``      sampled finiteness of E e^{|<z, M(1)>|}
@@ -68,7 +70,13 @@ from .levy import (
     sample_increment_array,
 )
 from .model import HjmModel
-from .solver import SolverConfig, euler_transitions, _mild_readouts, _row_blocks
+from .solver import (
+    SolverConfig,
+    euler_transitions,
+    _mild_readouts,
+    _readout_cone,
+    _row_blocks,
+)
 
 __all__ = [
     "CheckReport",
@@ -468,14 +476,37 @@ def _discount(integrals: np.ndarray, out: np.ndarray) -> None:
 
 
 def _stepped_prices(D, model, u0, cfg, weights, dM) -> int:
-    """Fill D by stepping every path; returns how many paths localized."""
+    """Fill D by stepping every path; returns how many paths localized.
+
+    The paths step on the readout cone (``solver._readout_cone``) when the
+    noise certifies it, and on the full grid when it does not or a path
+    exits there, so D and the count are bitwise those of the full grid.
+    """
+    cone = _readout_cone(model, u0, cfg, weights, dM)
+    if cone is not None and _read_states(D, *cone, cfg, weights, dM) == 0:
+        return 0
+    return _read_states(D, model, u0, cfg, weights, dM)
+
+
+def _read_states(D, model, u0, cfg, weights, dM) -> int:
+    """Fill D from Euler's states on ``model``'s grid; returns how many paths localized.
+
+    A grid narrower than the weights' is read through a zero-padded
+    full-width buffer, so every readout sums the same terms in the same order.
+    """
     n_exited = 0
     done = 0
+    width = model.grid.n_nodes
     for j, _t, U, exits in euler_transitions(model, u0, cfg, increments=dM):
         if j == 0:  # a new block of rows, following the last one
             rows = slice(done, done + len(U))
             done = rows.stop
             integrals = np.empty(weights.shape[:2] + (len(U),))
+            if width < weights.shape[-1]:
+                padded = np.zeros((len(U), weights.shape[-1]))
+        if width < weights.shape[-1]:
+            padded[:, :width] = U
+            U = padded
         # partial_integral's one pass over U, on this step's weights
         integrals[j] = np.einsum("...n,kn->...k", U, weights[j]).T
         if j == cfg.n_steps:
@@ -531,7 +562,11 @@ def verify_martingale_bonds(
     check.  When ``_mild_readouts`` certifies that no path localizes, each
     path's integrals come from its noise through the discrete mild form,
     and no curve is stepped; they differ from stepping only by rounding.
-    Otherwise the paths step through ``euler_transitions`` on the same noise.
+    Otherwise the paths step through ``euler_transitions`` on the same noise:
+    only on the first nodes, those the integrals can reach, when
+    ``_readout_cone`` certifies that no path localizes, and on the full grid
+    when it does not or a path exits on the cut grid.  Both give bitwise the
+    same prices and localized count.
     """
     _require_paths(cfg.n_paths, "bond")
     grid = model.grid

@@ -411,6 +411,41 @@ def shift(curve, t: float, grid: WeightGrid):
     return out
 
 
+def _aligned_cells(grid: WeightGrid, t: float) -> int | None:
+    """The shift by t in whole cells when it is node aligned, else None."""
+    if t == 0.0:
+        return 0
+    if grid.spacing is not None:
+        k = t / grid.spacing
+        if abs(k - round(k)) <= _ALIGN_RTOL * max(1.0, abs(k)):
+            return min(int(round(k)), grid.n_nodes - 1)
+    return None
+
+
+def _shift_reach(grid: WeightGrid, t: float) -> int:
+    """How far right ``shift(u, t)`` reads: its value at x_i needs only u[: i + reach + 1].
+
+    An aligned shift copies u[i + cells]; an interpolating one reads
+    u[j_i - 1] and u[j_i] from ``_interpolation_stencil``.  A prefix of the
+    grid that keeps u[j_i] computes the same j_i and weights at x_i.
+    """
+    cells = _aligned_cells(grid, t)
+    if cells is not None:
+        return cells
+    j, _frac = _interpolation_stencil(grid, t)
+    return int((j - np.arange(grid.n_nodes)).max())
+
+
+def _interpolation_stencil(grid: WeightGrid, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(j, frac) with shift(u, t)[i] = u[j_i - 1] (1 - frac_i) + u[j_i] frac_i, flat past x_max."""
+    x = grid.nodes + t
+    j = np.searchsorted(grid.nodes, x, side="right")
+    j = np.clip(j, 1, grid.n_nodes - 1)
+    x0 = grid.nodes[j - 1]
+    x1 = grid.nodes[j]
+    return j, np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
+
+
 def _shift_values(
     v: np.ndarray, t: float, grid: WeightGrid, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -418,23 +453,12 @@ def _shift_values(
     if out is None:
         out = np.empty(v.shape)
     n = grid.n_nodes
-    cells = None  # the shift in whole cells, when it is node aligned
-    if t == 0.0:
-        cells = 0
-    elif grid.spacing is not None:
-        k = t / grid.spacing
-        if abs(k - round(k)) <= _ALIGN_RTOL * max(1.0, abs(k)):
-            cells = min(int(round(k)), n - 1)
+    cells = _aligned_cells(grid, t)
     if cells is not None:
         out[..., : n - cells] = v[..., cells:]
         out[..., n - cells :] = v[..., -1:]
         return out
-    x = grid.nodes + t
-    j = np.searchsorted(grid.nodes, x, side="right")
-    j = np.clip(j, 1, n - 1)
-    x0 = grid.nodes[j - 1]
-    x1 = grid.nodes[j]
-    frac = np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
+    j, frac = _interpolation_stencil(grid, t)
     np.multiply(v[..., j - 1], 1.0 - frac, out=out)
     out += v[..., j] * frac
     return out

@@ -60,6 +60,18 @@ sum_{i<j,d} |dM_{i,d}| max_a |S^a sigma_{i,d}|_H stays within ``r_local``,
 and only when its d K n_steps^2 / 2 products per path for K readouts per
 step do not exceed stepping's n_steps n_nodes; otherwise the caller steps.
 
+A caller that steps only to read such functionals need not step every node.
+The shift moves a curve to the left, and sigma and the drift at x read u
+only at and left of x, so a readout of u_j on the first L_j + 1 nodes
+depends on the first L_j + 1 + j reach nodes of u0 only, reach the nodes one
+shift reads to the right.  ``_readout_cone`` gives the model on the first
+n' = max_j (L_j + 1 + j reach) nodes, whose states are bitwise those of the
+full grid on the nodes read.  It returns it only when the run's own noise
+certifies that no path localizes on either grid: a per-path bound on max|u_j|
+from the declared ``gamma_seq`` keeps every running integral inside the
+cumulant ball and the sup-norm bound K max|u_j| within ``r_local``, whatever
+sigma depends on.
+
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
 bitwise, and rerunning with the same seed reproduces every curve bitwise.
@@ -69,13 +81,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from .curvespace import WeightGrid, norm_H, shift_gain, _shift_values, _values
-from .levy import increment_table
+from .curvespace import (
+    WeightGrid,
+    norm_H,
+    shift_gain,
+    _aligned_cells,
+    _shift_reach,
+    _shift_values,
+    _values,
+)
+from .levy import _component_value, increment_table
 from .model import HjmModel, drift_functional
 
 __all__ = [
@@ -420,7 +440,8 @@ def _mild_readouts(
     a readout whose mild form costs more than stepping: per path the mild
     form takes about d K n_steps^2 / 2 products, for K readouts per step,
     and stepping n_steps n_nodes, so the caller steps when d K n_steps / 2
-    exceeds n_nodes.
+    exceeds n_nodes.  A caller that steps can still step only the nodes its
+    readouts reach (``_readout_cone``).
     """
     grid, dt, m = model.grid, cfg.dt, cfg.n_steps
     if not model.vol.state_free or model.driver.dim * weights.shape[1] * m > 2 * grid.n_nodes:
@@ -455,6 +476,82 @@ def _mild_readouts(
         if not np.all(np.isfinite(bound) & (bound * _BOUND_SLACK <= cfg.r_local)):
             return None
     return np.einsum("jn,jkn->jk", c, weights), coef
+
+
+def _cut_grid(grid: WeightGrid, width: int) -> WeightGrid:
+    """The grid of the first ``width`` nodes, with trapezoid weights on them."""
+    nodes = grid.nodes[:width]
+    quad = np.zeros(width)
+    half_dx = 0.5 * np.diff(nodes)
+    quad[:-1] += half_dx
+    quad[1:] += half_dx
+    return WeightGrid(nodes=nodes, weight_beta=grid.weight_beta, quad_weights=quad)
+
+
+def _readout_cone(
+    model: HjmModel, u0, cfg: SolverConfig, weights: np.ndarray, increments=None
+) -> tuple[HjmModel, np.ndarray] | None:
+    """The model and initial curve of Euler's first n' nodes, or None.
+
+    The readouts of ``weights``, of shape (n_steps + 1, K, n_nodes), are
+    bitwise the same when Euler steps only the first n' nodes, n' = max_j
+    (L_j + 1 + j reach) with L_j the last node that step j's weights touch
+    and ``reach`` how far one shift reads to the right (``_shift_reach``).
+    sigma is pointwise, the running integral and so the drift are causal
+    from the left, and the cut grid's flat tail and interpolation corrupt
+    only nodes within one reach of its end; so its error moves left by at
+    most one reach per step, and u_j stays exact on its first n' - j reach
+    nodes.  The caller reads each cut state through a zero-padded
+    full-width buffer, so every readout sums the same terms in the same order.
+
+    This holds only while no path localizes on either grid, so this returns
+    None unless the run's noise certifies that, with a per-path bound M_j >=
+    max|u_j| from the declared constants: s_k = max_x |sigma_k(t_j, x, 0)| +
+    gamma_k M_j bounds |sigma_k| (``gamma_seq``, as ``state_free`` trusts it),
+    and M_{j+1} = M_j + dt sum_k max|psi_k'(+-r_ball)| s_k + sum_k s_k
+    |dM_{j,k}|, since psi_k is convex and neither the shift nor interpolation
+    raises max|u|.  Every bound must be finite, every step's sqrt(sum_k (s_k
+    x_max)^2) at most r_ball (1 - 1e-9), so each ball flag holds and nothing
+    is clamped, and K M_j, with its slack and K the larger ``sup_gain`` of
+    the two grids, at most ``r_local``, so no norm exceeds it.  It also
+    returns None when the cut grid would not be narrower, or would shift
+    otherwise than the full one (aligned on one, interpolating on the other).
+    """
+    grid, dt, m = model.grid, cfg.dt, cfg.n_steps
+    touched = weights.any(axis=1)[:, ::-1]  # (n_steps + 1, n_nodes), last node first
+    last = grid.n_nodes - 1 - touched.argmax(axis=1)
+    width = int((last + 1 + _shift_reach(grid, dt) * np.arange(m + 1)).max())
+    if not 3 <= width < grid.n_nodes or model.vol.gamma_seq is None:
+        return None
+    cone = _cut_grid(grid, width)
+    if _aligned_cells(cone, dt) != _aligned_cells(grid, dt):
+        return None
+    dM = _noise(model, cfg, increments)
+    u0_vals = _initial_curve(u0, cfg, grid)
+    r_ball = model.driver.r_ball
+    slopes = np.array([
+        np.abs(_component_value(model.cumulant, k, np.array([-r_ball, r_ball]), 1)).max()
+        for k in range(model.driver.dim)
+    ])
+    gamma = np.asarray(model.vol.gamma_seq, dtype=float)
+    gain = max(grid.sup_gain, cone.sup_gain) * _BOUND_SLACK
+    zero = np.zeros(grid.n_nodes)
+
+    def within(bound):
+        return np.isfinite(bound).all() and (gain * bound <= cfg.r_local).all()
+
+    bound = np.full(cfg.n_paths, np.abs(u0_vals).max())
+    for j in range(m):
+        if not within(bound):
+            return None
+        level = np.abs(model.vol.sigma_at(float(cfg.times[j]), grid.nodes, zero)).max(axis=0)
+        s = level + np.multiply.outer(bound, gamma)  # (n_paths, d): s_k >= max_x |sigma_k|
+        if not (np.sqrt(np.square(s).sum(axis=-1)) * grid.x_max <= r_ball * (1.0 - 1e-9)).all():
+            return None
+        bound = bound + dt * (s @ slopes) + (s * np.abs(dM[j])).sum(axis=-1)
+    if not within(bound):
+        return None
+    return replace(model, grid=cone), u0_vals[:width]
 
 
 def _collect(

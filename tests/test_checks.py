@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import levyhjm as lh
-from levyhjm import checks, solver
+from levyhjm import checks, cli, solver
 from levyhjm.checks import (
     _quadratic_forms,
     identity_report,
@@ -19,7 +20,7 @@ from levyhjm.checks import (
     verify_convolution_inequality,
     verify_isometry_predictability_control,
 )
-from levyhjm.curvespace import _shift_values
+from levyhjm.curvespace import _shift_reach, _shift_values
 
 BETA = 0.1
 
@@ -430,39 +431,52 @@ class TestMartingaleBonds:
 
 
 def _bond_route(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
-    """The bond check's reports, the arguments and result of its mild readouts,
-    and how many times it stepped."""
-    seen = {"steps": 0}
-    readouts, transitions = checks._mild_readouts, checks.euler_transitions
+    """The bond check's reports, the arguments and results of its mild
+    readouts and readout cone, how many times it stepped, and on how many
+    nodes each time."""
+    seen = {"steps": 0, "widths": []}
+    readouts, cone, transitions = (
+        checks._mild_readouts, checks._readout_cone, checks.euler_transitions
+    )
 
     def spy_readouts(*args):
         seen["args"], seen["readouts"] = args, readouts(*args)
         return seen["readouts"]
 
+    def spy_cone(*args):
+        seen["cone_args"], seen["cone"] = args, cone(*args)
+        return seen["cone"]
+
     def spy_transitions(*args, **kwargs):
         seen["steps"] += 1
+        seen["widths"].append(args[0].grid.n_nodes)
         return transitions(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(checks, "_mild_readouts", spy_readouts)
+        patch.setattr(checks, "_readout_cone", spy_cone)
         patch.setattr(checks, "euler_transitions", spy_transitions)
         reports = lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
     return reports, seen
 
 
 def _stepped_reports(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
-    """The bond check's reports with the mild route turned off."""
+    """The bond check's reports with the mild and cone routes turned off:
+    every path steps the full grid."""
     with monkeypatch.context() as patch:
         patch.setattr(checks, "_mild_readouts", lambda *args: None)
+        patch.setattr(checks, "_readout_cone", lambda *args: None)
         return lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
 
 
-def _state_free_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0):
+def _bond_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0):
     levels = [level, 0.5 * level][:dim]
     if vol_kind == "constant":
         vol = lh.constant_volatility(levels)
-    else:
+    elif vol_kind == "exp_decay":
         vol = lh.exp_decay_volatility(levels, [0.5, 1.0][:dim])
+    else:
+        vol = lh.tanh_volatility(levels, [0.5, 1.0][:dim])
     if driver_kind == "wiener":
         comps = [lh.WienerComponent(1.0) for _ in range(dim)]
     else:
@@ -484,7 +498,7 @@ class TestMildBondRoute:
     def test_mild_prices_match_stepping(
         self, monkeypatch, bond_grid, u0, vol_kind, dim, driver_kind, n_steps
     ):
-        model = _state_free_model(bond_grid, vol_kind, dim, driver_kind)
+        model = _bond_model(bond_grid, vol_kind, dim, driver_kind)
         cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=40, seed=9)
         stepped = _stepped_reports(monkeypatch, model, u0, cfg)
         first = None
@@ -508,7 +522,7 @@ class TestMildBondRoute:
             first = rows_out
 
     def test_fallback_at_a_reached_radius_is_bitwise_stepping(self, monkeypatch, bond_grid, u0):
-        model = _state_free_model(bond_grid, "constant", 1, "wiener")
+        model = _bond_model(bond_grid, "constant", 1, "wiener")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=20, n_paths=400, seed=3)
         free = lh.euler_solve(model, u0, cfg)
         r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
@@ -525,7 +539,7 @@ class TestMildBondRoute:
 
     def test_fallback_under_a_ball_violation_is_bitwise_stepping(self, monkeypatch, bond_grid, u0):
         # int_0^6 of 0.5 is 3 > r_ball = 1: every path exits at step 0
-        model = _state_free_model(bond_grid, "constant", 1, "gamma", level=0.5)
+        model = _bond_model(bond_grid, "constant", 1, "gamma", level=0.5)
         cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=50, seed=3)
         reports, seen = _bond_route(monkeypatch, model, u0, cfg)
         assert seen["readouts"] is None and seen["steps"] == 1
@@ -549,7 +563,7 @@ class TestMildBondRoute:
         # step against 25 nodes: the mild form would cost more than stepping
         grid = lh.make_grid(6.0, 25, BETA)
         u0 = 0.02 + 0.015 * (1.0 - np.exp(-0.4 * grid.nodes))
-        model = _state_free_model(grid, "constant", 1, "wiener")
+        model = _bond_model(grid, "constant", 1, "wiener")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=40, n_paths=50, seed=3)
         maturities = (2.0, 3.0, 4.0, 5.0)
         reports, seen = _bond_route(monkeypatch, model, u0, cfg, maturities)
@@ -600,7 +614,7 @@ class TestMildBondRoute:
         assert routed.value.args == (True,)
 
     def test_nonfinite_integral_refuses_the_mild_prices(self, bond_grid, u0):
-        model = _state_free_model(bond_grid, "constant", 1, "wiener")
+        model = _bond_model(bond_grid, "constant", 1, "wiener")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=5, n_paths=6, seed=1)
         weights = np.ones((cfg.n_steps + 1, 2, bond_grid.n_nodes))
         dM = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
@@ -610,6 +624,146 @@ class TestMildBondRoute:
         assert checks._mild_prices(D, readouts, dM, bond_grid.n_nodes)
         dM[2, 4, 0] = np.inf
         assert not checks._mild_prices(D, readouts, dM, bond_grid.n_nodes)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _full_grid_prices(model, u0, cfg, weights, dM):
+    """D and the localized count from stepping every path on the full grid."""
+    D = np.empty((cfg.n_paths, cfg.n_steps + 1, weights.shape[1] - 1))
+    return D, checks._read_states(D, model, u0, cfg, weights, dM)
+
+
+class TestConeBondRoute:
+    """A bond check that steps runs Euler on the first n' nodes, those its
+    readouts can reach, when the noise certifies that no path localizes, and
+    reads every state bitwise as stepping the full grid would."""
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["correct_sign", "wrong_sign"])
+    @pytest.mark.parametrize("n_steps", [10, 7], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("driver_kind", ["wiener", "gamma"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cone_prices_bitwise_full_stepping(
+        self, monkeypatch, bond_grid, u0, dim, driver_kind, n_steps, sign
+    ):
+        model = _bond_model(bond_grid, "tanh", dim, driver_kind, sign=sign)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=40, seed=9)
+        full = [report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)]
+        default_block = solver._BLOCK_VALUES
+        width = None
+        for rows in (1, 7, None):
+            if width is not None:
+                monkeypatch.setattr(
+                    solver, "_BLOCK_VALUES", default_block if rows is None else rows * width
+                )
+            reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+            assert seen["readouts"] is None and seen["cone"] is not None
+            width = seen["cone"][0].grid.n_nodes
+            assert width < bond_grid.n_nodes and seen["widths"] == [width]
+            assert [report_row(r) for r in reports] == full
+            # D itself, on the check's own weights and noise
+            _model, _u0, _cfg, weights, dM = seen["cone_args"]
+            reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
+            D = np.empty_like(reference)
+            assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 0
+            assert D.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, 402, 1234], ids=["config_seed", "402", "1234"])
+    def test_shipped_gamma_bond_check_takes_the_cone_route(self, monkeypatch, seed):
+        # configs/gamma_hjm.yaml's bond check (tanh sigma, 8000 paths), with
+        # its own noise; the route is decided before any price, so the
+        # check stops there
+        sc = cli.load_scenario(CONFIG_DIR / "gamma_hjm.yaml")
+        bundle = cli.build_bundle(sc)
+
+        class Routed(Exception):
+            pass
+
+        cone = checks._readout_cone
+
+        def decide(*args):
+            routed = cone(*args)
+            raise Routed(None if routed is None else routed[0].grid.n_nodes)
+
+        monkeypatch.setattr(checks, "_readout_cone", decide)
+        with pytest.raises(Routed) as routed:
+            cli._run_martingale_bonds(bundle, sc.verify, sc.seed if seed is None else seed)
+        # maturity 5 reaches node 160 of 321, one node less per one-cell step
+        assert routed.value.args == (161,)
+
+    @pytest.mark.parametrize("n_steps", [20, 10, 7], ids=["one_cell", "two_cells", "interpolating"])
+    def test_width_one_reach_short_changes_a_bond_integral(self, monkeypatch, bond_grid, u0, n_steps):
+        # negative control: the bitwise test above can fail
+        model = _bond_model(bond_grid, "tanh", 1, "gamma")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=40, seed=9)
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        _model, _u0, _cfg, weights, dM = seen["cone_args"]
+        reference, _ = _full_grid_prices(model, u0, cfg, weights, dM)
+        width = seen["cone"][0].grid.n_nodes
+        for cut, same in ((width, True), (width - _shift_reach(bond_grid, cfg.dt), False)):
+            narrow = dataclasses.replace(model, grid=solver._cut_grid(bond_grid, cut))
+            D = np.empty_like(reference)
+            assert checks._read_states(D, narrow, u0[:cut], cfg, weights, dM) == 0
+            assert (D.tobytes() == reference.tobytes()) is same
+
+    def test_localizing_radius_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
+        model = _bond_model(bond_grid, "tanh", 1, "gamma", level=0.3)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=400, seed=3)
+        free = lh.euler_solve(model, u0, cfg)
+        r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
+        tight = dataclasses.replace(cfg, r_local=r_local)
+        expected = [report_row(r) for r in _stepped_reports(monkeypatch, model, u0, tight)]
+        reports, seen = _bond_route(monkeypatch, model, u0, tight)
+        assert seen["cone"] is None and seen["widths"] == [bond_grid.n_nodes]
+        assert 0 < reports[0].config["n_localized"] < cfg.n_paths
+        assert [report_row(r) for r in reports] == expected
+        # the cone certified at the default radius, stepped at the tight one,
+        # localizes paths, and the check then steps the full grid as well
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        cone = seen["cone"]
+        assert cone is not None
+        monkeypatch.setattr(checks, "_readout_cone", lambda *args: cone)
+        reports, seen = _bond_route(monkeypatch, model, u0, tight)
+        assert seen["widths"] == [cone[0].grid.n_nodes, bond_grid.n_nodes]
+        assert [report_row(r) for r in reports] == expected
+
+    def test_ball_bound_beyond_the_ball_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
+        # gamma_seq M_0 x_max = 1.77 * 3 * 0.035 * 6 > r_ball = 1, while
+        # |S| <= 3 tanh(max|u|) / 10 stays far inside: no path exits
+        driver = lh.build_driver([lh.GammaComponent(1.0, 2.0)], r_ball=1.0, delta=1.5)
+        model = lh.HjmModel(
+            grid=bond_grid, driver=driver, cumulant=lh.CumulantModel(driver),
+            vol=lh.tanh_volatility([3.0], [10.0]),
+        )
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=50, seed=3)
+        reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        assert seen["cone"] is None and seen["widths"] == [bond_grid.n_nodes]
+        assert reports[0].config["n_localized"] == 0
+        assert [report_row(r) for r in reports] == [
+            report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)
+        ]
+        _model, _u0, _cfg, weights, dM = seen["cone_args"]
+        reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
+        D = np.empty_like(reference)
+        assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 0
+        assert D.tobytes() == reference.tobytes()
+
+    def test_infinite_increment_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
+        model = _bond_model(bond_grid, "tanh", 1, "gamma")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=40, seed=9)
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        assert seen["cone"] is not None
+        _model, _u0, _cfg, weights, dM = seen["cone_args"]
+        dM = dM.copy()
+        dM[4, 6, 0] = np.inf
+        assert solver._readout_cone(model, u0, cfg, weights, dM) is None
+        with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
+            reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
+        D = np.empty_like(reference)
+        with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
+            assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 1
+        assert D.tobytes() == reference.tobytes()
 
 
 class TestCumulantDerivativeChecks:

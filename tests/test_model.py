@@ -452,6 +452,36 @@ class TestHypothesesAudit:
         assert check.worst_margin > 0.1  # |sigma_u| reaches 0.2 near u = 0
 
 
+# one parameter set per builtin, for d = 1 and 2 (the first one or two entries)
+_BUILTIN_PARAMS = {
+    "constant_vector": {"levels": [0.05, 0.02]},
+    "exp_decay": {"scales": [0.05, 0.02], "decays": [1.0, 0.5]},
+    "tanh_bounded": {"scales": [0.05, 0.02], "decays": [1.0, 0.5]},
+}
+
+
+class TestDeclaredConstantsAudit:
+    """The bond check's readout-cone certificate trusts each volatility's
+    declared ``gamma_seq``; every volatility a config can build must pass
+    the audit of it (the false tanh declaration above must fail it)."""
+
+    def test_every_builtin_has_a_case(self):
+        assert set(_BUILTIN_PARAMS) == set(lh.VOLATILITY_BUILTINS)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", sorted(lh.VOLATILITY_BUILTINS))
+    def test_declared_gamma_seq_passes_the_audit(self, name, dim):
+        grid = lh.make_grid(10.0, 321, BETA)  # the bundled grid
+        params = {k: v[:dim] for k, v in _BUILTIN_PARAMS[name].items()}
+        vol = lh.volatility_from_config(name, params)
+        driver = lh.build_driver(
+            [lh.GammaComponent(1.0, 2.0)] * dim, r_ball=0.4, delta=1.5
+        )
+        m = lh.HjmModel(grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=vol)
+        check = lh.check_hypotheses(m, 2000, seed=3)["u_derivatives_bounded"]
+        assert check.passed, (name, check.worst_margin)
+
+
 class TestLipschitzEstimates:
     def test_noise_operator_sweep_normalized_bounded(self, tanh_model):
         normalized = {}

@@ -1291,6 +1291,11 @@ flat_cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=1500, seed=5)
 weights = np.ones((flat_cfg.n_steps + 1, 1, grid.n_nodes))
 mild = lh.solver._mild_readouts(flat, u0, flat_cfg, weights) is not None
 rows += [report_row(r) for r in lh.verify_martingale_bonds(flat, u0, [2.0, 5.0], flat_cfg)]
+# the tanh sigma's bond check at the default radius steps its readout cone
+cone_route, cones = lh.checks._readout_cone, []
+lh.checks._readout_cone = lambda *args: cones.append(cone_route(*args)) or cones[-1]
+rows += [report_row(r) for r in lh.verify_martingale_bonds(model, u0, [2.0, 5.0], flat_cfg)]
+cone = len(cones) == 1 and cones[0] is not None
 big = lh.make_grid(10.0, 321, 0.1)
 curves = lh.random_curves(big, 2003, np.random.default_rng(3))
 h = hashlib.sha256()
@@ -1298,7 +1303,7 @@ for a in (ens.curves, ens.exit_index, lh.norm_H(curves, big),
           lh.partial_integral(curves, big, 2.3)):
     h.update(np.ascontiguousarray(a).tobytes())
 exited = int((ens.exit_index <= cfg.n_steps).sum())
-print(h.hexdigest(), exited, mild, repr(rows))
+print(h.hexdigest(), exited, mild, cone, repr(rows))
 """
 
 
@@ -1318,7 +1323,7 @@ class TestBlasThreadInvariance:
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             outs.append(run.stdout)
-        _digest, exited, mild, _rows = outs[0].split(" ", 3)
+        _digest, exited, mild, cone, _rows = outs[0].split(" ", 4)
         assert 0 < int(exited) < 1500  # the norm localizes some paths, not all
-        assert mild == "True"
+        assert mild == cone == "True"
         assert outs[0] == outs[1]
