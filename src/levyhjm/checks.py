@@ -488,27 +488,40 @@ def _stepped_prices(D, model, u0, cfg, weights, dM) -> int:
     return _read_states(D, model, u0, cfg, weights, dM)
 
 
+# Float64 values of the zero-padded buffer through which full-width readouts
+# of a cut state go, 128 KiB or a quarter of a row block: reading a block in
+# chunks of rows this size is as fast as padding the whole block at once,
+# which on the bundled check would take 1 MiB beyond the stepping's memory.
+_PADDED_VALUES = 1 << 14
+
+
 def _read_states(D, model, u0, cfg, weights, dM) -> int:
     """Fill D from Euler's states on ``model``'s grid; returns how many paths localized.
 
     A grid narrower than the weights' is read through a zero-padded
-    full-width buffer, so every readout sums the same terms in the same order.
+    full-width buffer, a chunk of rows at a time, so every readout sums the
+    same terms in the same order as on the full grid.
     """
     n_exited = 0
     done = 0
-    width = model.grid.n_nodes
+    width, n_nodes = model.grid.n_nodes, weights.shape[-1]
+    if width < n_nodes:
+        padded = np.zeros((max(1, _PADDED_VALUES // n_nodes), n_nodes))
     for j, _t, U, exits in euler_transitions(model, u0, cfg, increments=dM):
         if j == 0:  # a new block of rows, following the last one
             rows = slice(done, done + len(U))
             done = rows.stop
             integrals = np.empty(weights.shape[:2] + (len(U),))
-            if width < weights.shape[-1]:
-                padded = np.zeros((len(U), weights.shape[-1]))
-        if width < weights.shape[-1]:
-            padded[:, :width] = U
-            U = padded
         # partial_integral's one pass over U, on this step's weights
-        integrals[j] = np.einsum("...n,kn->...k", U, weights[j]).T
+        if width == n_nodes:
+            integrals[j] = np.einsum("...n,kn->...k", U, weights[j]).T
+        else:
+            for start in range(0, len(U), len(padded)):
+                chunk = padded[: len(U) - start]
+                chunk[:, :width] = U[start : start + len(chunk)]
+                integrals[j, :, start : start + len(chunk)] = np.einsum(
+                    "...n,kn->...k", chunk, weights[j]
+                ).T
         if j == cfg.n_steps:
             _discount(integrals, D[rows])
             n_exited += int((exits <= cfg.n_steps).sum())

@@ -648,7 +648,8 @@ class TestConeBondRoute:
         self, monkeypatch, bond_grid, u0, dim, driver_kind, n_steps, sign
     ):
         model = _bond_model(bond_grid, "tanh", dim, driver_kind, sign=sign)
-        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=40, seed=9)
+        # 300 paths: the default block reads its states in three padded chunks
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=300, seed=9)
         full = [report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)]
         default_block = solver._BLOCK_VALUES
         width = None
