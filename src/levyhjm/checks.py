@@ -463,16 +463,15 @@ def _bond_maturities(maturities, grid: WeightGrid, horizon: float) -> list[float
     return maturities
 
 
-def _discount(integrals: np.ndarray, out: np.ndarray) -> None:
-    """A block's discounted prices from its (n_steps + 1, K + 1, rows) integrals.
+def _discount(step: np.ndarray, disc: np.ndarray, out: np.ndarray) -> None:
+    """One step's discounted prices from its (K + 1, rows) integrals I.
 
-    out[p, j, k] = exp(-sum_{i<j} I[i, K, p] - I[j, k, p]) for k < K: the
-    bond integral at t_j under the rolling one-period discount.
+    out[p, k] = exp(-disc[p] - I[k, p]) for k < K: the bond integral under
+    the rolling one-period discount disc, the sum of the earlier steps'
+    I[K], to which this step's I[K] is then added.
     """
-    disc = np.zeros(integrals.shape[-1])
-    for j, step in enumerate(integrals):
-        np.exp(-disc - step[:-1], out=out[:, j].T)
-        disc += step[-1]
+    np.exp(-disc - step[:-1], out=out.T)
+    disc += step[-1]
 
 
 def _stepped_prices(D, model, u0, cfg, weights, dM) -> int:
@@ -511,19 +510,20 @@ def _read_states(D, model, u0, cfg, weights, dM) -> int:
         if j == 0:  # a new block of rows, following the last one
             rows = slice(done, done + len(U))
             done = rows.stop
-            integrals = np.empty(weights.shape[:2] + (len(U),))
+            step = np.empty((weights.shape[1], len(U)))
+            disc = np.zeros(len(U))
         # partial_integral's one pass over U, on this step's weights
         if width == n_nodes:
-            integrals[j] = np.einsum("...n,kn->...k", U, weights[j]).T
+            step[:] = np.einsum("...n,kn->...k", U, weights[j]).T
         else:
             for start in range(0, len(U), len(padded)):
                 chunk = padded[: len(U) - start]
                 chunk[:, :width] = U[start : start + len(chunk)]
-                integrals[j, :, start : start + len(chunk)] = np.einsum(
+                step[:, start : start + len(chunk)] = np.einsum(
                     "...n,kn->...k", chunk, weights[j]
                 ).T
+        _discount(step, disc, D[rows, j])
         if j == cfg.n_steps:
-            _discount(integrals, D[rows])
             n_exited += int((exits <= cfg.n_steps).sum())
     return n_exited
 
@@ -545,7 +545,9 @@ def _mild_prices(D, readouts, dM, n_nodes) -> bool:
                 integrals[i + 1 :] += coef[i, d, i + 1 :, :, None] * dM[i, rows, d]
         if not np.isfinite(integrals).all():
             return False
-        _discount(integrals, D[rows])
+        disc = np.zeros(rows.stop - rows.start)
+        for j, step in enumerate(integrals):
+            _discount(step, disc, D[rows, j])
     return True
 
 
