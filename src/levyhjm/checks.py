@@ -546,8 +546,8 @@ def _mild_prices(D, readouts, dM, n_nodes) -> bool:
         if not np.isfinite(integrals).all():
             return False
         disc = np.zeros(rows.stop - rows.start)
-        for j, step in enumerate(integrals):
-            _discount(step, disc, D[rows, j])
+        for j in range(len(integrals)):  # no view of integrals outlives the block
+            _discount(integrals[j], disc, D[rows, j])
     return True
 
 
