@@ -750,6 +750,28 @@ class TestConeBondRoute:
         assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 0
         assert D.tobytes() == reference.tobytes()
 
+    def test_cut_grid_that_shifts_otherwise_falls_back_to_full_stepping(self, monkeypatch):
+        # uniform (h = 0.05) up to x = 4, coarser beyond: the full grid
+        # interpolates a 0.05 shift, a cut inside the uniform part would copy
+        # whole cells, and the two round differently
+        nodes = np.concatenate([np.linspace(0.0, 4.0, 81), 4.0 + 0.1 * np.arange(1, 21)])
+        quad = np.full(nodes.size, nodes[-1] / nodes.size)
+        grid = lh.WeightGrid(nodes=nodes, weight_beta=BETA, quad_weights=quad)
+        u0 = 0.02 + 0.015 * (1.0 - np.exp(-0.4 * nodes))
+        model = _bond_model(grid, "tanh", 1, "gamma")
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=10, n_paths=50, seed=3)
+        reports, seen = _bond_route(monkeypatch, model, u0, cfg, (2.0,))
+        assert seen["cone"] is None and seen["widths"] == [grid.n_nodes]
+        assert [report_row(r) for r in reports] == [
+            report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg, (2.0,))
+        ]
+        _model, _u0, _cfg, weights, dM = seen["cone_args"]
+        reference, _ = _full_grid_prices(model, u0, cfg, weights, dM)
+        narrow = dataclasses.replace(model, grid=solver._cut_grid(grid, 60))
+        D = np.empty_like(reference)
+        assert checks._read_states(D, narrow, u0[:60], cfg, weights, dM) == 0
+        assert D.tobytes() != reference.tobytes()
+
     def test_infinite_increment_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
         model = _bond_model(bond_grid, "tanh", 1, "gamma")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=40, seed=9)
