@@ -5,7 +5,8 @@ Subcommands
 ``simulate --config FILE [--seed N] [--out DIR]``
     Run the configured solver, write curves.csv / summary.csv / checks.csv /
     manifest.json.  When the scenario has a ``verify`` section its checks run
-    too and the exit code reflects them.
+    too, each in its own forked process while the simulation runs (so a run
+    needs ``os.fork``, POSIX only), and the exit code reflects them.
 ``verify --config FILE [--seed N] [--out DIR]``
     Run only the verification suite; emits checks.csv and manifest.json.
 ``sweep --config FILE --param dotted.key --values v1,v2,... [--out DIR]``
@@ -22,12 +23,17 @@ Outputs are byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
+import ctypes
 import hashlib
 import json
 import math
 import operator
+import os
+import pickle
+import signal
 import sys
 import zlib
 from dataclasses import dataclass
@@ -293,11 +299,15 @@ def _parse_scenario(raw, raw_bytes: bytes) -> Scenario:
         for key, low in (("n_steps", 1), ("n_paths", 2)):
             if key in verify:
                 _require_int(verify[key], f"verify.{key}", low)
-        unknown = set(verify["checks"]) - set(CHECK_REGISTRY)
+        checks = verify["checks"]
+        unknown = set(checks) - set(CHECK_REGISTRY)
         if unknown:
             raise ScenarioError(
                 f"unknown check(s) {sorted(unknown)}; available: {sorted(CHECK_REGISTRY)}"
             )
+        # each check runs in its own process and writes its own checks.csv rows
+        if len(set(checks)) < len(checks):
+            raise ScenarioError(f"verify.checks must be distinct, got {checks!r}")
 
     return Scenario(
         seed=seed,
@@ -330,7 +340,7 @@ def _cross_validate(sc: Scenario) -> None:
         raise ValueError(f"verify.factor_cap must be finite and >= 1, got {factor_cap!r}")
     if "martingale_bonds" in checks:
         _bond_maturities(
-            _verify_floats(vc, "maturities", []), bundle.grid, _bond_config(vc, sc.seed).horizon
+            _verify_floats(vc, "maturities", []), bundle.grid, _bond_config(sc, sc.seed).horizon
         )
 
 
@@ -428,9 +438,9 @@ def _check_seed(root_seed: int, name: str) -> int:
     return (root_seed * 1000003 + zlib.crc32(name.encode())) % (2**31)
 
 
-def _run_isometry(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
-    n_steps = vc.get("n_steps", 8)
-    n_paths = vc.get("n_paths", 20000)
+def _run_isometry(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
+    n_steps = sc.verify.get("n_steps", 8)
+    n_paths = sc.verify.get("n_paths", 20000)
     F = step_integrands(bundle.grid, bundle.driver.dim, n_steps, seed=_check_seed(seed, "isoF"))
     return [
         verify_isometry(
@@ -440,37 +450,41 @@ def _run_isometry(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]
     ]
 
 
-def _run_cumulant_derivatives(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
+def _run_cumulant_derivatives(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
     return verify_cumulant_derivatives(
         bundle.model.cumulant, n_points=100, seed=_check_seed(seed, "cumulant")
     )
 
 
-def _run_exponential_moment(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
+def _run_exponential_moment(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
     return [
         verify_exponential_moment(bundle.driver, seed=_check_seed(seed, "expmoment"))
     ]
 
 
-def _bond_config(vc: dict, seed: int) -> SolverConfig:
-    """The bond check's solver settings; its horizon is the first verify horizon."""
+def _bond_config(sc: Scenario, seed: int) -> SolverConfig:
+    """The bond check's solver settings: its horizon is the first verify
+    horizon, and it localizes at the scenario's ``solver.r_local``."""
+    vc = sc.verify
     return SolverConfig(
         horizon=_verify_floats(vc, "horizons", _BOND_HORIZONS)[0],
         n_steps=vc.get("n_steps", 20),
         n_paths=vc.get("n_paths", 20000),
+        r_local=solver_config(sc, seed).r_local,
         seed=_check_seed(seed, "bond"),
     )
 
 
-def _run_martingale_bonds(bundle: ModelBundle, vc: dict, seed: int) -> list[CheckReport]:
+def _run_martingale_bonds(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
     return verify_martingale_bonds(
-        bundle.model, bundle.u0, _verify_floats(vc, "maturities", []), _bond_config(vc, seed)
+        bundle.model, bundle.u0, _verify_floats(sc.verify, "maturities", []), _bond_config(sc, seed)
     )
 
 
 def _run_maximal_inequalities(
-    bundle: ModelBundle, vc: dict, seed: int, convolution: bool
+    sc: Scenario, bundle: ModelBundle, seed: int, convolution: bool
 ) -> list[CheckReport]:
+    vc = sc.verify
     orders = _verify_floats(vc, "orders", _VERIFY_ORDERS)
     horizons = _verify_floats(vc, "horizons", _VERIFY_HORIZONS)
     n_paths = vc.get("n_paths", 8000)
@@ -524,12 +538,12 @@ def _run_maximal_inequalities(
     return reports
 
 
-def _run_bichteler_jacod(bundle, vc, seed):
-    return _run_maximal_inequalities(bundle, vc, seed, convolution=False)
+def _run_bichteler_jacod(sc, bundle, seed):
+    return _run_maximal_inequalities(sc, bundle, seed, convolution=False)
 
 
-def _run_convolution(bundle, vc, seed):
-    return _run_maximal_inequalities(bundle, vc, seed, convolution=True)
+def _run_convolution(sc, bundle, seed):
+    return _run_maximal_inequalities(sc, bundle, seed, convolution=True)
 
 
 CHECK_REGISTRY = {
@@ -542,13 +556,127 @@ CHECK_REGISTRY = {
 }
 
 
-def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
-    """Run the configured checks; reports are merged sorted by name."""
-    vc = sc.verify or {}
-    reports = []
-    for name in vc.get("checks", []):
-        reports.extend(CHECK_REGISTRY[name](bundle, vc, seed))
-    return sorted(reports, key=lambda r: r.name)
+# OpenBLAS's thread-count setter under each build's symbol names: plain,
+# 64-bit integers, and the scipy-openblas builds that numpy's wheels ship
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run the OpenBLAS this process has loaded on one thread.
+
+    The checks and the simulation already fill the cores, and a second
+    OpenBLAS thread spins while it waits for work: on two cores, with two
+    OpenBLAS threads, the six checks of ``gamma_hjm.yaml`` took 1.8-2.2 s of
+    CPU in their processes against 0.9-1.0 s with one, and the run was no
+    faster than running them one after another.  OpenBLAS splits a product
+    over its outputs, so the reports are the same bits on one thread.
+    Loaded libraries are read from /proc/self/maps; without that file, or
+    under another BLAS, this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        for symbol in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int):
+    """Fork a process that runs check ``name``, writes its pickled reports,
+    or its exception's type name and message, to a pipe, and exits.
+
+    Returns the child's pid and the pipe's read end.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child: it leaves only through os._exit
+        status = 1
+        try:
+            os.close(read_fd)
+            _one_blas_thread()
+            try:
+                result = CHECK_REGISTRY[name](sc, bundle, seed), None
+            except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+                result = None, (type(exc).__name__, str(exc))
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _check_result(name: str, status: int, data: bytes) -> list[CheckReport]:
+    """The reports of check ``name`` from its child's wait status and output.
+
+    A check that raised is raised again under its exception's type name and
+    message; a child that died or exited otherwise raises a RuntimeError
+    that names the check.
+    """
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise RuntimeError(f"check {name!r} died from signal {signal.Signals(-code).name}")
+    if code:
+        raise RuntimeError(f"check {name!r} exited with code {code}")
+    reports, error = pickle.loads(data)
+    if error is not None:
+        type_name, message = error
+        raise type(type_name, (RuntimeError,), {})(message)
+    return reports
+
+
+@contextlib.contextmanager
+def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[str]):
+    """Run each check of ``names`` in its own forked process, concurrently with
+    the body of the ``with`` block; yields a join that waits for them.
+
+    The join returns the reports merged sorted by name.  It reads each
+    child's pipe to the end before it waits for the child, so a large report
+    list cannot block a child on a full pipe; a check that failed raises, in
+    the order of ``names``.  Each check draws from its own seed stream, so
+    the reports are those of running the checks one after another.  However
+    the block is left, every child not yet joined is killed and reaped.
+    """
+    children = []  # (name, pid, pipe) of each child not yet reaped
+
+    def join() -> list[CheckReport]:
+        reports: list[CheckReport] = []
+        while children:
+            name, pid, pipe = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            reports += _check_result(name, status, data)
+        return sorted(reports, key=lambda r: r.name)
+
+    try:
+        for name in names:
+            children.append((name, *_fork_check(name, sc, bundle, seed)))
+        yield join
+    finally:
+        for _name, pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 # ---------------------------------------------------------------------------
@@ -640,32 +768,32 @@ def run_scenario(
         artifacts = []
         extra: dict = {}
 
-        reports: list[CheckReport] = []
-        if simulate:
-            cfg = solver_config(sc, seed)
-            method = sc.solver.get("method", "euler")
-            if method == "picard":
-                result = picard_solve(bundle.model, bundle.u0, cfg)
-                ensemble = result.ensemble
-                extra["picard"] = {
-                    "sweeps": result.sweeps,
-                    "residuals": list(result.residuals),
-                    "converged": result.converged,
-                }
-            else:
-                ensemble = euler_solve(bundle.model, bundle.u0, cfg)
-            _write_curves_csv(out / "curves.csv", ensemble)
-            _write_summary_csv(out / "summary.csv", ensemble)
-            artifacts += ["curves.csv", "summary.csv"]
-            exited = ensemble.exit_index <= cfg.n_steps
-            extra["n_localized"] = int(exited.sum())
-            print(
-                f"simulated {cfg.n_paths} paths x {cfg.n_steps} steps "
-                f"({method}); {int(exited.sum())} localized"
-            )
-
-        if verify and sc.verify:
-            reports = run_verify_suite(sc, bundle, seed)
+        checks = sc.verify["checks"] if verify and sc.verify else []
+        # the checks run in their own processes while this one simulates
+        with run_verify_suite(sc, bundle, seed, checks) as join_checks:
+            if simulate:
+                cfg = solver_config(sc, seed)
+                method = sc.solver.get("method", "euler")
+                if method == "picard":
+                    result = picard_solve(bundle.model, bundle.u0, cfg)
+                    ensemble = result.ensemble
+                    extra["picard"] = {
+                        "sweeps": result.sweeps,
+                        "residuals": list(result.residuals),
+                        "converged": result.converged,
+                    }
+                else:
+                    ensemble = euler_solve(bundle.model, bundle.u0, cfg)
+                _write_curves_csv(out / "curves.csv", ensemble)
+                _write_summary_csv(out / "summary.csv", ensemble)
+                artifacts += ["curves.csv", "summary.csv"]
+                exited = ensemble.exit_index <= cfg.n_steps
+                extra["n_localized"] = int(exited.sum())
+                print(
+                    f"simulated {cfg.n_paths} paths x {cfg.n_steps} steps "
+                    f"({method}); {int(exited.sum())} localized"
+                )
+            reports = join_checks()
         _write_checks_csv(out / "checks.csv", reports)
         artifacts.append("checks.csv")
         n_failed = sum(not r.passed for r in reports)

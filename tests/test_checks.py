@@ -689,7 +689,7 @@ class TestConeBondRoute:
 
         monkeypatch.setattr(checks, "_readout_cone", decide)
         with pytest.raises(Routed) as routed:
-            cli._run_martingale_bonds(bundle, sc.verify, sc.seed if seed is None else seed)
+            cli._run_martingale_bonds(sc, bundle, sc.seed if seed is None else seed)
         # maturity 5 reaches node 160 of 321, one node less per one-cell step
         assert routed.value.args == (161,)
 

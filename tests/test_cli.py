@@ -1,12 +1,18 @@
 """Scenario parsing, artifact schemas, exit codes, determinism."""
 
+import contextlib
 import copy
 import csv
+import ctypes
+import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +20,21 @@ import pytest
 import yaml
 
 import levyhjm as lh
+from levyhjm import cli
+from levyhjm.checks import CheckReport, report_row
 from levyhjm.cli import (
+    CHECK_REGISTRY,
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    EXIT_RUNTIME_ERROR,
     ScenarioError,
     _write_curves_csv,
     build_bundle,
     load_scenario,
     main,
     run_scenario,
+    run_verify_suite,
     solver_config,
 )
 
@@ -200,6 +211,16 @@ class TestScenarioParsing:
         raw["solver"]["n_paths"], raw["verify"]["n_paths"] = 1, 2
         path.write_text(yaml.safe_dump(raw))
         assert load_scenario(path).solver["n_paths"] == 1
+
+    def test_duplicate_check_names_exit_2(self, tmp_path, capsys):
+        # a repeated name would run the check twice and repeat its rows
+        path = write_config(tmp_path, {"verify": {"checks": ["isometry", "isometry"]}})
+        with pytest.raises(ScenarioError, match="distinct"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run_scenario(path, out_dir=out) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: verify.checks must be distinct")
+        assert not out.exists()
 
     def test_unknown_check_name_rejected(self, tmp_path):
         path = write_config(tmp_path, {"verify": {"checks": ["not_a_check"]}})
@@ -459,6 +480,22 @@ class TestRunScenario:
         )
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_CHECK_FAILURE
 
+    def test_bond_check_localizes_at_the_scenario_radius(self, tmp_path):
+        # at r_local 0.025 the simulation keeps every path, while 39 of the
+        # bond check's 1000 paths localize: more than its 0.1 % cap
+        verify = {
+            "checks": ["martingale_bonds"], "n_paths": 1000, "n_steps": 5, "maturities": [2.0, 4.0]
+        }
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"solver.r_local": 0.025, "verify": verify})
+        assert run_scenario(path, out_dir=out) == EXIT_CHECK_FAILURE
+        assert json.loads((out / "manifest.json").read_text())["n_localized"] == 0
+        rows = list(csv.DictReader((out / "checks.csv").read_text().splitlines()))
+        assert {json.loads(r["config"])["n_localized"] for r in rows} == {39}
+        # without the key the check localizes at the default radius
+        path = write_config(tmp_path, {"verify": verify})
+        assert run_scenario(path, out_dir=out) == EXIT_OK
+
     def test_picard_method_records_residuals(self, tmp_path):
         path = write_config(tmp_path, {"solver.method": "picard"})
         out = tmp_path / "out"
@@ -466,6 +503,159 @@ class TestRunScenario:
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["picard"]["converged"]
         assert manifest["picard"]["residuals"]
+
+
+# every check on a small scenario
+ALL_CHECKS = {
+    "checks": list(CHECK_REGISTRY),
+    "n_paths": 200,
+    "n_steps": 4,
+    "maturities": [2.0, 4.0],
+    "orders": [2.0, 4.0],
+    "horizons": [0.5, 1.0],
+}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def openblas_threads():
+    """The thread count of the OpenBLAS this process has loaded, or None."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(*args):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedChecks:
+    """Each configured check runs in its own forked process."""
+
+    @pytest.mark.parametrize("scenario", ["gamma_hjm", "all_checks"])
+    def test_reports_equal_those_run_in_process(self, tmp_path, scenario):
+        if scenario == "gamma_hjm":
+            path = CONFIG_DIR / "gamma_hjm.yaml"
+        else:
+            path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        sc = load_scenario(path)
+        bundle = build_bundle(sc)
+        assert sc.verify["checks"] == list(CHECK_REGISTRY)
+        in_process = sorted(
+            (r for name in sc.verify["checks"] for r in CHECK_REGISTRY[name](sc, bundle, sc.seed)),
+            key=lambda r: r.name,
+        )
+        with run_verify_suite(sc, bundle, sc.seed, sc.verify["checks"]) as join:
+            forked = join()
+        # the reprs hold the types: np.float64 in a report's config is kept
+        assert [repr(report_row(r)) for r in forked] == [
+            repr(report_row(r)) for r in in_process
+        ]
+        assert [repr(r) for r in forked] == [repr(r) for r in in_process]
+        assert_no_child_left()
+
+    def test_check_that_raises_exits_3_with_its_error(self, tmp_path, capsys, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(CHECK_REGISTRY, "isometry", boom)
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == "runtime error: ValueError: boom\n"
+        assert_no_child_left()
+
+    def test_check_killed_by_a_signal_exits_3_naming_it(self, tmp_path, capsys, monkeypatch):
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(CHECK_REGISTRY, "exponential_moment", killed)
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == (
+            "runtime error: RuntimeError: check 'exponential_moment' died from signal SIGKILL\n"
+        )
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_simulation_that_raises_kills_running_checks(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        def hangs(*args):
+            time.sleep(600)
+
+        def fails(*args):
+            raise error("solver failed")
+
+        monkeypatch.setitem(CHECK_REGISTRY, "martingale_bonds", hangs)
+        monkeypatch.setattr(cli, "euler_solve", fails)
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        # the hanging check is killed, not waited for
+        with deadline(60):
+            if error is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    run_scenario(path, out_dir=tmp_path / "out")
+            else:
+                assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+                assert capsys.readouterr().err == "runtime error: RuntimeError: solver failed\n"
+        assert_no_child_left()
+
+    def test_checks_run_on_one_blas_thread(self, tmp_path, monkeypatch):
+        # a second OpenBLAS thread in each check process spins on the cores
+        # the other checks need; this process keeps its own setting
+        def threads_report(*args):
+            return [CheckReport("t", "identity", openblas_threads(), 1.0, 0.0, 1, 0.0, 0.0, True)]
+
+        if openblas_threads() is None:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        before = openblas_threads()
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        monkeypatch.setitem(CHECK_REGISTRY, "isometry", threads_report)
+        with run_verify_suite(sc, build_bundle(sc), sc.seed, ["isometry"]) as join:
+            (report,) = join()
+        assert report.lhs == 1
+        assert openblas_threads() == before
+
+    def test_reports_larger_than_a_pipe_buffer(self, tmp_path, monkeypatch):
+        def many(name):
+            def run(*args):
+                return [
+                    CheckReport(f"{name}_{i:05d}", "identity", 0.0, 0.0, 0.0, 1, 0.0, 0.0, True,
+                                {"pad": "x" * 64})
+                    for i in range(2000)
+                ]
+            return run
+
+        reports = many("a")()
+        assert len(pickle.dumps(reports)) > 2 * 65536
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        registry = {"first": many("b"), "second": many("a")}
+        monkeypatch.setattr(cli, "CHECK_REGISTRY", registry)
+        with deadline(60), run_verify_suite(sc, build_bundle(sc), sc.seed, list(registry)) as join:
+            merged = join()
+        assert merged == reports + many("b")()
+        assert_no_child_left()
 
 
 def reference_write_curves_csv(path, ensemble):
@@ -650,6 +840,21 @@ class TestMainEntry:
             assert "config error: " in capsys.readouterr().err
             # the config is read and overridden before any directory is made
             assert not (tmp_path / "s").exists()
+
+    def test_bundled_gamma_artifact_digests(self, tmp_path):
+        # two reruns can agree while both differ from the shipped bytes
+        out = tmp_path / "gamma"
+        assert run_scenario(CONFIG_DIR / "gamma_hjm.yaml", out_dir=out) == EXIT_OK
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("curves.csv", "summary.csv", "checks.csv", "manifest.json")
+        }
+        assert digests == {
+            "curves.csv": "590ac0a72b9c882bd53465e241a175e8c693cbf24f6412fb3520038cd263e315",
+            "summary.csv": "7a9223d699cf9529c6dc45a7661cc8aa45daf1b2aab0a3343fc551b5dcb4f72d",
+            "checks.csv": "9289f48cdfc8c7e4b7c329654b973c9fe1ed4f84af49e3f17cef3998044d6460",
+            "manifest.json": "cd445e0badfdd961e52711c4e0eeb44c2e4b7927fe8836e3caf45f2359132502",
+        }
 
     def test_bundled_smoke_scenario_runs_clean(self, tmp_path):
         code = main(
