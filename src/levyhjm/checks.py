@@ -24,6 +24,9 @@ seeded Monte Carlo experiment and returns a :class:`CheckReport`:
   always for a state-dependent volatility, the paths are stepped: on the
   nodes the bond integrals can reach (``solver._readout_cone``) when the
   noise certifies that no path localizes, and on the full grid if not.
+  The check is ``bond_prices`` and then ``bond_reports``; ``bond_prices``
+  also prices any contiguous rows of the paths, bitwise as those rows of
+  pricing all of them, so a caller can split the stepping over processes.
 * ``verify_cumulant_derivatives``    closed-form cumulant derivatives against
   finite differences, and an empirical Lipschitz constant of the Hessian.
 * ``verify_exponential_moment``      sampled finiteness of E e^{|<z, M(1)>|}
@@ -89,6 +92,8 @@ __all__ = [
     "verify_bichteler_jacod",
     "verify_convolution_inequality",
     "verify_martingale_bonds",
+    "bond_prices",
+    "bond_reports",
     "verify_cumulant_derivatives",
     "verify_exponential_moment",
     "CHECKS_CSV_COLUMNS",
@@ -474,17 +479,25 @@ def _discount(step: np.ndarray, disc: np.ndarray, out: np.ndarray) -> None:
     disc += step[-1]
 
 
-def _stepped_prices(D, model, u0, cfg, weights, dM) -> int:
-    """Fill D by stepping every path; returns how many paths localized.
+def _stepped_prices(D, model, u0, cfg, weights, dM, rows=None, n_bad=None) -> int | None:
+    """Fill D by stepping the paths of ``rows``; returns how many localized.
 
     The paths step on the readout cone (``solver._readout_cone``) when the
-    noise certifies it, and on the full grid when it does not or a path
-    exits there, so D and the count are bitwise those of the full grid.
+    noise of every path certifies it, and on the full grid when it does
+    not or a path exits there, so D and the count are bitwise those of the
+    full grid.  ``rows`` (every path by default) and ``n_bad`` are
+    ``bond_prices``'s: with ``rows``, a path that exits on the cut grid
+    returns None.
     """
+    part = dM[:, slice(None) if rows is None else rows]
+    own = replace(cfg, n_paths=part.shape[1])
     cone = _readout_cone(model, u0, cfg, weights, dM)
-    if cone is not None and _read_states(D, *cone, cfg, weights, dM) == 0:
-        return 0
-    return _read_states(D, model, u0, cfg, weights, dM)
+    if cone is not None:
+        if _read_states(D, *cone, own, weights, part, n_bad) == 0:
+            return 0
+        if rows is not None:
+            return None
+    return _read_states(D, model, u0, own, weights, part, n_bad)
 
 
 # Float64 values of the zero-padded buffer through which full-width readouts
@@ -494,19 +507,20 @@ def _stepped_prices(D, model, u0, cfg, weights, dM) -> int:
 _PADDED_VALUES = 1 << 14
 
 
-def _read_states(D, model, u0, cfg, weights, dM) -> int:
+def _read_states(D, model, u0, cfg, weights, dM, n_bad=None) -> int:
     """Fill D from Euler's states on ``model``'s grid; returns how many paths localized.
 
     A grid narrower than the weights' is read through a zero-padded
     full-width buffer, a chunk of rows at a time, so every readout sums the
-    same terms in the same order as on the full grid.
+    same terms in the same order as on the full grid.  ``n_bad`` is
+    ``euler_transitions``'s ``_n_bad``.
     """
     n_exited = 0
     done = 0
     width, n_nodes = model.grid.n_nodes, weights.shape[-1]
     if width < n_nodes:
         padded = np.zeros((max(1, _PADDED_VALUES // n_nodes), n_nodes))
-    for j, _t, U, exits in euler_transitions(model, u0, cfg, increments=dM):
+    for j, _t, U, exits in euler_transitions(model, u0, cfg, increments=dM, _n_bad=n_bad):
         if j == 0:  # a new block of rows, following the last one
             rows = slice(done, done + len(U))
             done = rows.stop
@@ -551,6 +565,94 @@ def _mild_prices(D, readouts, dM, n_nodes) -> bool:
     return True
 
 
+def bond_prices(
+    model: HjmModel, u0, maturities, cfg: SolverConfig, rows: slice | None = None,
+    n_bad: np.ndarray | None = None,
+) -> tuple[np.ndarray, int] | None:
+    """The bond check's discounted prices D and how many of its paths localized.
+
+    D[p, j, k] is path p's discounted bond of maturity k at t_j, for the
+    paths of ``rows``, a slice of them (every path by default).  The route
+    is chosen over every path, from the whole noise table, as
+    ``verify_martingale_bonds`` describes; only its row loop reads
+    ``rows``.  Each row of D depends only on that row's noise, so the rows
+    of any split are bitwise those of pricing every path at once.  A route
+    that fails on some path, through a non-finite mild integral or a path
+    that exits on the cut grid, falls back for every path, which a part
+    cannot see: with ``rows`` that returns None, and the caller must price
+    every path at once.  ``n_bad``, an (n_steps,) integer array, gathers
+    the non-finite exits of each step, which are then not warned about.
+    """
+    _require_paths(cfg.n_paths, "bond")
+    grid = model.grid
+    maturities = _bond_maturities(maturities, grid, cfg.horizon)
+    # each step's node weights of the bond integrals and the one-period
+    # integral, as partial_integral builds them, once for the check
+    weights = np.array([
+        [_partial_weights(grid, float(T - t_j)) for T in maturities]
+        + [_partial_weights(grid, float(cfg.dt))]
+        for t_j in cfg.times
+    ])
+    dM = increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
+    part = dM[:, slice(None) if rows is None else rows]
+    D = np.empty((part.shape[1], cfg.n_steps + 1, len(maturities)))
+    readouts = _mild_readouts(model, u0, cfg, weights, dM)
+    if readouts is not None:
+        if _mild_prices(D, readouts, part, grid.n_nodes):
+            return D, 0
+        if rows is not None:
+            return None
+    n_exited = _stepped_prices(D, model, u0, cfg, weights, dM, rows, n_bad)
+    return None if n_exited is None else (D, n_exited)
+
+
+def bond_reports(
+    model: HjmModel, maturities, cfg: SolverConfig, D: np.ndarray, n_localized: int
+) -> list[CheckReport]:
+    """The bond check's rows from every path's prices D (``bond_prices``).
+
+    Two rows per maturity, the mean slope of D against time and the mean
+    of D(horizon) - D(0), each against 0 within three standard errors.
+    Every row fails when more than ``_LOCALIZED_CAP`` of the paths
+    localized.
+    """
+    maturities = _bond_maturities(maturities, model.grid, cfg.horizon)
+    centered_t = cfg.times - cfg.times.mean()
+    slope_weights = centered_t / np.square(centered_t).sum()
+    reports = []
+    for im, T in enumerate(maturities):
+        d = D[:, :, im]
+        slopes = d @ slope_weights
+        slope = float(slopes.mean())
+        se_slope = float(slopes.std(ddof=1) / math.sqrt(cfg.n_paths))
+        endpoint = d[:, -1] - d[:, 0]
+        diff = float(endpoint.mean())
+        se_diff = float(endpoint.std(ddof=1) / math.sqrt(cfg.n_paths))
+        config = {
+            "maturity": T,
+            "drift_sign": model.drift_sign,
+            "n_steps": cfg.n_steps,
+            "n_paths": cfg.n_paths,
+            "seed": cfg.seed,
+            "n_localized": n_localized,
+        }
+        reports.append(
+            identity_report(
+                f"bond_slope_T{T:g}", slope, 0.0,
+                n_samples=cfg.n_paths, standard_error=se_slope, config=config,
+            )
+        )
+        reports.append(
+            identity_report(
+                f"bond_endpoint_T{T:g}", diff, 0.0,
+                n_samples=cfg.n_paths, standard_error=se_diff, config=config,
+            )
+        )
+    if n_localized <= _LOCALIZED_CAP * cfg.n_paths:
+        return reports
+    return [replace(r, passed=False) for r in reports]
+
+
 def verify_martingale_bonds(
     model: HjmModel,
     u0,
@@ -581,61 +683,11 @@ def verify_martingale_bonds(
     only on the first nodes, those the integrals can reach, when
     ``_readout_cone`` certifies that no path localizes, and on the full grid
     when it does not or a path exits on the cut grid.  Both give bitwise the
-    same prices and localized count.
+    same prices and localized count.  The check is ``bond_prices`` of every
+    path, then ``bond_reports``.
     """
-    _require_paths(cfg.n_paths, "bond")
-    grid = model.grid
-    maturities = _bond_maturities(maturities, grid, cfg.horizon)
-    times = cfg.times
-    # each step's node weights of the bond integrals and the one-period
-    # integral, as partial_integral builds them, once for the check
-    weights = np.array([
-        [_partial_weights(grid, float(T - t_j)) for T in maturities]
-        + [_partial_weights(grid, float(cfg.dt))]
-        for t_j in times
-    ])
-    dM = increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
-    D = np.empty((cfg.n_paths, cfg.n_steps + 1, len(maturities)))
-    readouts = _mild_readouts(model, u0, cfg, weights, dM)
-    if readouts is not None and _mild_prices(D, readouts, dM, grid.n_nodes):
-        n_exited = 0
-    else:
-        n_exited = _stepped_prices(D, model, u0, cfg, weights, dM)
-
-    centered_t = times - times.mean()
-    slope_weights = centered_t / np.square(centered_t).sum()
-    reports = []
-    for im, T in enumerate(maturities):
-        d = D[:, :, im]
-        slopes = d @ slope_weights
-        slope = float(slopes.mean())
-        se_slope = float(slopes.std(ddof=1) / math.sqrt(cfg.n_paths))
-        endpoint = d[:, -1] - d[:, 0]
-        diff = float(endpoint.mean())
-        se_diff = float(endpoint.std(ddof=1) / math.sqrt(cfg.n_paths))
-        config = {
-            "maturity": T,
-            "drift_sign": model.drift_sign,
-            "n_steps": cfg.n_steps,
-            "n_paths": cfg.n_paths,
-            "seed": cfg.seed,
-            "n_localized": n_exited,
-        }
-        reports.append(
-            identity_report(
-                f"bond_slope_T{T:g}", slope, 0.0,
-                n_samples=cfg.n_paths, standard_error=se_slope, config=config,
-            )
-        )
-        reports.append(
-            identity_report(
-                f"bond_endpoint_T{T:g}", diff, 0.0,
-                n_samples=cfg.n_paths, standard_error=se_diff, config=config,
-            )
-        )
-    if n_exited <= _LOCALIZED_CAP * cfg.n_paths:
-        return reports
-    return [replace(r, passed=False) for r in reports]
+    D, n_localized = bond_prices(model, u0, maturities, cfg)
+    return bond_reports(model, maturities, cfg, D, n_localized)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ import ctypes
 import hashlib
 import json
 import math
+import mmap
 import operator
 import os
 import pickle
@@ -46,6 +47,8 @@ from .checks import (
     CHECKS_CSV_COLUMNS,
     CheckReport,
     _bond_maturities,
+    bond_prices,
+    bond_reports,
     inequality_report,
     report_row,
     stability_report,
@@ -69,7 +72,14 @@ from .levy import (
     moment_mp,
 )
 from .model import HjmModel, volatility_from_config
-from .solver import SolverConfig, _initial_curve, euler_solve, picard_solve
+from .solver import (
+    SolverConfig,
+    _initial_curve,
+    _row_blocks,
+    _warn_nonfinite,
+    euler_solve,
+    picard_solve,
+)
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario", "run_scenario", "main"]
 
@@ -556,47 +566,111 @@ CHECK_REGISTRY = {
 }
 
 
-# OpenBLAS's thread-count setter under each build's symbol names: plain,
-# 64-bit integers, and the scipy-openblas builds that numpy's wheels ship
-_OPENBLAS_SET_THREADS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
+# OpenBLAS's thread-count getter and setter under each build's symbol names:
+# plain, 64-bit integers, and the scipy-openblas builds that numpy's wheels ship
+_OPENBLAS_THREADS = [
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_")
+]
 
 
-def _one_blas_thread() -> None:
-    """Run the OpenBLAS this process has loaded on one thread.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the OpenBLAS this process has loaded on one thread in the block,
+    and restore the caller's setting when it ends.
 
-    The checks and the simulation already fill the cores, and a second
+    A process forked in the block runs on one thread without a call of its
+    own.  The checks and the simulation already fill the cores, and a second
     OpenBLAS thread spins while it waits for work: on two cores, with two
     OpenBLAS threads, the six checks of ``gamma_hjm.yaml`` took 1.8-2.2 s of
     CPU in their processes against 0.9-1.0 s with one, and the run was no
-    faster than running them one after another.  OpenBLAS splits a product
-    over its outputs, so the reports are the same bits on one thread.
-    Loaded libraries are read from /proc/self/maps; without that file, or
-    under another BLAS, this does nothing.
+    faster than running them one after another.  Setting the count in a
+    freshly forked child instead starts a pool thread, which spins about
+    0.13 s before it sleeps.  OpenBLAS splits a product over its outputs,
+    so the reports are the same bits on one thread.  Loaded libraries are
+    read from /proc/self/maps; without that file, or under another BLAS,
+    this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line}
         libs = [ctypes.CDLL(path) for path in paths]
     except OSError:
-        return
+        libs = []
+    restore = []  # (setter, the caller's thread count) of each library
     for lib in libs:
-        for symbol in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
+        for get_name, set_name in _OPENBLAS_THREADS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
+                restore.append((setter, getter()))
                 setter(1)
                 break
+    try:
+        yield
+    finally:
+        for setter, n_threads in restore:
+            setter(n_threads)
 
 
-def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int):
+def _usable_cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _bond_shards(sc: Scenario, bundle: ModelBundle, seed: int) -> list[slice]:
+    """Contiguous rows of the bond check's paths, one slice per process.
+
+    One per core this process may use, but no more than the row blocks in
+    which the full grid steps the paths (``solver._row_blocks``).
+    """
+    n_paths = _bond_config(sc, seed).n_paths
+    k = min(_usable_cores(), len(list(_row_blocks(n_paths, bundle.grid.n_nodes))))
+    return [slice(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
+
+
+def _price_bond_rows(sc: Scenario, bundle: ModelBundle, seed: int, rows: slice):
+    """The bond check's prices of the paths ``rows``: ((localized count,
+    non-finite exits per step), D rows), or (None, None) when the route
+    fails on some of them and every path must be priced at once."""
+    cfg = _bond_config(sc, seed)
+    n_bad = np.zeros(cfg.n_steps, dtype=int)
+    maturities = _verify_floats(sc.verify, "maturities", [])
+    priced = bond_prices(bundle.model, bundle.u0, maturities, cfg, rows, n_bad)
+    if priced is None:
+        return None, None
+    D, n_localized = priced
+    return (n_localized, n_bad), D
+
+
+def _bond_shard_reports(
+    sc: Scenario, bundle: ModelBundle, seed: int, D, results
+) -> list[CheckReport]:
+    """The bond check's reports from its shards' ``_price_bond_rows`` results,
+    whose rows are already in D."""
+    cfg = _bond_config(sc, seed)
+    maturities = _verify_floats(sc.verify, "maturities", [])
+    if any(result is None for result in results):
+        # the route failed on some shard's paths, so it falls back for every
+        # path: price them all here, as one process would
+        D, n_localized = bond_prices(bundle.model, bundle.u0, maturities, cfg)
+    else:
+        n_localized = sum(n for n, _ in results)
+        _warn_nonfinite(sum(n_bad for _, n_bad in results))
+    return bond_reports(bundle.model, maturities, cfg, D, n_localized)
+
+
+def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int, rows=None):
     """Fork a process that runs check ``name``, writes its pickled reports,
     or its exception's type name and message, to a pipe, and exits.
 
+    With ``rows`` it runs ``_price_bond_rows`` instead, and writes its
+    pickled header followed by the bytes of its rows of D, if any.
     Returns the child's pid and the pipe's read end.
     """
     read_fd, write_fd = os.pipe()
@@ -610,13 +684,19 @@ def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int):
         status = 1
         try:
             os.close(read_fd)
-            _one_blas_thread()
+            prices = None
             try:
-                result = CHECK_REGISTRY[name](sc, bundle, seed), None
+                if rows is None:
+                    result = CHECK_REGISTRY[name](sc, bundle, seed), None
+                else:
+                    header, prices = _price_bond_rows(sc, bundle, seed, rows)
+                    result = header, None
             except Exception as exc:  # noqa: BLE001 - re-raised by the parent
                 result = None, (type(exc).__name__, str(exc))
             with open(write_fd, "wb") as fh:
                 fh.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+                if prices is not None:
+                    fh.write(memoryview(prices).cast("B"))
             status = 0
         finally:
             os._exit(status)
@@ -624,8 +704,26 @@ def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int):
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _check_result(name: str, status: int, data: bytes) -> list[CheckReport]:
-    """The reports of check ``name`` from its child's wait status and output.
+def _read_child(pipe, out=None):
+    """The pickled (result, error) a child wrote, read to the pipe's end.
+
+    With ``out``, the bytes that follow a result are read straight into
+    it.  None when the output stops short, as it does when the child died.
+    """
+    try:
+        result = pickle.load(pipe)
+        if out is not None and result[0] is not None:
+            view = memoryview(out).cast("B")
+            if pipe.readinto(view) != view.nbytes:
+                result = None
+    except (EOFError, pickle.UnpicklingError):
+        result = None
+    pipe.read()
+    return result
+
+
+def _check_result(name: str, status: int, output):
+    """The result of check ``name`` from its child's wait status and output.
 
     A check that raised is raised again under its exception's type name and
     message; a child that died or exited otherwise raises a RuntimeError
@@ -636,17 +734,28 @@ def _check_result(name: str, status: int, data: bytes) -> list[CheckReport]:
         raise RuntimeError(f"check {name!r} died from signal {signal.Signals(-code).name}")
     if code:
         raise RuntimeError(f"check {name!r} exited with code {code}")
-    reports, error = pickle.loads(data)
+    if output is None:
+        raise RuntimeError(f"check {name!r} wrote a short result")
+    result, error = output
     if error is not None:
         type_name, message = error
         raise type(type_name, (RuntimeError,), {})(message)
-    return reports
+    return result
 
 
 @contextlib.contextmanager
 def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[str]):
-    """Run each check of ``names`` in its own forked process, concurrently with
-    the body of the ``with`` block; yields a join that waits for them.
+    """Run the checks of ``names`` in forked processes, concurrently with the
+    body of the ``with`` block; yields a join that waits for them.
+
+    Each check runs in its own process, except the bond check, whose paths
+    are split into contiguous rows, one shard per core this process may use
+    and at most one per row block (``_bond_shards``): on one core, one
+    process prices every path.  Each shard draws the whole noise table and
+    decides the route over every path, then prices only its rows.  The join
+    reads each shard's rows straight into one array of prices and builds
+    the bond reports from it in this process, where the non-finite exits
+    are warned about once per step, with the totals over every path.
 
     The join returns the reports merged sorted by name.  It reads each
     child's pipe to the end before it waits for the child, so a large report
@@ -655,25 +764,43 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
     the reports are those of running the checks one after another.  However
     the block is left, every child not yet joined is killed and reaped.
     """
-    children = []  # (name, pid, pipe) of each child not yet reaped
+    children = []  # (name, pid, pipe, rows) of each child not yet reaped
+    shards = _bond_shards(sc, bundle, seed) if "martingale_bonds" in names else []
 
     def join() -> list[CheckReport]:
         reports: list[CheckReport] = []
+        priced = []  # the bond shards' results, their rows read into D
+        if shards:
+            cfg = _bond_config(sc, seed)
+            shape = (cfg.n_paths, cfg.n_steps + 1, len(_verify_floats(sc.verify, "maturities", [])))
+            # in a mapping of its own, which returns to the system when D is
+            # dropped; from the C heap the 2 MB of gamma_hjm.yaml's prices
+            # stayed resident after the run and raised later peaks
+            D = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
         while children:
-            name, pid, pipe = children[0]
-            data = pipe.read()
+            name, pid, pipe, rows = children[0]
+            output = _read_child(pipe, None if rows is None else D[rows])
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             pipe.close()
-            reports += _check_result(name, status, data)
+            result = _check_result(name, status, output)
+            if rows is None:
+                reports += result
+            else:
+                priced.append(result)
+        if priced:
+            reports += _bond_shard_reports(sc, bundle, seed, D, priced)
         return sorted(reports, key=lambda r: r.name)
 
     try:
-        for name in names:
-            children.append((name, *_fork_check(name, sc, bundle, seed)))
+        # every child runs OpenBLAS on one thread; the simulation on the caller's
+        with _one_blas_thread():
+            for name in names:
+                for rows in shards if name == "martingale_bonds" else [None]:
+                    children.append((name, *_fork_check(name, sc, bundle, seed, rows), rows))
         yield join
     finally:
-        for _name, pid, pipe in children:
+        for _name, pid, pipe, _rows in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
@@ -747,6 +874,34 @@ def _write_manifest(path: Path, sc: Scenario, seed: int, artifacts: list[str], e
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _simulate(sc: Scenario, bundle: ModelBundle, seed: int, out: Path, extra: dict) -> list[str]:
+    """Run the configured solver and write curves.csv and summary.csv; returns their names.
+
+    The ensemble is released on return, before the checks are joined.
+    """
+    cfg = solver_config(sc, seed)
+    method = sc.solver.get("method", "euler")
+    if method == "picard":
+        result = picard_solve(bundle.model, bundle.u0, cfg)
+        ensemble = result.ensemble
+        extra["picard"] = {
+            "sweeps": result.sweeps,
+            "residuals": list(result.residuals),
+            "converged": result.converged,
+        }
+    else:
+        ensemble = euler_solve(bundle.model, bundle.u0, cfg)
+    _write_curves_csv(out / "curves.csv", ensemble)
+    _write_summary_csv(out / "summary.csv", ensemble)
+    exited = ensemble.exit_index <= cfg.n_steps
+    extra["n_localized"] = int(exited.sum())
+    print(
+        f"simulated {cfg.n_paths} paths x {cfg.n_steps} steps "
+        f"({method}); {int(exited.sum())} localized"
+    )
+    return ["curves.csv", "summary.csv"]
+
+
 def run_scenario(
     config_path: str | Path,
     out_dir: str | Path | None = None,
@@ -772,27 +927,7 @@ def run_scenario(
         # the checks run in their own processes while this one simulates
         with run_verify_suite(sc, bundle, seed, checks) as join_checks:
             if simulate:
-                cfg = solver_config(sc, seed)
-                method = sc.solver.get("method", "euler")
-                if method == "picard":
-                    result = picard_solve(bundle.model, bundle.u0, cfg)
-                    ensemble = result.ensemble
-                    extra["picard"] = {
-                        "sweeps": result.sweeps,
-                        "residuals": list(result.residuals),
-                        "converged": result.converged,
-                    }
-                else:
-                    ensemble = euler_solve(bundle.model, bundle.u0, cfg)
-                _write_curves_csv(out / "curves.csv", ensemble)
-                _write_summary_csv(out / "summary.csv", ensemble)
-                artifacts += ["curves.csv", "summary.csv"]
-                exited = ensemble.exit_index <= cfg.n_steps
-                extra["n_localized"] = int(exited.sum())
-                print(
-                    f"simulated {cfg.n_paths} paths x {cfg.n_steps} steps "
-                    f"({method}); {int(exited.sum())} localized"
-                )
+                artifacts += _simulate(sc, bundle, seed, out, extra)
             reports = join_checks()
         _write_checks_csv(out / "checks.csv", reports)
         artifacts.append("checks.csv")

@@ -353,8 +353,19 @@ def _localize(
     return stopped & ok & ~finite
 
 
+def _warn_nonfinite(n_bad: np.ndarray) -> None:
+    """Warn once per step, in step order, of ``n_bad[j]`` non-finite exits at step j."""
+    for j in np.flatnonzero(n_bad):
+        warnings.warn(
+            f"{n_bad[j]} path(s) produced non-finite curves at step {j}; "
+            "frozen at their last finite state",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def euler_transitions(
-    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False
+    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False, _n_bad=None
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
     """Yield (j, t_j, states, exits) for each block of rows and j = 0 .. n_steps.
 
@@ -367,7 +378,9 @@ def euler_transitions(
     describes; the non-finite exits of a step are counted over all blocks
     and warned about once per step, in step order, after the last block.
     ``_exponential``, set only by ``picard_solve``, shifts after the step
-    increment is added.
+    increment is added.  ``_n_bad``, an (n_steps,) integer array, gathers
+    those counts instead, and nothing is warned about: a caller that steps
+    the paths in parts warns once for the totals.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
@@ -377,7 +390,7 @@ def euler_transitions(
     kernel = _step_kernel(model, times[:-1])
     next_bound = _norm_bound(model, kernel, cfg, _exponential)
     norm0 = norm_H(u0_vals, grid)
-    n_bad = np.zeros(cfg.n_steps, dtype=int)
+    n_bad = np.zeros(cfg.n_steps, dtype=int) if _n_bad is None else _n_bad
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
     # the noise term, then the two states that the steps alternate
     scratch = np.empty((3, blocks[0].stop, grid.n_nodes))
@@ -409,13 +422,8 @@ def euler_transitions(
             n_bad[j] += int(bad.sum())
             u = candidate
             yield j + 1, float(times[j + 1]), u, exits
-    for j in np.flatnonzero(n_bad):
-        warnings.warn(
-            f"{n_bad[j]} path(s) produced non-finite curves at step {j}; "
-            "frozen at their last finite state",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if _n_bad is None:
+        _warn_nonfinite(n_bad)
 
 
 def _mild_readouts(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -787,6 +788,114 @@ class TestConeBondRoute:
         with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
             assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 1
         assert D.tobytes() == reference.tobytes()
+
+
+def _bond_parts(n_paths, n_parts):
+    return [slice(i * n_paths // n_parts, (i + 1) * n_paths // n_parts) for i in range(n_parts)]
+
+
+class TestBondPriceRows:
+    """``bond_prices`` on contiguous rows of the paths gives bitwise those
+    rows of pricing every path at once, on every route; a route that fails
+    on some path gives None for a part, which cannot see the others."""
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "route, vol_kind, dim, n_steps",
+        [
+            ("mild", "constant", 1, 10),
+            ("cone", "tanh", 1, 10),
+            ("cone", "tanh", 2, 7),
+            ("full", "tanh", 1, 10),
+        ],
+        ids=["mild", "cone", "cone_d2_interpolating", "full_localizing"],
+    )
+    def test_parts_are_bitwise_the_whole(
+        self, monkeypatch, bond_grid, u0, route, vol_kind, dim, n_steps, n_parts
+    ):
+        level = 0.3 if route == "full" else 0.1
+        model = _bond_model(bond_grid, vol_kind, dim, "gamma", level=level)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=41, seed=9)
+        if route == "full":
+            # a radius that 5 % of the free paths reach: no route certifies it
+            free = lh.euler_solve(model, u0, cfg)
+            r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.95))
+            cfg = dataclasses.replace(cfg, r_local=r_local)
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        taken = "mild" if seen["readouts"] is not None else "cone" if seen["cone"] else "full"
+        assert taken == route
+        whole, n_whole = checks.bond_prices(model, u0, [2.0, 5.0], cfg)
+        assert (n_whole > 0) == (route == "full")
+        parts = [
+            checks.bond_prices(model, u0, [2.0, 5.0], cfg, rows)
+            for rows in _bond_parts(cfg.n_paths, n_parts)
+        ]
+        assert np.concatenate([D for D, _n in parts]).tobytes() == whole.tobytes()
+        assert sum(n for _D, n in parts) == n_whole
+
+    def test_non_finite_exits_gathered_not_warned(self, monkeypatch, bond_grid, u0):
+        model = _bond_model(bond_grid, "tanh", 1, "gamma")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=41, seed=9)
+        table = checks.increment_table
+
+        def with_infinities(*args):
+            dM = table(*args)
+            dM[4, [6, 30], 0] = np.inf
+            return dM
+
+        monkeypatch.setattr(checks, "increment_table", with_infinities)
+        with pytest.warns(RuntimeWarning, match="^2 path.s. produced non-finite curves at step 4"):
+            whole, n_whole = checks.bond_prices(model, u0, [2.0, 5.0], cfg)
+        n_bad = np.zeros(cfg.n_steps, dtype=int)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "[0-9]+ path.s. produced non-finite")
+            parts = [
+                checks.bond_prices(model, u0, [2.0, 5.0], cfg, rows, n_bad)
+                for rows in _bond_parts(cfg.n_paths, 2)
+            ]
+        assert n_bad.tolist() == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+        assert sum(n for _D, n in parts) == n_whole == 2
+        assert np.concatenate([D for D, _n in parts]).tobytes() == whole.tobytes()
+
+    def test_exit_on_the_cut_grid_gives_none_for_the_part(self, monkeypatch, bond_grid, u0):
+        # the cone certified at the default radius, stepped at a tight one
+        model = _bond_model(bond_grid, "tanh", 1, "gamma", level=0.3)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=400, seed=3)
+        free = lh.euler_solve(model, u0, cfg)
+        r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        cone = seen["cone"]
+        monkeypatch.setattr(checks, "_readout_cone", lambda *args: cone)
+        tight = dataclasses.replace(cfg, r_local=r_local)
+        parts = [
+            checks.bond_prices(model, u0, [2.0, 5.0], tight, rows)
+            for rows in _bond_parts(cfg.n_paths, 10)
+        ]
+        assert None in parts and any(part is not None for part in parts)
+        # every path at once steps the full grid, as the check does
+        whole, n_whole = checks.bond_prices(model, u0, [2.0, 5.0], tight)
+        reference, n_full = _full_grid_prices(model, u0, tight, *seen["cone_args"][3:])
+        assert n_whole == n_full > 0 and whole.tobytes() == reference.tobytes()
+
+    def test_non_finite_mild_integral_gives_none_for_the_part(self, monkeypatch, bond_grid, u0):
+        # readouts certified on finite noise, priced on noise with an infinity
+        model = _bond_model(bond_grid, "constant", 1, "wiener")
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=5, n_paths=6, seed=1)
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        readouts = seen["readouts"]
+        assert readouts is not None
+        table = checks.increment_table
+
+        def with_infinity(*args):
+            dM = table(*args)
+            dM[2, 4, 0] = np.inf
+            return dM
+
+        monkeypatch.setattr(checks, "_mild_readouts", lambda *args: readouts)
+        monkeypatch.setattr(checks, "increment_table", with_infinity)
+        first, last = _bond_parts(cfg.n_paths, 2)
+        assert checks.bond_prices(model, u0, [2.0, 5.0], cfg, first) is not None
+        assert checks.bond_prices(model, u0, [2.0, 5.0], cfg, last) is None
 
 
 class TestCumulantDerivativeChecks:

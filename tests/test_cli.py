@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -608,7 +609,7 @@ class TestForkedChecks:
         def fails(*args):
             raise error("solver failed")
 
-        monkeypatch.setitem(CHECK_REGISTRY, "martingale_bonds", hangs)
+        monkeypatch.setitem(CHECK_REGISTRY, "convolution", hangs)
         monkeypatch.setattr(cli, "euler_solve", fails)
         path = write_config(tmp_path, {"verify": ALL_CHECKS})
         # the hanging check is killed, not waited for
@@ -633,6 +634,8 @@ class TestForkedChecks:
         sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
         monkeypatch.setitem(CHECK_REGISTRY, "isometry", threads_report)
         with run_verify_suite(sc, build_bundle(sc), sc.seed, ["isometry"]) as join:
+            # the simulation runs on the caller's setting
+            assert openblas_threads() == before
             (report,) = join()
         assert report.lhs == 1
         assert openblas_threads() == before
@@ -655,6 +658,184 @@ class TestForkedChecks:
         with deadline(60), run_verify_suite(sc, build_bundle(sc), sc.seed, list(registry)) as join:
             merged = join()
         assert merged == reports + many("b")()
+        assert_no_child_left()
+
+
+# the bond check alone, on few paths, which the tests below split over
+# processes; at its defaults it takes the readout cone
+BOND_CHECK = {"checks": ["martingale_bonds"], "n_paths": 41, "n_steps": 5, "maturities": [2.0, 3.0]}
+
+BOND_CASES = {
+    "cone": {},
+    "few_paths": {"verify.n_paths": 2},
+    "two_components": {
+        "driver.components": [{"kind": "gamma", "c": 1.0, "rate": 2.0}] * 2,
+        "volatility.params": {"scales": [0.05, 0.03], "decays": [1.0, 0.5]},
+    },
+    "interpolating": {"verify.n_steps": 7},
+    "wrong_sign": {"volatility.drift_sign": 1},
+    "mild": {"volatility.name": "constant_vector", "volatility.params": {"levels": [0.05]}},
+    "localizing": {"solver.r_local": 0.025},
+    "infinite_increment": {},
+}
+
+
+def bond_reports_both_ways(sc, bundle):
+    """The bond check's reports and non-finite warnings, run by the suite
+    and in this process."""
+    both = []
+    for suite in (True, False):
+        with warnings.catch_warnings(record=True) as seen, np.errstate(invalid="ignore"):
+            warnings.simplefilter("always")
+            if suite:
+                with run_verify_suite(sc, bundle, sc.seed, ["martingale_bonds"]) as join:
+                    reports = join()
+            else:
+                reports = sorted(
+                    cli._run_martingale_bonds(sc, bundle, sc.seed), key=lambda r: r.name
+                )
+        messages = [str(w.message) for w in seen if "non-finite curves" in str(w.message)]
+        both.append((reports, messages))
+    return both
+
+
+def split_bond_check(monkeypatch, n_shards, n_nodes):
+    """Let the suite split the bond check over ``n_shards`` cores, with the
+    paths stepped one row per block on the full grid."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: n_shards)
+    monkeypatch.setattr(lh.solver, "_BLOCK_VALUES", n_nodes)
+
+
+class TestSplitBondCheck:
+    """The suite splits the bond check's paths into contiguous rows, one
+    process per core, and gets bitwise the reports of one process."""
+
+    @pytest.mark.parametrize("case", list(BOND_CASES))
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_reports_equal_the_unsplit_check(self, tmp_path, monkeypatch, n_shards, case):
+        # a copy: the case's "verify." keys write into it
+        sc = load_scenario(write_config(tmp_path, {"verify": dict(BOND_CHECK), **BOND_CASES[case]}))
+        bundle = build_bundle(sc)
+        split_bond_check(monkeypatch, n_shards, bundle.grid.n_nodes)
+        n_paths = sc.verify["n_paths"]
+        shards = cli._bond_shards(sc, bundle, sc.seed)
+        # no more shards than paths, and every path in one of them, in order
+        assert len(shards) == min(n_shards, n_paths)
+        assert [p for rows in shards for p in range(rows.start, rows.stop)] == list(range(n_paths))
+        if case == "infinite_increment":
+            # a path in the first shard and one in the last at step 2: the
+            # check steps the full grid, and both paths exit there
+            table = lh.checks.increment_table
+
+            def with_infinities(*args):
+                dM = table(*args)
+                dM[2, [6, 30], 0] = np.inf
+                return dM
+
+            monkeypatch.setattr(lh.checks, "increment_table", with_infinities)
+        (split, split_warnings), (whole, whole_warnings) = bond_reports_both_ways(sc, bundle)
+        # the reprs hold the types: np.float64 in a report's config is kept
+        assert [repr(report_row(r)) for r in split] == [repr(report_row(r)) for r in whole]
+        assert [repr(r) for r in split] == [repr(r) for r in whole]
+        assert split_warnings == whole_warnings
+        n_localized = whole[0].config["n_localized"]
+        if case == "infinite_increment":
+            # one warning with the total over every path, not one per shard
+            assert whole_warnings == [
+                "2 path(s) produced non-finite curves at step 2; frozen at their last finite state"
+            ]
+            assert n_localized == 2
+        else:
+            assert whole_warnings == []
+            assert (n_localized > 0) == (case == "localizing")
+        assert_no_child_left()
+
+    def test_route_that_fails_on_a_shard_prices_every_path_at_once(self, tmp_path, monkeypatch):
+        # the readout cone certified at the default radius, stepped at
+        # 0.02495: paths 12 and 26 exit on the cut grid, so the check steps
+        # every path on the full grid, where path 39 exits too; the last of
+        # three shards (paths 27 to 40) sees no exit on the cut grid, and
+        # only the join can tell it to fall back
+        sc = load_scenario(write_config(tmp_path, {"verify": BOND_CHECK}))
+        bundle = build_bundle(sc)
+        maturities = BOND_CHECK["maturities"]
+        seen = {}
+        cone = lh.checks._readout_cone
+        monkeypatch.setattr(
+            lh.checks, "_readout_cone", lambda *args: seen.setdefault("cone", cone(*args))
+        )
+        lh.checks.bond_prices(bundle.model, bundle.u0, maturities, cli._bond_config(sc, sc.seed))
+        assert seen["cone"] is not None
+        tight = load_scenario(
+            write_config(tmp_path, {"verify": BOND_CHECK, "solver.r_local": 0.02495})
+        )
+        split_bond_check(monkeypatch, 3, bundle.grid.n_nodes)
+        tight_cfg = cli._bond_config(tight, tight.seed)
+        parts = [
+            lh.checks.bond_prices(bundle.model, bundle.u0, maturities, tight_cfg, rows)
+            for rows in cli._bond_shards(tight, bundle, tight.seed)
+        ]
+        assert [part is None for part in parts] == [True, True, False]
+        (split, _), (whole, _) = bond_reports_both_ways(tight, bundle)
+        assert [repr(r) for r in split] == [repr(r) for r in whole]
+        assert whole[0].config["n_localized"] == 3
+        assert_no_child_left()
+
+    @staticmethod
+    def _fail_after_the_first_shard(monkeypatch, failure):
+        """Split the bond check of ALL_CHECKS over two shards, and run
+        ``failure`` in every shard but the first, which prices its rows."""
+        prices = cli.bond_prices
+
+        def fail(model, u0, maturities, cfg, rows, n_bad):
+            if rows.start > 0:
+                failure()
+            return prices(model, u0, maturities, cfg, rows, n_bad)
+
+        split_bond_check(monkeypatch, 2, BASE_CONFIG["grid"]["n_points"])
+        monkeypatch.setattr(cli, "bond_prices", fail)
+
+    def test_shard_that_raises_exits_3_with_its_error(self, tmp_path, capsys, monkeypatch):
+        def boom():
+            raise ValueError("boom")
+
+        self._fail_after_the_first_shard(monkeypatch, boom)
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == "runtime error: ValueError: boom\n"
+        assert_no_child_left()
+
+    def test_shard_killed_by_a_signal_exits_3_naming_the_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._fail_after_the_first_shard(
+            monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == (
+            "runtime error: RuntimeError: check 'martingale_bonds' died from signal SIGKILL\n"
+        )
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_simulation_that_raises_kills_running_shards(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        def fails(*args):
+            raise error("solver failed")
+
+        self._fail_after_the_first_shard(monkeypatch, lambda: time.sleep(600))
+        monkeypatch.setattr(cli, "euler_solve", fails)
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        # the hanging shard is killed, not waited for
+        with deadline(60):
+            if error is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    run_scenario(path, out_dir=tmp_path / "out")
+            else:
+                assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+                assert capsys.readouterr().err == "runtime error: RuntimeError: solver failed\n"
         assert_no_child_left()
 
 
