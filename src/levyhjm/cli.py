@@ -30,14 +30,15 @@ import ctypes
 import hashlib
 import json
 import math
-import mmap
 import operator
 import os
 import pickle
 import signal
 import sys
+import warnings
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -548,21 +549,13 @@ def _run_maximal_inequalities(
     return reports
 
 
-def _run_bichteler_jacod(sc, bundle, seed):
-    return _run_maximal_inequalities(sc, bundle, seed, convolution=False)
-
-
-def _run_convolution(sc, bundle, seed):
-    return _run_maximal_inequalities(sc, bundle, seed, convolution=True)
-
-
 CHECK_REGISTRY = {
     "isometry": _run_isometry,
     "cumulant_derivatives": _run_cumulant_derivatives,
     "exponential_moment": _run_exponential_moment,
     "martingale_bonds": _run_martingale_bonds,
-    "bichteler_jacod": _run_bichteler_jacod,
-    "convolution": _run_convolution,
+    "bichteler_jacod": partial(_run_maximal_inequalities, convolution=False),
+    "convolution": partial(_run_maximal_inequalities, convolution=True),
 }
 
 
@@ -635,24 +628,19 @@ def _bond_shards(sc: Scenario, bundle: ModelBundle, seed: int) -> list[slice]:
 
 
 def _price_bond_rows(sc: Scenario, bundle: ModelBundle, seed: int, rows: slice):
-    """The bond check's prices of the paths ``rows``: ((localized count,
-    non-finite exits per step), D rows), or (None, None) when the route
-    fails on some of them and every path must be priced at once."""
+    """The bond check's prices of the paths ``rows``: (D rows, localized
+    count, non-finite exits per step), or None when the route fails on some
+    of them and every path must be priced at once."""
     cfg = _bond_config(sc, seed)
     n_bad = np.zeros(cfg.n_steps, dtype=int)
     maturities = _verify_floats(sc.verify, "maturities", [])
     priced = bond_prices(bundle.model, bundle.u0, maturities, cfg, rows, n_bad)
-    if priced is None:
-        return None, None
-    D, n_localized = priced
-    return (n_localized, n_bad), D
+    return None if priced is None else (*priced, n_bad)
 
 
-def _bond_shard_reports(
-    sc: Scenario, bundle: ModelBundle, seed: int, D, results
-) -> list[CheckReport]:
+def _bond_shard_reports(sc: Scenario, bundle: ModelBundle, seed: int, results) -> list[CheckReport]:
     """The bond check's reports from its shards' ``_price_bond_rows`` results,
-    whose rows are already in D."""
+    in row order."""
     cfg = _bond_config(sc, seed)
     maturities = _verify_floats(sc.verify, "maturities", [])
     if any(result is None for result in results):
@@ -660,18 +648,19 @@ def _bond_shard_reports(
         # path: price them all here, as one process would
         D, n_localized = bond_prices(bundle.model, bundle.u0, maturities, cfg)
     else:
-        n_localized = sum(n for n, _ in results)
-        _warn_nonfinite(sum(n_bad for _, n_bad in results))
+        D = np.concatenate([rows for rows, _, _ in results])
+        n_localized = sum(n for _, n, _ in results)
+        _warn_nonfinite(sum(n_bad for _, _, n_bad in results))
     return bond_reports(bundle.model, maturities, cfg, D, n_localized)
 
 
-def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int, rows=None):
-    """Fork a process that runs check ``name``, writes its pickled reports,
-    or its exception's type name and message, to a pipe, and exits.
+def _fork(job):
+    """Fork a process that runs ``job()``, writes the pickled (value, error,
+    warnings) to a pipe, and exits.
 
-    With ``rows`` it runs ``_price_bond_rows`` instead, and writes its
-    pickled header followed by the bytes of its rows of D, if any.
-    Returns the child's pid and the pipe's read end.
+    The error is None, or the type name and message of the exception the
+    job raised; the warnings are the (category, message, file, line) of each
+    warning it issued.  Returns the child's pid and the pipe's read end.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -684,19 +673,14 @@ def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int, rows=No
         status = 1
         try:
             os.close(read_fd)
-            prices = None
-            try:
-                if rows is None:
-                    result = CHECK_REGISTRY[name](sc, bundle, seed), None
-                else:
-                    header, prices = _price_bond_rows(sc, bundle, seed, rows)
-                    result = header, None
-            except Exception as exc:  # noqa: BLE001 - re-raised by the parent
-                result = None, (type(exc).__name__, str(exc))
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    value, error = job(), None
+                except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+                    value, error = None, (type(exc).__name__, str(exc))
+            issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
             with open(write_fd, "wb") as fh:
-                fh.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
-                if prices is not None:
-                    fh.write(memoryview(prices).cast("B"))
+                pickle.dump((value, error, issued), fh, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -704,30 +688,23 @@ def _fork_check(name: str, sc: Scenario, bundle: ModelBundle, seed: int, rows=No
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _read_child(pipe, out=None):
-    """The pickled (result, error) a child wrote, read to the pipe's end.
-
-    With ``out``, the bytes that follow a result are read straight into
-    it.  None when the output stops short, as it does when the child died.
-    """
+def _read_child(pipe):
+    """The pickled output a child wrote, read to the pipe's end, or None
+    when it stops short, as it does when the child died."""
     try:
-        result = pickle.load(pipe)
-        if out is not None and result[0] is not None:
-            view = memoryview(out).cast("B")
-            if pipe.readinto(view) != view.nbytes:
-                result = None
+        output = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        result = None
+        output = None
     pipe.read()
-    return result
+    return output
 
 
 def _check_result(name: str, status: int, output):
-    """The result of check ``name`` from its child's wait status and output.
+    """The value of a child of check ``name``, from its wait status and output.
 
-    A check that raised is raised again under its exception's type name and
-    message; a child that died or exited otherwise raises a RuntimeError
-    that names the check.
+    The child's warnings are issued again here.  A check that raised is
+    raised again under its exception's type name and message; a child that
+    died or exited otherwise raises a RuntimeError that names the check.
     """
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
@@ -736,11 +713,13 @@ def _check_result(name: str, status: int, output):
         raise RuntimeError(f"check {name!r} exited with code {code}")
     if output is None:
         raise RuntimeError(f"check {name!r} wrote a short result")
-    result, error = output
+    value, error, issued = output
+    for category, message, filename, lineno in issued:
+        warnings.warn_explicit(message, category, filename, lineno)
     if error is not None:
         type_name, message = error
         raise type(type_name, (RuntimeError,), {})(message)
-    return result
+    return value
 
 
 @contextlib.contextmanager
@@ -752,55 +731,54 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
     are split into contiguous rows, one shard per core this process may use
     and at most one per row block (``_bond_shards``): on one core, one
     process prices every path.  Each shard draws the whole noise table and
-    decides the route over every path, then prices only its rows.  The join
-    reads each shard's rows straight into one array of prices and builds
-    the bond reports from it in this process, where the non-finite exits
-    are warned about once per step, with the totals over every path.
+    decides the route over every path, then prices only its rows.  Every
+    child sends back one pickled value (a check's reports, or a shard's rows
+    of the prices and its counts) and the warnings it issued.  The bond
+    reports are built in this process from the shards' rows in row order,
+    and the non-finite exits warned about once per step, with the totals.
 
     The join returns the reports merged sorted by name.  It reads each
-    child's pipe to the end before it waits for the child, so a large report
-    list cannot block a child on a full pipe; a check that failed raises, in
-    the order of ``names``.  Each check draws from its own seed stream, so
-    the reports are those of running the checks one after another.  However
-    the block is left, every child not yet joined is killed and reaped.
+    child's pipe to the end before it waits for the child, so a large output
+    cannot block a child on a full pipe.  In the order of ``names`` it issues
+    each child's warnings again and raises the error of a check that failed.
+    Each check draws from its own seed stream, so the reports are those of
+    running the checks one after another.  However the block is left, every
+    child not yet joined is killed and reaped.
     """
-    children = []  # (name, pid, pipe, rows) of each child not yet reaped
-    shards = _bond_shards(sc, bundle, seed) if "martingale_bonds" in names else []
+    children = []  # (name, pid, pipe) of each child not yet reaped
 
     def join() -> list[CheckReport]:
         reports: list[CheckReport] = []
-        priced = []  # the bond shards' results, their rows read into D
-        if shards:
-            cfg = _bond_config(sc, seed)
-            shape = (cfg.n_paths, cfg.n_steps + 1, len(_verify_floats(sc.verify, "maturities", [])))
-            # in a mapping of its own, which returns to the system when D is
-            # dropped; from the C heap the 2 MB of gamma_hjm.yaml's prices
-            # stayed resident after the run and raised later peaks
-            D = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+        priced = []  # the bond shards' values, in row order
         while children:
-            name, pid, pipe, rows = children[0]
-            output = _read_child(pipe, None if rows is None else D[rows])
+            name, pid, pipe = children[0]
+            output = _read_child(pipe)
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             pipe.close()
-            result = _check_result(name, status, output)
-            if rows is None:
-                reports += result
+            value = _check_result(name, status, output)
+            if name == "martingale_bonds":
+                priced.append(value)
             else:
-                priced.append(result)
+                reports += value
         if priced:
-            reports += _bond_shard_reports(sc, bundle, seed, D, priced)
+            reports += _bond_shard_reports(sc, bundle, seed, priced)
         return sorted(reports, key=lambda r: r.name)
 
     try:
         # every child runs OpenBLAS on one thread; the simulation on the caller's
         with _one_blas_thread():
             for name in names:
-                for rows in shards if name == "martingale_bonds" else [None]:
-                    children.append((name, *_fork_check(name, sc, bundle, seed, rows), rows))
+                if name == "martingale_bonds":
+                    shards = _bond_shards(sc, bundle, seed)
+                    jobs = [partial(_price_bond_rows, sc, bundle, seed, r) for r in shards]
+                else:
+                    jobs = [partial(CHECK_REGISTRY[name], sc, bundle, seed)]
+                for job in jobs:
+                    children.append((name, *_fork(job)))
         yield join
     finally:
-        for _name, pid, pipe, _rows in children:
+        for _name, pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()

