@@ -48,7 +48,6 @@ from .levy import (
     gamma_geometric_family,
     increment_table,
     moment_mp,
-    sample_increment,
     sample_increment_array,
     step_generator,
 )

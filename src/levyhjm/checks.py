@@ -17,16 +17,10 @@ seeded Monte Carlo experiment and returns a :class:`CheckReport`:
 * ``verify_martingale_bonds``        discounted zero-coupon bonds along
   simulated paths have zero drift slope; the decisive arbiter for the sign
   of the drift functional.  Every row fails when localization froze more
-  than ``_LOCALIZED_CAP`` of the paths.  With a state-free volatility the
-  bond integrals are affine in each path's noise, and when the noise
-  certifies that no path localizes they come from the discrete mild form
-  without stepping any curve (``solver._mild_readouts``).  Otherwise, and
-  always for a state-dependent volatility, the paths are stepped: on the
-  nodes the bond integrals can reach (``solver._readout_cone``) when the
-  noise certifies that no path localizes, and on the full grid if not.
-  The check is ``bond_prices`` and then ``bond_reports``; ``bond_prices``
-  also prices any contiguous rows of the paths, bitwise as those rows of
-  pricing all of them, so a caller can split the stepping over processes.
+  than ``_LOCALIZED_CAP`` of the paths.  The check is ``bond_join`` of
+  ``bond_prices``: the latter prices any contiguous rows of the paths
+  through the one chain of routes it describes, bitwise as those rows of
+  pricing all of them, so a caller can split the pricing over processes.
 * ``verify_cumulant_derivatives``    closed-form cumulant derivatives against
   finite differences, and an empirical Lipschitz constant of the Hessian.
 * ``verify_exponential_moment``      sampled finiteness of E e^{|<z, M(1)>|}
@@ -79,6 +73,7 @@ from .solver import (
     _mild_readouts,
     _readout_cone,
     _row_blocks,
+    _warn_nonfinite,
 )
 
 __all__ = [
@@ -93,7 +88,7 @@ __all__ = [
     "verify_convolution_inequality",
     "verify_martingale_bonds",
     "bond_prices",
-    "bond_reports",
+    "bond_join",
     "verify_cumulant_derivatives",
     "verify_exponential_moment",
     "CHECKS_CSV_COLUMNS",
@@ -479,27 +474,6 @@ def _discount(step: np.ndarray, disc: np.ndarray, out: np.ndarray) -> None:
     disc += step[-1]
 
 
-def _stepped_prices(D, model, u0, cfg, weights, dM, rows=None, n_bad=None) -> int | None:
-    """Fill D by stepping the paths of ``rows``; returns how many localized.
-
-    The paths step on the readout cone (``solver._readout_cone``) when the
-    noise of every path certifies it, and on the full grid when it does
-    not or a path exits there, so D and the count are bitwise those of the
-    full grid.  ``rows`` (every path by default) and ``n_bad`` are
-    ``bond_prices``'s: with ``rows``, a path that exits on the cut grid
-    returns None.
-    """
-    part = dM[:, slice(None) if rows is None else rows]
-    own = replace(cfg, n_paths=part.shape[1])
-    cone = _readout_cone(model, u0, cfg, weights, dM)
-    if cone is not None:
-        if _read_states(D, *cone, own, weights, part, n_bad) == 0:
-            return 0
-        if rows is not None:
-            return None
-    return _read_states(D, model, u0, own, weights, part, n_bad)
-
-
 # Float64 values of the zero-padded buffer through which full-width readouts
 # of a cut state go, 128 KiB or a quarter of a row block: reading a block in
 # chunks of rows this size is as fast as padding the whole block at once,
@@ -507,13 +481,13 @@ def _stepped_prices(D, model, u0, cfg, weights, dM, rows=None, n_bad=None) -> in
 _PADDED_VALUES = 1 << 14
 
 
-def _read_states(D, model, u0, cfg, weights, dM, n_bad=None) -> int:
+def _read_states(D, model, u0, cfg, weights, dM, n_bad) -> int:
     """Fill D from Euler's states on ``model``'s grid; returns how many paths localized.
 
     A grid narrower than the weights' is read through a zero-padded
     full-width buffer, a chunk of rows at a time, so every readout sums the
-    same terms in the same order as on the full grid.  ``n_bad`` is
-    ``euler_transitions``'s ``_n_bad``.
+    same terms in the same order as on the full grid.  ``n_bad`` gathers
+    the non-finite exits of each step (``euler_transitions``'s ``_n_bad``).
     """
     n_exited = 0
     done = 0
@@ -566,22 +540,34 @@ def _mild_prices(D, readouts, dM, n_nodes) -> bool:
 
 
 def bond_prices(
-    model: HjmModel, u0, maturities, cfg: SolverConfig, rows: slice | None = None,
-    n_bad: np.ndarray | None = None,
-) -> tuple[np.ndarray, int] | None:
-    """The bond check's discounted prices D and how many of its paths localized.
+    model: HjmModel, u0, maturities, cfg: SolverConfig, rows: slice
+) -> tuple[np.ndarray, int, np.ndarray] | None:
+    """The bond check's prices of the paths ``rows``, a contiguous slice of them.
 
-    D[p, j, k] is path p's discounted bond of maturity k at t_j, for the
-    paths of ``rows``, a slice of them (every path by default).  The route
-    is chosen over every path, from the whole noise table, as
-    ``verify_martingale_bonds`` describes; only its row loop reads
-    ``rows``.  Each row of D depends only on that row's noise, so the rows
-    of any split are bitwise those of pricing every path at once.  A route
-    that fails on some path, through a non-finite mild integral or a path
-    that exits on the cut grid, falls back for every path, which a part
-    cannot see: with ``rows`` that returns None, and the caller must price
-    every path at once.  ``n_bad``, an (n_steps,) integer array, gathers
-    the non-finite exits of each step, which are then not warned about.
+    Returns (D, n_localized, n_bad): D[p, j, k] is the discounted bond of
+    maturity k at t_j of the p-th path of ``rows``, n_localized how many of
+    those paths localized, and n_bad, of shape (n_steps,), how many exited
+    on a non-finite curve at each step, which ``bond_join`` warns about.
+
+    Every integral is a weight vector applied to u(t_j), built once per
+    check, and the route is one chain, chosen over every path from the
+    whole noise table, so that only its row loops read ``rows``:
+
+    * the discrete mild form (``solver._mild_readouts``), when a state-free
+      volatility and the noise certify that no path localizes: each path's
+      integrals come from its noise without stepping any curve, and differ
+      from stepping only by rounding;
+    * else Euler stepping on the first nodes, those the integrals can reach
+      (``solver._readout_cone``), when the noise certifies that no path
+      localizes: bitwise the prices of the full grid;
+    * else Euler stepping on the full grid.
+
+    A certified route that fails on some path, through a non-finite mild
+    integral or a path that exits on the cut grid, falls back to the full
+    grid for every path.  A part cannot see the other parts' paths, so it
+    then returns None, unless ``rows`` covers every path.  Each row of D
+    depends only on that row's noise, so the rows of any split are bitwise
+    those of pricing every path at once.
     """
     _require_paths(cfg.n_paths, "bond")
     grid = model.grid
@@ -594,28 +580,39 @@ def bond_prices(
         for t_j in cfg.times
     ])
     dM = increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
-    part = dM[:, slice(None) if rows is None else rows]
-    D = np.empty((part.shape[1], cfg.n_steps + 1, len(maturities)))
+    part = dM[:, rows]
+    own = replace(cfg, n_paths=part.shape[1])
+    D = np.empty((own.n_paths, cfg.n_steps + 1, len(maturities)))
+    n_bad = np.zeros(cfg.n_steps, dtype=int)
     readouts = _mild_readouts(model, u0, cfg, weights, dM)
-    if readouts is not None:
-        if _mild_prices(D, readouts, part, grid.n_nodes):
-            return D, 0
-        if rows is not None:
+    cone = None if readouts is not None else _readout_cone(model, u0, cfg, weights, dM)
+    if readouts is not None and _mild_prices(D, readouts, part, grid.n_nodes):
+        return D, 0, n_bad
+    if cone is not None and _read_states(D, *cone, own, weights, part, n_bad) == 0:
+        return D, 0, n_bad
+    if readouts is not None or cone is not None:
+        if own.n_paths < cfg.n_paths:
             return None
-    n_exited = _stepped_prices(D, model, u0, cfg, weights, dM, rows, n_bad)
-    return None if n_exited is None else (D, n_exited)
+        n_bad[:] = 0  # the full grid counts its own exits
+    return D, _read_states(D, model, u0, own, weights, part, n_bad), n_bad
 
 
-def bond_reports(
-    model: HjmModel, maturities, cfg: SolverConfig, D: np.ndarray, n_localized: int
-) -> list[CheckReport]:
-    """The bond check's rows from every path's prices D (``bond_prices``).
+def bond_join(model: HjmModel, u0, maturities, cfg: SolverConfig, parts) -> list[CheckReport]:
+    """The bond check's reports from the ``bond_prices`` of contiguous rows
+    that cover every path, in row order.
 
-    Two rows per maturity, the mean slope of D against time and the mean
-    of D(horizon) - D(0), each against 0 within three standard errors.
-    Every row fails when more than ``_LOCALIZED_CAP`` of the paths
-    localized.
+    The parts' prices D are concatenated and their counts summed, or, when
+    any part is None, every path is priced at once.  The non-finite exits
+    are warned about once per step, with the totals over every path.  Two
+    rows per maturity, the mean slope of D against time and the mean of
+    D(horizon) - D(0), each against 0 within three standard errors.  Every
+    row fails when more than ``_LOCALIZED_CAP`` of the paths localized.
     """
+    if any(part is None for part in parts):
+        parts = [bond_prices(model, u0, maturities, cfg, slice(None))]
+    D = parts[0][0] if len(parts) == 1 else np.concatenate([D for D, _, _ in parts])
+    n_localized = sum(n for _, n, _ in parts)
+    _warn_nonfinite(sum(n_bad for _, _, n_bad in parts))
     maturities = _bond_maturities(maturities, model.grid, cfg.horizon)
     centered_t = cfg.times - cfg.times.mean()
     slope_weights = centered_t / np.square(centered_t).sum()
@@ -675,19 +672,11 @@ def verify_martingale_bonds(
     short-rate integral that makes D exactly constant when the volatility
     vanishes.
 
-    Every integral is a weight vector applied to u(t_j), built once per
-    check.  When ``_mild_readouts`` certifies that no path localizes, each
-    path's integrals come from its noise through the discrete mild form,
-    and no curve is stepped; they differ from stepping only by rounding.
-    Otherwise the paths step through ``euler_transitions`` on the same noise:
-    only on the first nodes, those the integrals can reach, when
-    ``_readout_cone`` certifies that no path localizes, and on the full grid
-    when it does not or a path exits on the cut grid.  Both give bitwise the
-    same prices and localized count.  The check is ``bond_prices`` of every
-    path, then ``bond_reports``.
+    The prices come from ``bond_prices``, which describes their routes; the
+    check is the ``bond_join`` of one part that covers every path.
     """
-    D, n_localized = bond_prices(model, u0, maturities, cfg)
-    return bond_reports(model, maturities, cfg, D, n_localized)
+    whole = bond_prices(model, u0, maturities, cfg, slice(None))
+    return bond_join(model, u0, maturities, cfg, [whole])
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from .checks import (
     CHECKS_CSV_COLUMNS,
     CheckReport,
     _bond_maturities,
+    bond_join,
     bond_prices,
-    bond_reports,
     inequality_report,
     report_row,
     stability_report,
@@ -61,7 +61,7 @@ from .checks import (
     verify_isometry,
     verify_martingale_bonds,
 )
-from .curvespace import WeightGrid, make_grid, norm_H
+from .curvespace import WeightGrid, make_grid
 from .levy import (
     CompoundPoissonComponent,
     CumulantModel,
@@ -76,8 +76,8 @@ from .model import HjmModel, volatility_from_config
 from .solver import (
     SolverConfig,
     _initial_curve,
+    _norm_moments,
     _row_blocks,
-    _warn_nonfinite,
     euler_solve,
     picard_solve,
 )
@@ -486,10 +486,14 @@ def _bond_config(sc: Scenario, seed: int) -> SolverConfig:
     )
 
 
+def _bond_check(sc: Scenario, bundle: ModelBundle, seed: int) -> tuple:
+    """The bond check's model, initial curve, maturities and solver settings."""
+    maturities = _verify_floats(sc.verify, "maturities", [])
+    return bundle.model, bundle.u0, maturities, _bond_config(sc, seed)
+
+
 def _run_martingale_bonds(sc: Scenario, bundle: ModelBundle, seed: int) -> list[CheckReport]:
-    return verify_martingale_bonds(
-        bundle.model, bundle.u0, _verify_floats(sc.verify, "maturities", []), _bond_config(sc, seed)
-    )
+    return verify_martingale_bonds(*_bond_check(sc, bundle, seed))
 
 
 def _run_maximal_inequalities(
@@ -627,31 +631,17 @@ def _bond_shards(sc: Scenario, bundle: ModelBundle, seed: int) -> list[slice]:
     return [slice(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
 
 
-def _price_bond_rows(sc: Scenario, bundle: ModelBundle, seed: int, rows: slice):
-    """The bond check's prices of the paths ``rows``: (D rows, localized
-    count, non-finite exits per step), or None when the route fails on some
-    of them and every path must be priced at once."""
-    cfg = _bond_config(sc, seed)
-    n_bad = np.zeros(cfg.n_steps, dtype=int)
-    maturities = _verify_floats(sc.verify, "maturities", [])
-    priced = bond_prices(bundle.model, bundle.u0, maturities, cfg, rows, n_bad)
-    return None if priced is None else (*priced, n_bad)
-
-
-def _bond_shard_reports(sc: Scenario, bundle: ModelBundle, seed: int, results) -> list[CheckReport]:
-    """The bond check's reports from its shards' ``_price_bond_rows`` results,
-    in row order."""
-    cfg = _bond_config(sc, seed)
-    maturities = _verify_floats(sc.verify, "maturities", [])
-    if any(result is None for result in results):
-        # the route failed on some shard's paths, so it falls back for every
-        # path: price them all here, as one process would
-        D, n_localized = bond_prices(bundle.model, bundle.u0, maturities, cfg)
-    else:
-        D = np.concatenate([rows for rows, _, _ in results])
-        n_localized = sum(n for _, n, _ in results)
-        _warn_nonfinite(sum(n_bad for _, _, n_bad in results))
-    return bond_reports(bundle.model, maturities, cfg, D, n_localized)
+def _sendable(caught: warnings.WarningMessage) -> tuple:
+    """A warning a child issued as it sends it: (category, message, file,
+    line).  A category that pickle cannot find by name, such as a class
+    defined in a function, is sent as UserWarning, with its qualified name
+    before the message."""
+    category, message = caught.category, str(caught.message)
+    try:
+        pickle.dumps(category)
+    except (AttributeError, pickle.PicklingError):
+        category, message = UserWarning, f"{category.__qualname__}: {message}"
+    return category, message, caught.filename, caught.lineno
 
 
 def _fork(job):
@@ -659,8 +649,9 @@ def _fork(job):
     warnings) to a pipe, and exits.
 
     The error is None, or the type name and message of the exception the
-    job raised; the warnings are the (category, message, file, line) of each
-    warning it issued.  Returns the child's pid and the pipe's read end.
+    job raised; the warnings are those it issued, as ``_sendable`` makes
+    them.  The output is pickled whole before any of it is written.
+    Returns the child's pid and the pipe's read end.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -678,9 +669,10 @@ def _fork(job):
                     value, error = job(), None
                 except Exception as exc:  # noqa: BLE001 - re-raised by the parent
                     value, error = None, (type(exc).__name__, str(exc))
-            issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            issued = [_sendable(w) for w in caught]
+            payload = pickle.dumps((value, error, issued), protocol=pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as fh:
-                pickle.dump((value, error, issued), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(payload)
             status = 0
         finally:
             os._exit(status)
@@ -730,12 +722,10 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
     Each check runs in its own process, except the bond check, whose paths
     are split into contiguous rows, one shard per core this process may use
     and at most one per row block (``_bond_shards``): on one core, one
-    process prices every path.  Each shard draws the whole noise table and
-    decides the route over every path, then prices only its rows.  Every
-    child sends back one pickled value (a check's reports, or a shard's rows
-    of the prices and its counts) and the warnings it issued.  The bond
-    reports are built in this process from the shards' rows in row order,
-    and the non-finite exits warned about once per step, with the totals.
+    process prices every path.  Each shard is ``checks.bond_prices`` of its
+    rows.  Every child sends back one pickled value (a check's reports, or a
+    shard's prices) and the warnings it issued; the bond reports are the
+    ``checks.bond_join`` of the shards' prices, in this process.
 
     The join returns the reports merged sorted by name.  It reads each
     child's pipe to the end before it waits for the child, so a large output
@@ -762,7 +752,7 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
             else:
                 reports += value
         if priced:
-            reports += _bond_shard_reports(sc, bundle, seed, priced)
+            reports += bond_join(*_bond_check(sc, bundle, seed), priced)
         return sorted(reports, key=lambda r: r.name)
 
     try:
@@ -770,8 +760,8 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
         with _one_blas_thread():
             for name in names:
                 if name == "martingale_bonds":
-                    shards = _bond_shards(sc, bundle, seed)
-                    jobs = [partial(_price_bond_rows, sc, bundle, seed, r) for r in shards]
+                    bond = _bond_check(sc, bundle, seed)
+                    jobs = [partial(bond_prices, *bond, r) for r in _bond_shards(sc, bundle, seed)]
                 else:
                     jobs = [partial(CHECK_REGISTRY[name], sc, bundle, seed)]
                 for job in jobs:
@@ -809,19 +799,15 @@ def _write_curves_csv(path: Path, ensemble) -> None:
 
 
 def _write_summary_csv(path: Path, ensemble) -> None:
-    norms = norm_H(ensemble.curves, ensemble.grid)  # (P, m+1)
-    sq = np.square(norms)
-    running_sup = np.maximum.accumulate(norms, axis=1)
-    n = ensemble.n_paths
+    """Per time node, the p = 2 norm estimates of ``solver._norm_moments``."""
+    means, se_means, sup_means, _ = _norm_moments(ensemble, 2.0)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "H2_script", "H2_bb", "se", "n_alive"])
         for j, t in enumerate(ensemble.times):
-            mean_sq = float(sq[:, j].mean())
-            script = math.sqrt(mean_sq)
-            bb = math.sqrt(float(np.square(running_sup[:, j]).mean()))
-            se_mean = float(sq[:, j].std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            se = se_mean / (2.0 * script) if script > 0 else 0.0
+            script = math.sqrt(float(means[j]))
+            bb = math.sqrt(float(sup_means[j]))
+            se = float(se_means[j]) / (2.0 * script) if script > 0 else 0.0
             alive = int((ensemble.exit_index > j).sum())
             w.writerow([repr(float(t)), repr(script), repr(bb), repr(se), str(alive)])
 
@@ -885,7 +871,6 @@ def run_scenario(
     out_dir: str | Path | None = None,
     seed_override: int | None = None,
     simulate: bool = True,
-    verify: bool = True,
 ) -> int:
     """Execute a scenario end to end; returns the process exit code."""
     try:
@@ -901,7 +886,7 @@ def run_scenario(
         artifacts = []
         extra: dict = {}
 
-        checks = sc.verify["checks"] if verify and sc.verify else []
+        checks = sc.verify["checks"] if sc.verify else []
         # the checks run in their own processes while this one simulates
         with run_verify_suite(sc, bundle, seed, checks) as join_checks:
             if simulate:
@@ -1006,10 +991,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate":
         return run_scenario(args.config, out_dir=args.out, seed_override=args.seed)
     if args.command == "verify":
-        return run_scenario(
-            args.config, out_dir=args.out, seed_override=args.seed,
-            simulate=False, verify=True,
-        )
+        return run_scenario(args.config, out_dir=args.out, seed_override=args.seed, simulate=False)
     values = [_parse_value(v) for v in args.values.split(",")]
     return run_sweep(Path(args.config), args.param, values, Path(args.out))
 

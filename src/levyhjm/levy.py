@@ -49,7 +49,6 @@ __all__ = [
     "cumulant_hess",
     "covariance",
     "moment_mp",
-    "sample_increment",
     "sample_increment_array",
     "increment_table",
     "step_generator",
@@ -550,11 +549,6 @@ def moment_mp(driver: LevyDriver, p: float) -> float:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def sample_increment(driver: LevyDriver, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw of M(t + dt) - M(t) as a (d,) vector."""
-    return sample_increment_array(driver, dt, 1, rng)[0]
 
 
 def sample_increment_array(

@@ -666,14 +666,25 @@ class NormEstimate:
     kind: str
 
 
-def _ensemble_norms(ensemble: SolutionEnsemble, p: float) -> np.ndarray:
+def _norm_moments(ensemble: SolutionEnsemble, p: float) -> tuple[np.ndarray, ...]:
+    """Per time node j, over the ensemble's paths: the means of |u(t_j)|_H^p
+    and of sup_{i <= j} |u(t_i)|_H^p, and the standard error of each mean (0
+    for one path), as (means, se, sup means, sup se).  Each node's figures
+    are taken over its own column."""
     if ensemble.curves.size == 0:
         raise ValueError("empty ensemble")
     if p > ensemble.p_order and not math.isclose(p, ensemble.p_order):
         raise ValueError(
             f"norm order {p} exceeds the order {ensemble.p_order} the run declared"
         )
-    return norm_H(ensemble.curves, ensemble.grid)  # (P, m+1)
+    powers = norm_H(ensemble.curves, ensemble.grid) ** p  # (P, m+1)
+    n = ensemble.n_paths
+    moments = []
+    for values in (powers, np.maximum.accumulate(powers, axis=1)):
+        columns = list(values.T)
+        moments.append(np.array([c.mean() for c in columns]))
+        moments.append(np.array([c.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0 for c in columns]))
+    return tuple(moments)
 
 
 def norm_script_Hp(ensemble: SolutionEnsemble, p: float) -> NormEstimate:
@@ -682,25 +693,19 @@ def norm_script_Hp(ensemble: SolutionEnsemble, p: float) -> NormEstimate:
     The standard error is the delta-method propagation of the Monte Carlo
     error of the p-th moment at the maximizing time node.
     """
-    norms = _ensemble_norms(ensemble, p)
-    powers = norms**p
-    means = powers.mean(axis=0)
+    means, se_means, _, _ = _norm_moments(ensemble, p)
     j_star = int(np.argmax(means))
     value = float(means[j_star] ** (1.0 / p))
-    n = norms.shape[0]
-    se_mean = float(powers[:, j_star].std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se_mean = float(se_means[j_star])
     se = se_mean * value ** (1.0 - p) / p if value > 0 else se_mean
     return NormEstimate(value=value, standard_error=se, p=p, kind="sup_of_mean")
 
 
 def norm_bb_Hp(ensemble: SolutionEnsemble, p: float) -> NormEstimate:
     """(path-mean of sup over time of |u(t)|^p)^(1/p); dominates norm_script_Hp."""
-    norms = _ensemble_norms(ensemble, p)
-    sups = norms.max(axis=1) ** p
-    mean = float(sups.mean())
-    value = mean ** (1.0 / p)
-    n = sups.size
-    se_mean = float(sups.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    _, _, sup_means, sup_se = _norm_moments(ensemble, p)
+    value = float(sup_means[-1]) ** (1.0 / p)
+    se_mean = float(sup_se[-1])
     se = se_mean * value ** (1.0 - p) / p if value > 0 else se_mean
     return NormEstimate(value=value, standard_error=se, p=p, kind="mean_of_sup")
 

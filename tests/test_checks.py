@@ -470,6 +470,14 @@ def _stepped_reports(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
         return lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
 
 
+def _stepped_prices(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
+    """``bond_prices`` of every path with the mild route turned off: the
+    paths step on the readout cone when it certifies, else on the full grid."""
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_mild_readouts", lambda *args: None)
+        return checks.bond_prices(model, u0, list(maturities), cfg, slice(None))
+
+
 def _bond_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0):
     levels = [level, 0.5 * level][:dim]
     if vol_kind == "constant":
@@ -509,10 +517,10 @@ class TestMildBondRoute:
             assert seen["readouts"] is not None and seen["steps"] == 0
             # the stepped D is the reference, on the check's own weights and noise
             _model, _u0, _cfg, weights, dM = seen["args"]
-            shape = (cfg.n_paths, cfg.n_steps + 1, 2)
-            mild, step = np.empty(shape), np.empty(shape)
+            mild = np.empty((cfg.n_paths, cfg.n_steps + 1, 2))
             assert checks._mild_prices(mild, seen["readouts"], dM, bond_grid.n_nodes)
-            assert checks._stepped_prices(step, model, u0, cfg, weights, dM) == 0
+            step, n_step, _n_bad = _stepped_prices(monkeypatch, model, u0, cfg)
+            assert n_step == 0
             np.testing.assert_allclose(mild, step, rtol=1e-12, atol=0.0)
             assert [r.passed for r in reports] == [r.passed for r in stepped]
             for r, s in zip(reports, stepped):
@@ -631,9 +639,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _full_grid_prices(model, u0, cfg, weights, dM):
-    """D and the localized count from stepping every path on the full grid."""
+    """D and the localized count from stepping every path on the full grid,
+    with a warning per step of its non-finite exits."""
     D = np.empty((cfg.n_paths, cfg.n_steps + 1, weights.shape[1] - 1))
-    return D, checks._read_states(D, model, u0, cfg, weights, dM)
+    n_bad = np.zeros(cfg.n_steps, dtype=int)
+    n_localized = checks._read_states(D, model, u0, cfg, weights, dM, n_bad)
+    solver._warn_nonfinite(n_bad)
+    return D, n_localized
 
 
 class TestConeBondRoute:
@@ -667,8 +679,8 @@ class TestConeBondRoute:
             # D itself, on the check's own weights and noise
             _model, _u0, _cfg, weights, dM = seen["cone_args"]
             reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
-            D = np.empty_like(reference)
-            assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 0
+            D, n_localized, _n_bad = _stepped_prices(monkeypatch, model, u0, cfg)
+            assert n_localized == n_full == 0
             assert D.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("seed", [None, 402, 1234], ids=["config_seed", "402", "1234"])
@@ -706,7 +718,8 @@ class TestConeBondRoute:
         for cut, same in ((width, True), (width - _shift_reach(bond_grid, cfg.dt), False)):
             narrow = dataclasses.replace(model, grid=solver._cut_grid(bond_grid, cut))
             D = np.empty_like(reference)
-            assert checks._read_states(D, narrow, u0[:cut], cfg, weights, dM) == 0
+            n_bad = np.zeros(cfg.n_steps, dtype=int)
+            assert checks._read_states(D, narrow, u0[:cut], cfg, weights, dM, n_bad) == 0
             assert (D.tobytes() == reference.tobytes()) is same
 
     def test_localizing_radius_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
@@ -747,8 +760,8 @@ class TestConeBondRoute:
         ]
         _model, _u0, _cfg, weights, dM = seen["cone_args"]
         reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
-        D = np.empty_like(reference)
-        assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 0
+        D, n_localized, _n_bad = _stepped_prices(monkeypatch, model, u0, cfg)
+        assert n_localized == n_full == 0
         assert D.tobytes() == reference.tobytes()
 
     def test_cut_grid_that_shifts_otherwise_falls_back_to_full_stepping(self, monkeypatch):
@@ -770,7 +783,8 @@ class TestConeBondRoute:
         reference, _ = _full_grid_prices(model, u0, cfg, weights, dM)
         narrow = dataclasses.replace(model, grid=solver._cut_grid(grid, 60))
         D = np.empty_like(reference)
-        assert checks._read_states(D, narrow, u0[:60], cfg, weights, dM) == 0
+        n_bad = np.zeros(cfg.n_steps, dtype=int)
+        assert checks._read_states(D, narrow, u0[:60], cfg, weights, dM, n_bad) == 0
         assert D.tobytes() != reference.tobytes()
 
     def test_infinite_increment_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
@@ -784,10 +798,15 @@ class TestConeBondRoute:
         assert solver._readout_cone(model, u0, cfg, weights, dM) is None
         with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
             reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
-        D = np.empty_like(reference)
-        with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
-            assert checks._stepped_prices(D, model, u0, cfg, weights, dM) == n_full == 1
+        # the check's own noise table, with the infinity
+        monkeypatch.setattr(checks, "increment_table", lambda *args: dM)
+        priced = _stepped_prices(monkeypatch, model, u0, cfg)
+        D, n_localized, n_bad = priced
+        assert n_localized == n_full == 1
+        assert n_bad.tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
         assert D.tobytes() == reference.tobytes()
+        with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
+            checks.bond_join(model, u0, [2.0, 5.0], cfg, [priced])
 
 
 def _bond_parts(n_paths, n_parts):
@@ -824,14 +843,14 @@ class TestBondPriceRows:
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
         taken = "mild" if seen["readouts"] is not None else "cone" if seen["cone"] else "full"
         assert taken == route
-        whole, n_whole = checks.bond_prices(model, u0, [2.0, 5.0], cfg)
+        whole, n_whole, _n_bad = checks.bond_prices(model, u0, [2.0, 5.0], cfg, slice(None))
         assert (n_whole > 0) == (route == "full")
         parts = [
             checks.bond_prices(model, u0, [2.0, 5.0], cfg, rows)
             for rows in _bond_parts(cfg.n_paths, n_parts)
         ]
-        assert np.concatenate([D for D, _n in parts]).tobytes() == whole.tobytes()
-        assert sum(n for _D, n in parts) == n_whole
+        assert np.concatenate([D for D, _n, _b in parts]).tobytes() == whole.tobytes()
+        assert sum(n for _D, n, _b in parts) == n_whole
 
     def test_non_finite_exits_gathered_not_warned(self, monkeypatch, bond_grid, u0):
         model = _bond_model(bond_grid, "tanh", 1, "gamma")
@@ -844,18 +863,20 @@ class TestBondPriceRows:
             return dM
 
         monkeypatch.setattr(checks, "increment_table", with_infinities)
-        with pytest.warns(RuntimeWarning, match="^2 path.s. produced non-finite curves at step 4"):
-            whole, n_whole = checks.bond_prices(model, u0, [2.0, 5.0], cfg)
-        n_bad = np.zeros(cfg.n_steps, dtype=int)
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "[0-9]+ path.s. produced non-finite")
+            whole, n_whole, whole_bad = checks.bond_prices(model, u0, [2.0, 5.0], cfg, slice(None))
             parts = [
-                checks.bond_prices(model, u0, [2.0, 5.0], cfg, rows, n_bad)
+                checks.bond_prices(model, u0, [2.0, 5.0], cfg, rows)
                 for rows in _bond_parts(cfg.n_paths, 2)
             ]
-        assert n_bad.tolist() == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
-        assert sum(n for _D, n in parts) == n_whole == 2
-        assert np.concatenate([D for D, _n in parts]).tobytes() == whole.tobytes()
+        parts_bad = sum(n_bad for _D, _n, n_bad in parts)
+        assert parts_bad.tolist() == whole_bad.tolist() == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+        assert sum(n for _D, n, _b in parts) == n_whole == 2
+        assert np.concatenate([D for D, _n, _b in parts]).tobytes() == whole.tobytes()
+        # the join warns once, with the total over both parts
+        with pytest.warns(RuntimeWarning, match="^2 path.s. produced non-finite curves at step 4"):
+            checks.bond_join(model, u0, [2.0, 5.0], cfg, parts)
 
     def test_exit_on_the_cut_grid_gives_none_for_the_part(self, monkeypatch, bond_grid, u0):
         # the cone certified at the default radius, stepped at a tight one
@@ -873,7 +894,7 @@ class TestBondPriceRows:
         ]
         assert None in parts and any(part is not None for part in parts)
         # every path at once steps the full grid, as the check does
-        whole, n_whole = checks.bond_prices(model, u0, [2.0, 5.0], tight)
+        whole, n_whole, _n_bad = checks.bond_prices(model, u0, [2.0, 5.0], tight, slice(None))
         reference, n_full = _full_grid_prices(model, u0, tight, *seen["cone_args"][3:])
         assert n_whole == n_full > 0 and whole.tobytes() == reference.tobytes()
 
@@ -896,6 +917,13 @@ class TestBondPriceRows:
         first, last = _bond_parts(cfg.n_paths, 2)
         assert checks.bond_prices(model, u0, [2.0, 5.0], cfg, first) is not None
         assert checks.bond_prices(model, u0, [2.0, 5.0], cfg, last) is None
+        # every path at once falls back to the full grid, where path 4 exits
+        dM = checks.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
+        with pytest.warns(RuntimeWarning, match="non-finite curves at step 2"):
+            reference, n_full = _full_grid_prices(model, u0, cfg, seen["args"][3], dM)
+        whole, n_whole, n_bad = checks.bond_prices(model, u0, [2.0, 5.0], cfg, slice(None))
+        assert n_whole == n_full == 1 and n_bad.tolist() == [0, 0, 1, 0, 0]
+        assert whole.tobytes() == reference.tobytes()
 
 
 class TestCumulantDerivativeChecks:

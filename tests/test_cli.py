@@ -679,6 +679,27 @@ class TestForkedChecks:
             (__file__, warns.__code__.co_firstlineno + 2)
         }
 
+    def test_warning_of_a_category_pickle_cannot_find_reaches_the_caller(
+        self, tmp_path, monkeypatch
+    ):
+        class Local(UserWarning):
+            pass
+
+        def warns(*args):
+            warnings.warn("from a local class", Local)
+            return []
+
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        monkeypatch.setattr(cli, "CHECK_REGISTRY", {"local": warns})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with run_verify_suite(sc, build_bundle(sc), sc.seed, ["local"]) as join:
+                assert join() == []
+        # sent as a UserWarning that names the class
+        assert [(w.category, str(w.message)) for w in seen if "local class" in str(w.message)] == [
+            (UserWarning, f"{Local.__qualname__}: from a local class")
+        ]
+
 
 # the bond check alone, on few paths, which the tests below split over
 # processes; at its defaults it takes the readout cone
@@ -782,7 +803,8 @@ class TestSplitBondCheck:
         monkeypatch.setattr(
             lh.checks, "_readout_cone", lambda *args: seen.setdefault("cone", cone(*args))
         )
-        lh.checks.bond_prices(bundle.model, bundle.u0, maturities, cli._bond_config(sc, sc.seed))
+        cfg = cli._bond_config(sc, sc.seed)
+        lh.checks.bond_prices(bundle.model, bundle.u0, maturities, cfg, slice(None))
         assert seen["cone"] is not None
         tight = load_scenario(
             write_config(tmp_path, {"verify": BOND_CHECK, "solver.r_local": 0.02495})
@@ -811,10 +833,10 @@ class TestSplitBondCheck:
         ``failure`` in every shard but the first, which prices its rows."""
         prices = cli.bond_prices
 
-        def fail(model, u0, maturities, cfg, rows, n_bad):
+        def fail(model, u0, maturities, cfg, rows):
             if rows.start > 0:
                 failure()
-            return prices(model, u0, maturities, cfg, rows, n_bad)
+            return prices(model, u0, maturities, cfg, rows)
 
         split_bond_check(monkeypatch, 2, BASE_CONFIG["grid"]["n_points"])
         monkeypatch.setattr(cli, "bond_prices", fail)
@@ -944,9 +966,9 @@ class TestCurvesCsvWriter:
 
     @pytest.mark.parametrize("name", ["gamma_hjm.yaml", "smoke.yaml"])
     def test_simulate_bundled_configs(self, tmp_path, name):
-        # the verify suite does not touch curves.csv, so it is skipped here
+        # the shipped checks run too, and pass at the configs' seeds
         out = tmp_path / "out"
-        assert run_scenario(CONFIG_DIR / name, out_dir=out, verify=False) == EXIT_OK
+        assert run_scenario(CONFIG_DIR / name, out_dir=out) == EXIT_OK
         expected = reference_curves_bytes(tmp_path, solve_scenario(CONFIG_DIR / name))
         assert (out / "curves.csv").read_bytes() == expected
 

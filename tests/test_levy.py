@@ -312,10 +312,6 @@ class TestSampling:
         other = lh.increment_table(gamma_driver, 0.1, 3, 10, seed=10)
         assert not np.array_equal(t, other)
 
-    def test_single_increment_shape(self, gamma_driver):
-        inc = lh.sample_increment(gamma_driver, 0.5, lh.step_generator(1, 0))
-        assert inc.shape == (1,)
-
     def test_nonpositive_dt_rejected(self, gamma_driver):
         with pytest.raises(ValueError):
             lh.sample_increment_array(gamma_driver, 0.0, 4, lh.step_generator(1, 0))
