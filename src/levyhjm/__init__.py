@@ -28,7 +28,6 @@ from .curvespace import (
     rescale_to_norm,
     seminorm_H,
     shift,
-    shift_gain,
 )
 from .levy import (
     CompoundPoissonComponent,

@@ -490,14 +490,11 @@ def _read_states(D, model, u0, cfg, weights, dM, n_bad) -> int:
     the non-finite exits of each step (``euler_transitions``'s ``_n_bad``).
     """
     n_exited = 0
-    done = 0
     width, n_nodes = model.grid.n_nodes, weights.shape[-1]
     if width < n_nodes:
         padded = np.zeros((max(1, _PADDED_VALUES // n_nodes), n_nodes))
-    for j, _t, U, exits in euler_transitions(model, u0, cfg, increments=dM, _n_bad=n_bad):
-        if j == 0:  # a new block of rows, following the last one
-            rows = slice(done, done + len(U))
-            done = rows.stop
+    for j, rows, U, exits in euler_transitions(model, u0, cfg, increments=dM, _n_bad=n_bad):
+        if j == 0:  # a new block of rows
             step = np.empty((weights.shape[1], len(U)))
             disc = np.zeros(len(U))
         # partial_integral's one pass over U, on this step's weights

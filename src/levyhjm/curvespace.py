@@ -40,7 +40,6 @@ __all__ = [
     "norm_frak_H",
     "seminorm_H",
     "shift",
-    "shift_gain",
     "check_embeddings",
     "pointwise_norm_curve",
     "HarmonicFamily",
@@ -462,34 +461,6 @@ def _shift_values(
     np.multiply(v[..., j - 1], 1.0 - frac, out=out)
     out += v[..., j] * frac
     return out
-
-
-def shift_gain(grid: WeightGrid, t: float) -> float:
-    """The operator norm C = sup |shift(u, t)|_H / |u|_H on the grid.
-
-    ``norm_H`` is the quadratic form u^T A u with Gram matrix
-    A = e_0 e_0^T + D^T diag(alpha w) D, D the matrix of ``grid_derivative``;
-    ``shift`` is a matrix S.  With the Cholesky factor A = L L^T,
-    |u|_H = |L^T u|, so C is the largest singular value of L^T S L^-T, or of
-    its transpose L^-1 S^T L, which one solve gives.  A is
-    positive definite: D u = 0 only for constant u, and u(0) pins the
-    constant.  C exceeds 1 because a checkerboard, which the centered
-    differences see only at the edges, moves into the weighted interior; on
-    the bundled grids a one-cell shift has C = 1.734.  Each n x n
-    intermediate is dropped as soon as it is used.
-    """
-    eye = np.eye(grid.n_nodes)
-    shift_t = _shift_values(eye, t, grid)  # row i is S e_i: S^T
-    deriv_t = grid_derivative(eye, grid)  # row i is D e_i: D^T
-    del eye
-    gram = (deriv_t * grid.weighted_quad) @ deriv_t.T
-    del deriv_t
-    gram[0, 0] += 1.0
-    L = np.linalg.cholesky(gram)
-    del gram
-    shift_t = shift_t @ L
-    shift_t = np.linalg.solve(L, shift_t)  # L^-1 S^T L
-    return float(np.linalg.svd(shift_t, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,12 @@ def _component_value(model: CumulantModel, k: int, z: np.ndarray, order: int) ->
     return r + jump
 
 
+def _stacked(model: CumulantModel, z: np.ndarray, order: int) -> np.ndarray:
+    """The (..., d) stack of every component's derivative of ``order`` at z[..., k]."""
+    cols = [_component_value(model, k, z[..., k], order) for k in range(model.driver.dim)]
+    return np.stack(cols, axis=-1)
+
+
 def cumulant(model: CumulantModel, zeta) -> np.ndarray | float:
     """psi(zeta) = sum_k psi_k(zeta_k); batched over leading axes of zeta."""
     zeta = _check_domain(model, zeta)
@@ -468,11 +474,7 @@ def cumulant(model: CumulantModel, zeta) -> np.ndarray | float:
 
 def cumulant_grad(model: CumulantModel, zeta) -> np.ndarray:
     """Gradient of psi; component k is r_k z_k + int x (e^{z_k x} - 1) m_k(dx)."""
-    zeta = _check_domain(model, zeta)
-    cols = [
-        _component_value(model, k, zeta[..., k], order=1) for k in range(model.driver.dim)
-    ]
-    return np.stack(cols, axis=-1)
+    return _stacked(model, _check_domain(model, zeta), 1)
 
 
 def cumulant_hess(model: CumulantModel, zeta, phi, eta) -> np.ndarray | float:
@@ -487,11 +489,7 @@ def cumulant_hess(model: CumulantModel, zeta, phi, eta) -> np.ndarray | float:
 
 def hessian_diag(model: CumulantModel, zeta) -> np.ndarray:
     """Diagonal entries r_k + int x^2 e^{z_k x} m_k(dx) of the Hessian."""
-    zeta = _check_domain(model, zeta)
-    cols = [
-        _component_value(model, k, zeta[..., k], order=2) for k in range(model.driver.dim)
-    ]
-    return np.stack(cols, axis=-1)
+    return _stacked(model, _check_domain(model, zeta), 2)
 
 
 def grad_components(model: CumulantModel, z: np.ndarray, clamp: bool = False) -> np.ndarray:
@@ -501,13 +499,13 @@ def grad_components(model: CumulantModel, z: np.ndarray, clamp: bool = False) ->
     it before evaluation; callers use this together with a validity mask when
     localizing paths, so the clamped values never enter reported results.
     """
-    z = np.asarray(z, dtype=float)
     if not clamp:
-        return _grad(model, _check_domain(model, z))
+        return cumulant_grad(model, z)
+    z = np.asarray(z, dtype=float)
     scale = _ball_scale(model, np.sqrt(np.square(z).sum(axis=-1)))
     if scale is not None:
         z = z * scale[..., None]
-    return _grad(model, z)
+    return _stacked(model, z, 1)
 
 
 def _ball_scale(model: CumulantModel, norms: np.ndarray) -> np.ndarray | None:
@@ -522,13 +520,6 @@ def _ball_scale(model: CumulantModel, norms: np.ndarray) -> np.ndarray | None:
     if not over.any():
         return None
     return np.where(over, limit / np.maximum(norms, 1e-300), 1.0)
-
-
-def _grad(model: CumulantModel, z: np.ndarray) -> np.ndarray:
-    cols = [
-        _component_value(model, k, z[..., k], order=1) for k in range(model.driver.dim)
-    ]
-    return np.stack(cols, axis=-1)
 
 
 def covariance(driver: LevyDriver) -> CovarianceModel:

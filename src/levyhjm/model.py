@@ -35,6 +35,7 @@ import numpy as np
 from .curvespace import (
     WeightGrid,
     _slope_energy,
+    _values,
     cumulative_integral,
     norm_H,
     norm_frak_H,
@@ -299,7 +300,7 @@ class HjmModel:
 
 def apply_B(model: HjmModel, t: float, u, phi) -> np.ndarray:
     """Noise operator: curve x -> <sigma(t, x, u(x)), phi>; linear in phi."""
-    u_vals = np.asarray(getattr(u, "values", u), dtype=float)
+    u_vals = _values(u)
     phi = np.asarray(phi, dtype=float)
     if phi.shape[-1] != model.driver.dim:
         raise ValueError(
@@ -316,7 +317,7 @@ def hs_norm_B(model: HjmModel, t: float, u) -> np.ndarray | float:
     curves x -> sigma^k(t, x, u(x)); the derivative is taken numerically on
     the composite, matching the seminorm convention of the operator bound.
     """
-    u_vals = np.asarray(getattr(u, "values", u), dtype=float)
+    u_vals = _values(u)
     sig = model.vol.sigma_at(t, model.grid.nodes, u_vals)
     out = np.sqrt(_slope_energy(sig, model.grid, axis=-2))
     return float(out) if np.ndim(out) == 0 else out
@@ -372,7 +373,7 @@ def hjm_drift(model: HjmModel, t: float, u) -> np.ndarray:
     volatility integral.  For a pure Brownian driver and drift_sign = -1 this
     is the classical sigma * R * int_0^x sigma.
     """
-    u_vals = np.asarray(getattr(u, "values", u), dtype=float)
+    u_vals = _values(u)
     sig = model.vol.sigma_at(t, model.grid.nodes, u_vals)
     f, ok = drift_functional(model, sig)
     if not np.all(ok):

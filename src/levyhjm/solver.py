@@ -26,15 +26,11 @@ integral at t_i leaves the cumulant ball or its state at t_{i+1} is not
 finite (with a warning), and at i + 1 if that state's curve norm exceeds
 ``r_local``.  A path keeps its state at the exit index from then on.  The
 initial curve must lie within ``r_local``, so every index 0 .. n_steps is
-tested once.  The norm is computed only where it could decide: each path
-carries an upper bound on its norm, and a norm whose bound stays inside
-``r_local`` is certified without being taken.  With a state-free volatility
-the bound is b_{j+1} = C b_j + g_j in Euler and C (b_j + g_j) in Picard,
-g_j = |f_j|_H dt + sum_d |sigma_{j,d}|_H |dM_{j,d}| >= |G_j|_H and C the
-shift's operator norm (``shift_gain``), reset to the norm whenever that is
-taken.  With a state-dependent volatility it is K max|u_{j+1}|, K the
-grid's sup-norm gain (``WeightGrid.sup_gain``), so a norm is taken only
-where that exceeds ``r_local``.  Exit indices are those of taking every norm.
+tested once.  The norm is computed only where it could decide: every
+candidate's norm is bounded by K max|u_{j+1}|, K the grid's sup-norm gain
+(``WeightGrid.sup_gain``), whatever the volatility, and a norm whose bound
+stays inside ``r_local`` is certified without being taken.  Exit indices are
+those of taking every norm.
 
 Both schemes take sigma and the drift of each step from one kernel, which
 evaluates a state-free volatility (``VolatilitySpec.state_free``) and its
@@ -89,7 +85,6 @@ import numpy as np
 from .curvespace import (
     WeightGrid,
     norm_H,
-    shift_gain,
     _aligned_cells,
     _shift_reach,
     _shift_values,
@@ -273,49 +268,16 @@ def _step_kernel(model: HjmModel, times: np.ndarray):
     return lambda j, U: shared[j]
 
 
-def _norm_bound(model: HjmModel, kernel, cfg: SolverConfig, exponential: bool):
-    """``bound(j, dM_j, prior, candidate)``: an upper bound on each candidate's norm.
-
-    With a state-free sigma it is the recurrence C prior + g_j (Euler) or
-    C (prior + g_j) (exponential Euler), from ``prior``, the bound at t_j.
-    C is the shift's operator norm, with its slack, and g_j >= |G_j|_H =
-    |f_j dt + sum_d sigma_{j,d} dM_{j,d}|_H by the triangle inequality, from
-    the norms of the kernel's shared drift and sigma, taken once per step.
-    A state-dependent sigma has no such recurrence; its bound is the grid's
-    sup-norm bound K max|candidate| (``WeightGrid.sup_gain``), NaN or
-    infinite for a non-finite candidate.
-    """
-    grid = model.grid
-    if not model.vol.state_free:
-        sup_gain = grid.sup_gain
-        return lambda j, dM, prior, candidate: sup_gain * np.abs(candidate).max(axis=-1)
-    zero = np.zeros((1, grid.n_nodes))
-    terms = []
-    for j in range(cfg.n_steps):
-        sig, f, _ok = kernel(j, zero)
-        terms.append((norm_H(f[0], grid) * cfg.dt, norm_H(sig[0].T, grid)))
-    gain = shift_gain(grid, cfg.dt) * _BOUND_SLACK
-
-    def increment(j, dM):
-        return terms[j][0] + np.abs(dM) @ terms[j][1]
-
-    if exponential:
-        return lambda j, dM, prior, candidate: gain * (prior + increment(j, dM))
-    return lambda j, dM, prior, candidate: gain * prior + increment(j, dM)
-
-
-# Relative slack on the norm bound, applied to the shift gain C and to the
-# bound's test against r_local, so that rounding can never let a skipped norm
-# exceed r_local.  The exact bound leaves out only rounding.  C comes from the
-# Cholesky factor of the Gram matrix A, cond(A) <= 1.5e5 on the bundled grids,
-# so it is accurate to about eps * cond(A) = 3e-11 relative (it agrees with the
-# top eigenvalue of the pencil (S^T A S, A) to 2e-15).  An error e of a few
-# ulps per node in a step's values moves a norm by at most |e|_inf
-# sqrt(n lambda_max(A)), and |u|_inf <= |u|_H max sqrt(diag A^-1): about
-# 520 eps = 1.2e-13 relative per rounding on the 321-node bundled grid.  Over
-# a run's roundings both stay far below 1e-6.  The sup-norm bound K max|u| of
-# a state-dependent sigma rounds only in K and in the computed norm it must
-# cover, each a sum of n terms: about n eps = 7e-14 relative there.
+# Relative slack on the norm bound, applied to the bound's test against
+# r_local, so that rounding can never let a skipped norm exceed r_local.  The
+# exact bound leaves out only rounding.  The sup-norm bound K max|u| rounds
+# only in K and in the computed norm it must cover, each a sum of n terms:
+# about n eps = 7e-14 relative on the 321-node bundled grid.  The mild form's
+# bound (``_mild_readouts``) sums norms of computed curves: an error e of a
+# few ulps per node in a curve's values moves its norm by at most |e|_inf
+# sqrt(n lambda_max(A)), A the norm's Gram matrix, and |u|_inf <= |u|_H max
+# sqrt(diag A^-1): about 520 eps = 1.2e-13 relative per rounding on that
+# grid.  Over a run's roundings both stay far below 1e-6.
 _BOUND_SLACK = 1.0 + 1e-6
 
 
@@ -329,11 +291,10 @@ def _localize(
     false) or its ``candidate`` state at t_{i+1} is not finite.  Every frozen
     path's candidate is then reset to ``prev``, its state at t_i.  A live
     candidate whose norm exceeds ``r_local`` exits at i + 1 and is kept.
-    ``bound`` holds an upper bound on each candidate's norm, from the
-    recurrence of a state-free sigma or the sup-norm bound K max|candidate|;
-    the norm is taken only where the bound, with its slack, does not stay
-    within ``r_local`` (an infinite or NaN bound never does), and then
-    replaces the bound.
+    ``bound`` holds an upper bound on each candidate's norm, the sup-norm
+    bound K max|candidate|; the norm is taken only where the bound, with its
+    slack, does not stay within ``r_local`` (an infinite or NaN bound never
+    does), and then replaces the bound.
     Updates ``exits``, ``frozen``, ``candidate`` and ``bound``; returns the
     mask of the paths that exited on a non-finite candidate.
     """
@@ -366,15 +327,15 @@ def _warn_nonfinite(n_bad: np.ndarray) -> None:
 
 def euler_transitions(
     model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False, _n_bad=None
-) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
-    """Yield (j, t_j, states, exits) for each block of rows and j = 0 .. n_steps.
+) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+    """Yield (j, rows, states, exits) for each block of rows and j = 0 .. n_steps.
 
     The paths run in blocks of consecutive rows, in path order, each from
     j = 0 to n_steps before the next starts: a new block starts whenever j
-    is 0, and its rows directly follow the previous block's.  ``states`` is
-    the block's (rows, n_nodes) state at t_j and ``exits`` its exit indices,
-    both live buffers that later steps overwrite; consumers must copy
-    anything they keep.  Each step is localized as the module docstring
+    is 0, and its rows directly follow the previous block's.  ``rows`` is
+    the block's slice of the path axis, ``states`` its (rows, n_nodes) state
+    at t_j and ``exits`` its exit indices, both live buffers that later
+    steps overwrite; consumers must copy anything they keep.  Each step is localized as the module docstring
     describes; the non-finite exits of a step are counted over all blocks
     and warned about once per step, in step order, after the last block.
     ``_exponential``, set only by ``picard_solve``, shifts after the step
@@ -386,10 +347,7 @@ def euler_transitions(
     dM = _noise(model, cfg, increments)
     u0_vals = _initial_curve(u0, cfg, grid)
     sentinel = cfg.n_steps + 1
-    times = cfg.times
-    kernel = _step_kernel(model, times[:-1])
-    next_bound = _norm_bound(model, kernel, cfg, _exponential)
-    norm0 = norm_H(u0_vals, grid)
+    kernel = _step_kernel(model, cfg.times[:-1])
     n_bad = np.zeros(cfg.n_steps, dtype=int) if _n_bad is None else _n_bad
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
     # the noise term, then the two states that the steps alternate
@@ -400,8 +358,7 @@ def euler_transitions(
         u = states[0]
         u[...] = u0_vals
         exits = np.full(n_rows, sentinel)
-        bound = np.full(n_rows, norm0)
-        yield 0, 0.0, u, exits
+        yield 0, rows, u, exits
         for j in range(cfg.n_steps):
             candidate = states[(j + 1) % 2]
             sig, f, ok = kernel(j, u)
@@ -416,12 +373,12 @@ def euler_transitions(
                 _shift_values(u, cfg.dt, grid, out=candidate)
                 candidate += f * cfg.dt
                 candidate += noise
-            bound = next_bound(j, dM[j, rows], bound, candidate)
+            bound = grid.sup_gain * np.abs(candidate).max(axis=-1)
             frozen = exits != sentinel
             bad = _localize(exits, frozen, ok, candidate, u, j, grid, cfg.r_local, bound)
             n_bad[j] += int(bad.sum())
             u = candidate
-            yield j + 1, float(times[j + 1]), u, exits
+            yield j + 1, rows, u, exits
     if _n_bad is None:
         _warn_nonfinite(n_bad)
 
@@ -569,13 +526,9 @@ def _collect(
     dM = _noise(model, cfg, increments)
     curves = np.empty((cfg.n_paths, cfg.n_steps + 1, model.grid.n_nodes))
     exit_index = np.empty(cfg.n_paths, dtype=int)
-    done = 0
-    for j, _t, states, exits in euler_transitions(
+    for j, rows, states, exits in euler_transitions(
         model, u0, cfg, increments=dM, _exponential=exponential
     ):
-        if j == 0:  # a new block of rows, following the last one
-            rows = slice(done, done + len(states))
-            done = rows.stop
         curves[rows, j] = states
         if j == cfg.n_steps:
             exit_index[rows] = exits

@@ -260,80 +260,6 @@ class TestShift:
         assert isinstance(lh.shift(c, 0.1, grid), lh.Curve)
 
 
-def _checkerboard(grid):
-    """The damped checkerboard (-1)^i e^{-x/2}, with u(0) a third of |u(x_1)|.
-
-    Centered differences see a checkerboard only at the grid's ends; a
-    one-cell shift moves the end at 0 into the weighted interior.
-    """
-    u = (-1.0) ** np.arange(grid.n_nodes) * np.exp(-0.5 * grid.nodes)
-    u[0] = u[1] / 3.0
-    return u
-
-
-class TestShiftGain:
-    """``shift_gain`` is the operator norm of the shift in the curve norm."""
-
-    CASES = [
-        (lh.make_grid(6.0, 121, BETA), 0.05, 1.7343),  # one cell
-        (lh.make_grid(10.0, 321, BETA), 1.0 / 32.0, 1.7351),  # one cell
-        (lh.make_grid(6.0, 121, BETA), 0.037, 1.1971),  # interpolating
-    ]
-
-    @pytest.mark.parametrize("grid, t, expected", CASES, ids=["121", "321", "interp"])
-    def test_value(self, grid, t, expected):
-        assert lh.shift_gain(grid, t) == pytest.approx(expected, abs=1e-4)
-
-    @pytest.mark.parametrize("grid, t, expected", CASES, ids=["121", "321", "interp"])
-    def test_matches_the_pencil_eigenvalue(self, grid, t, expected):
-        # C^2 is the top eigenvalue of the pencil (S^T A S, A), here reduced
-        # with two solves against the Cholesky factor of A
-        eye = np.eye(grid.n_nodes)
-        D = lh.grid_derivative(eye, grid, axis=0)
-        S = lh.shift(eye, t, grid).T
-        A = D.T @ (grid.weighted_quad[:, None] * D)
-        A[0, 0] += 1.0
-        L = np.linalg.cholesky(A)
-        pencil = np.linalg.solve(L, np.linalg.solve(L, S.T @ A @ S).T)
-        top = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1]
-        assert lh.shift_gain(grid, t) == pytest.approx(math.sqrt(top), rel=1e-12)
-
-    @pytest.mark.parametrize("grid, t, expected", CASES, ids=["121", "321", "interp"])
-    def test_no_curve_exceeds_it(self, grid, t, expected):
-        rng = np.random.default_rng(31)
-        gain = lh.shift_gain(grid, t)
-        curves = np.concatenate(
-            [
-                lh.random_curves(grid, 2000, rng),
-                rng.normal(size=(2000, grid.n_nodes)),  # rough, checkerboard-rich
-                _checkerboard(grid)[None] * rng.uniform(0.5, 1.5, size=(200, grid.n_nodes)),
-            ]
-        )
-        ratios = lh.norm_H(lh.shift(curves, t, grid), grid) / lh.norm_H(curves, grid)
-        assert ratios.max() <= gain * (1 + 1e-12)
-        assert ratios.max() > 1.0
-
-    @pytest.mark.parametrize("grid, t, expected", CASES[:2], ids=["121", "321"])
-    def test_checkerboard_comes_within_one_percent(self, grid, t, expected):
-        u = _checkerboard(grid)
-        ratio = lh.norm_H(lh.shift(u, t, grid), grid) / lh.norm_H(u, grid)
-        assert 0.99 * lh.shift_gain(grid, t) <= ratio <= lh.shift_gain(grid, t)
-
-    def test_matches_brute_force_on_a_small_grid(self):
-        # on 9 nodes the sup over a dense sample of the unit sphere is close
-        grid = lh.make_grid(1.0, 9, BETA)
-        t = 0.125
-        rng = np.random.default_rng(32)
-        curves = rng.normal(size=(200_000, grid.n_nodes))
-        ratios = lh.norm_H(lh.shift(curves, t, grid), grid) / lh.norm_H(curves, grid)
-        gain = lh.shift_gain(grid, t)
-        assert ratios.max() <= gain * (1 + 1e-12)
-        assert ratios.max() >= 0.95 * gain
-
-    def test_zero_shift_has_gain_one(self):
-        assert lh.shift_gain(lh.make_grid(6.0, 121, BETA), 0.0) == pytest.approx(1.0, abs=1e-10)
-
-
 class TestIntegrals:
     def test_partial_equals_full_at_xmax(self, grid):
         u = lh.random_curves(grid, 1, np.random.default_rng(9))[0]

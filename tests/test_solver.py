@@ -834,11 +834,12 @@ class TestBlockMajorOrder:
             cfg, r_local=_radius_for_exit_at(lh.norm_H(free.curves, grid), 4)
         )
         _set_block_rows(monkeypatch, rows, cfg.n_paths, grid.n_nodes)
-        steps, blocks, exits = [], [], []
-        for j, t, states, block_exits in lh.euler_transitions(
+        steps, slices, blocks, exits = [], [], [], []
+        for j, block, states, block_exits in lh.euler_transitions(
             gamma_model, u0, cfg, increments=free.increments
         ):
-            assert t == cfg.times[j] and states.shape[1:] == (grid.n_nodes,)
+            assert states.shape == (block.stop - block.start, grid.n_nodes)
+            slices.append(block)
             if j == 0:
                 blocks.append(np.empty((cfg.n_steps + 1,) + states.shape))
             blocks[-1][j] = states
@@ -846,10 +847,14 @@ class TestBlockMajorOrder:
             if j == cfg.n_steps:
                 exits.append(block_exits.copy())
         size = rows or cfg.n_paths
-        assert [len(b[0]) for b in blocks] == [
-            min(size, cfg.n_paths - start) for start in range(0, cfg.n_paths, size)
-        ]
+        starts = range(0, cfg.n_paths, size)
+        assert [len(b[0]) for b in blocks] == [min(size, cfg.n_paths - start) for start in starts]
         assert steps == list(range(cfg.n_steps + 1)) * len(blocks)
+        assert slices == [
+            slice(start, min(start + size, cfg.n_paths))
+            for start in starts
+            for _ in range(cfg.n_steps + 1)
+        ]
         ens = lh.euler_solve(gamma_model, u0, cfg, increments=free.increments)
         assert (ens.exit_index <= cfg.n_steps).any()
         assert np.array_equal(np.concatenate(blocks, axis=1).swapaxes(0, 1), ens.curves)
@@ -957,9 +962,9 @@ class TestCertifiedNormSkip:
     @staticmethod
     def _setup(vol_name, aligned, u0_kind):
         # aligned: dt is one cell, the shift an index rotation; otherwise the
-        # shift interpolates between nodes (1.25 cells, gain 1.05).  A rough
-        # initial curve carries a damped checkerboard, which the aligned shift
-        # amplifies 1.73x, so there a bound without the shift's gain fails.
+        # shift interpolates between nodes (1.25 cells).  A rough initial
+        # curve carries a damped checkerboard, whose curve norm the aligned
+        # shift amplifies 1.73x, and which the sup-norm bound must cover.
         grid = aligned_grid(10.0, 1.0 / 16.0) if aligned else lh.make_grid(10.0, 201, BETA)
         if vol_name == "constant":
             vol = lh.constant_volatility([0.1])
@@ -1049,10 +1054,10 @@ class TestCertifiedNormSkip:
     def test_skips_what_the_bound_certifies(self, solver_name, aligned, monkeypatch):
         model, u0, cfg = self._setup("exp_decay", aligned, "smooth")
         counts, localizing, needed = self._count_norms(monkeypatch)
-        # the initial curve's check and the bound's start, then once per step
-        # the drift and the two sigmas; Picard's certificate adds two norms
-        # of every path per step
-        fixed = 2 + 3 * cfg.n_steps
+        # the initial curve's check, and no norm per step outside
+        # localization; Picard's certificate adds two norms of every path
+        # per step
+        fixed = 1
         if solver_name == "picard":
             fixed += 2 * cfg.n_steps * cfg.n_paths
         for r_local in (1e6, math.inf):
@@ -1078,9 +1083,9 @@ class TestCertifiedNormSkip:
     def test_state_dependent_norm_taken_where_the_sup_bound_exceeds_the_radius(
         self, solver_name, gamma_model, monkeypatch
     ):
-        # tanh sigma reads the state, so neither scheme has a recurrence: the
-        # bound is K max|candidate|, and a live path's norm is taken exactly
-        # where that, with its slack, exceeds r_local, and then replaces it
+        # tanh sigma reads the state; the bound is K max|candidate| as for
+        # any sigma, and a live path's norm is taken exactly where that, with
+        # its slack, exceeds r_local, and then replaces it
         from levyhjm import solver
 
         localize = solver._localize
@@ -1191,17 +1196,34 @@ class TestCertifiedNormSkip:
                 assert (exits == step).any(), name
         assert (exits == m + 1).all()
 
+    @staticmethod
+    def _rough_state_free_setup():
+        """``_rough_tanh_setup`` with a state-free sigma of the initial curve's pair pattern."""
+        model, u0, cfg = TestCertifiedNormSkip._rough_tanh_setup()
+        pairs = np.where(np.arange(model.grid.n_nodes) % 4 < 2, 1.0, -1.0)
+        assert np.array_equal(u0, 0.01 * pairs)
+
+        def sig(t, x, u):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(u))
+            return np.broadcast_to(0.005 * pairs, shape)[..., None].copy()
+
+        vol = lh.VolatilitySpec(name="pairs", dim=1, sigma=sig, gamma_seq=np.zeros(1))
+        assert vol.state_free
+        return dataclasses.replace(model, vol=vol), u0, cfg
+
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
     def test_half_the_sup_gain_misses_exits(self, solver_name, monkeypatch):
         # the control: a bound of K/2 max|u| sits below the rough curves'
-        # norms, certifies paths past the radius and loses their exits
-        model, u0, cfg = self._rough_tanh_setup()
-        monkeypatch.setitem(vars(model.grid), "sup_gain", 0.5 * model.grid.sup_gain)
-        runs = self._exits_against_every_norm(solver_name, model, u0, cfg)
-        assert any(
-            not np.array_equal(exits, every_exits)
-            for exits, _curves, _every_curves, every_exits in runs.values()
-        )
+        # norms, certifies paths past the radius and loses their exits, with
+        # a state-dependent sigma and a state-free one alike
+        for case in (self._rough_tanh_setup, self._rough_state_free_setup):
+            model, u0, cfg = case()
+            monkeypatch.setitem(vars(model.grid), "sup_gain", 0.5 * model.grid.sup_gain)
+            runs = self._exits_against_every_norm(solver_name, model, u0, cfg)
+            assert any(
+                not np.array_equal(exits, every_exits)
+                for exits, _curves, _every_curves, every_exits in runs.values()
+            ), case.__name__
 
     @staticmethod
     def _dominance_checked(monkeypatch):
@@ -1225,8 +1247,8 @@ class TestCertifiedNormSkip:
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
     def test_bound_covers_a_shifted_checkerboard_increment(self, solver_name, monkeypatch):
         # a zero initial curve and a checkerboard sigma: every increment is
-        # the mode the aligned shift amplifies most, so Picard's bound needs
-        # C (b + g); C b + g would not cover shift(u + G)
+        # the mode whose curve norm the aligned shift amplifies most, and
+        # Picard shifts it after adding it; K max|u| must still cover it
         def sig(t, x, u):
             board = (-1.0) ** np.arange(np.shape(x)[-1]) * np.exp(-0.5 * np.asarray(x))
             board[0] = board[1] / 3.0
