@@ -1,5 +1,6 @@
 """Grid, norms, shift semigroup, and embedding-ratio behavior."""
 
+import itertools
 import math
 
 import numpy as np
@@ -258,6 +259,68 @@ class TestShift:
     def test_shift_returns_curve_for_curve_input(self, grid):
         c = lh.Curve(np.zeros(grid.n_nodes))
         assert isinstance(lh.shift(c, 0.1, grid), lh.Curve)
+
+
+def _pair_patterns(grid):
+    """The four offsets of the pattern +1, +1, -1, -1, ... on the grid's nodes.
+
+    On a uniform grid every centered difference of such a curve is +-1/h, the
+    largest a curve with max|u| = 1 can have, so its norm nearly attains K.
+    """
+    i = np.arange(grid.n_nodes)
+    return np.stack([np.where((i + k) % 4 < 2, 1.0, -1.0) for k in range(4)])
+
+
+class TestSupGain:
+    """``sup_gain`` is a K with |u|_H <= K max|u|, the solver's one norm bound."""
+
+    @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+    def test_matches_the_dense_derivative_matrix(self, name):
+        # K^2 = 1 + sum_i weighted_quad_i (sum_j |D_ij|)^2 for the matrix D of
+        # grid_derivative, read off its columns rather than the stencil formula
+        g = STENCIL_GRIDS[name]()
+        D = lh.grid_derivative(np.eye(g.n_nodes), g, axis=0)
+        expected = math.sqrt(1.0 + g.weighted_quad @ np.square(np.abs(D).sum(axis=1)))
+        assert g.sup_gain == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+    def test_no_curve_exceeds_it(self, name):
+        g = STENCIL_GRIDS[name]()
+        rng = np.random.default_rng(33)
+        curves = np.concatenate(
+            [
+                lh.random_curves(g, 2000, rng),
+                rng.normal(size=(2000, g.n_nodes)),  # rough
+                rng.choice([-1.0, 1.0], size=(2000, g.n_nodes)),  # vertices of the cube
+                _pair_patterns(g) * rng.uniform(0.5, 1.5, size=(4, 1)),
+            ]
+        )
+        ratios = lh.norm_H(curves, g) / np.abs(curves).max(axis=-1)
+        assert ratios.max() <= g.sup_gain * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+    def test_a_pair_pattern_comes_within_six_percent(self, name):
+        g = STENCIL_GRIDS[name]()
+        best = lh.norm_H(_pair_patterns(g), g).max()
+        assert 0.94 * g.sup_gain <= best <= g.sup_gain * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "g", [lh.make_grid(1.0, 9, BETA), _nonuniform_grid(9)], ids=["uniform", "nonuniform"]
+    )
+    def test_matches_the_cube_maximum_on_nine_nodes(self, g):
+        # the norm is convex, so its max over max|u| <= 1 is at one of the 512 vertices
+        vertices = np.array(list(itertools.product([-1.0, 1.0], repeat=g.n_nodes)))
+        top = lh.norm_H(vertices, g).max()
+        assert 0.93 * g.sup_gain <= top <= g.sup_gain * (1 + 1e-12)
+
+    def test_constant_curves_have_ratio_one(self, grid):
+        for c in (1.0, -2.5):
+            assert lh.norm_H(np.full(grid.n_nodes, c), grid) == pytest.approx(abs(c), rel=1e-12)
+        assert grid.sup_gain > 1.0
+
+    def test_scales_with_the_inverse_spacing(self):
+        g = lh.make_grid(10.0, 161, BETA)
+        assert g.refine().sup_gain / g.sup_gain == pytest.approx(2.0, rel=0.02)
 
 
 class TestIntegrals:
