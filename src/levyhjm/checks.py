@@ -17,10 +17,8 @@ seeded Monte Carlo experiment and returns a :class:`CheckReport`:
 * ``verify_martingale_bonds``        discounted zero-coupon bonds along
   simulated paths have zero drift slope; the decisive arbiter for the sign
   of the drift functional.  Every row fails when localization froze more
-  than ``_LOCALIZED_CAP`` of the paths.  The check is ``bond_join`` of
-  ``bond_prices``: the latter prices any contiguous rows of the paths
-  through the one chain of routes it describes, bitwise as those rows of
-  pricing all of them, so a caller can split the pricing over processes.
+  than ``_LOCALIZED_CAP`` of the paths.  The check is ``bond_join`` of the
+  ``bond_prices`` of any contiguous rows, bitwise those of all of them.
 * ``verify_cumulant_derivatives``    closed-form cumulant derivatives against
   finite differences, and an empirical Lipschitz constant of the Hessian.
 * ``verify_exponential_moment``      sampled finiteness of E e^{|<z, M(1)>|}
@@ -70,7 +68,9 @@ from .model import HjmModel
 from .solver import (
     SolverConfig,
     euler_transitions,
+    _initial_curve,
     _mild_readouts,
+    _no_path_localizes,
     _readout_cone,
     _row_blocks,
     _warn_nonfinite,
@@ -474,66 +474,66 @@ def _discount(step: np.ndarray, disc: np.ndarray, out: np.ndarray) -> None:
     disc += step[-1]
 
 
-# Float64 values of the zero-padded buffer through which full-width readouts
-# of a cut state go, 128 KiB or a quarter of a row block: reading a block in
+# Float64 values of the zero-padded buffer through which a stepped state's
+# readouts go, 128 KiB or a quarter of a row block: reading a block in
 # chunks of rows this size is as fast as padding the whole block at once,
 # which on the bundled check would take 1 MiB beyond the stepping's memory.
 _PADDED_VALUES = 1 << 14
 
 
-def _read_states(D, model, u0, cfg, weights, dM, n_bad) -> int:
-    """Fill D from Euler's states on ``model``'s grid; returns how many paths localized.
-
-    A grid narrower than the weights' is read through a zero-padded
-    full-width buffer, a chunk of rows at a time, so every readout sums the
-    same terms in the same order as on the full grid.  ``n_bad`` gathers
-    the non-finite exits of each step (``euler_transitions``'s ``_n_bad``).
-    """
-    n_exited = 0
+def _stepped_integrals(model, u0, cfg, weights, dM, n_bad):
+    """(j, rows, I, exits) of Euler on ``model``'s grid, I the live (K + 1, rows)
+    integrals of ``weights[j]``; ``n_bad`` is ``euler_transitions``'s ``_n_bad``.
+    States are read through a zero-padded full-width buffer, a chunk of rows
+    at a time, so a cut grid's readouts sum the terms of the full grid's in
+    the same order."""
     width, n_nodes = model.grid.n_nodes, weights.shape[-1]
-    if width < n_nodes:
-        padded = np.zeros((max(1, _PADDED_VALUES // n_nodes), n_nodes))
+    padded = np.zeros((max(1, _PADDED_VALUES // n_nodes), n_nodes))
     for j, rows, U, exits in euler_transitions(model, u0, cfg, increments=dM, _n_bad=n_bad):
         if j == 0:  # a new block of rows
             step = np.empty((weights.shape[1], len(U)))
-            disc = np.zeros(len(U))
         # partial_integral's one pass over U, on this step's weights
-        if width == n_nodes:
-            step[:] = np.einsum("...n,kn->...k", U, weights[j]).T
-        else:
-            for start in range(0, len(U), len(padded)):
-                chunk = padded[: len(U) - start]
-                chunk[:, :width] = U[start : start + len(chunk)]
-                step[:, start : start + len(chunk)] = np.einsum(
-                    "...n,kn->...k", chunk, weights[j]
-                ).T
-        _discount(step, disc, D[rows, j])
-        if j == cfg.n_steps:
-            n_exited += int((exits <= cfg.n_steps).sum())
-    return n_exited
+        for start in range(0, len(U), len(padded)):
+            chunk = padded[: len(U) - start]
+            chunk[:, :width] = U[start : start + len(chunk)]
+            step[:, start : start + len(chunk)] = np.einsum("...n,kn->...k", chunk, weights[j]).T
+        yield j, rows, step, exits
 
 
-def _mild_prices(D, readouts, dM, n_nodes) -> bool:
-    """Fill D from the mild readouts (a0, coef), a block of rows at a time.
+def _mild_integrals(readouts, dM, n_nodes):
+    """(j, rows, I, exits) from the mild readouts (a0, coef), a block of rows at a time.
 
-    Each path's integrals are a0 plus its noise times coef, accumulated
-    elementwise in one fixed order, so no value depends on the block or
-    the BLAS thread count.  Returns False on a non-finite integral.
+    I, a live buffer, is a0 plus the noise times coef, summed elementwise in
+    one fixed order, so no value depends on the block or the BLAS thread
+    count.  A path with a non-finite integral exits at 0 and reads 0.
     """
     a0, coef = readouts
     m, dim = coef.shape[:2]
-    for rows in _row_blocks(len(D), n_nodes):
-        integrals = np.empty(a0.shape + (rows.stop - rows.start,))
+    blocks = list(_row_blocks(dM.shape[1], n_nodes))
+    buffer = np.empty(a0.shape + (blocks[0].stop,))  # reused: a new one per block is slower
+    for rows in blocks:
+        integrals = buffer[..., : rows.stop - rows.start]
         integrals[:] = a0[..., None]
         for i in range(m):
             for d in range(dim):
                 integrals[i + 1 :] += coef[i, d, i + 1 :, :, None] * dM[i, rows, d]
-        if not np.isfinite(integrals).all():
-            return False
-        disc = np.zeros(rows.stop - rows.start)
-        for j in range(len(integrals)):  # no view of integrals outlives the block
-            _discount(integrals[j], disc, D[rows, j])
-    return True
+        finite = np.isfinite(integrals).all(axis=(0, 1))
+        integrals[..., ~finite] = 0.0
+        exits = np.where(finite, m + 1, 0)
+        for j in range(m + 1):
+            yield j, rows, integrals[j], exits
+
+
+def _fill_prices(D, integrals, n_steps: int) -> int:
+    """Fill D from the (j, rows, I, exits) of ``integrals``; returns how many paths exited."""
+    n_exited = 0
+    for j, rows, step, exits in integrals:
+        if j == 0:  # a new block of rows
+            disc = np.zeros(rows.stop - rows.start)
+        _discount(step, disc, D[rows, j])
+        if j == n_steps:
+            n_exited += int((exits <= n_steps).sum())
+    return n_exited
 
 
 def bond_prices(
@@ -547,24 +547,22 @@ def bond_prices(
     on a non-finite curve at each step, which ``bond_join`` warns about.
 
     Every integral is a weight vector applied to u(t_j), built once per
-    check, and the route is one chain, chosen over every path from the
-    whole noise table, so that only its row loops read ``rows``:
+    check.  The route is chosen over every path, from the whole noise
+    table, and one loop discounts its integrals into D:
 
-    * the discrete mild form (``solver._mild_readouts``), when a state-free
-      volatility and the noise certify that no path localizes: each path's
-      integrals come from its noise without stepping any curve, and differ
-      from stepping only by rounding;
-    * else Euler stepping on the first nodes, those the integrals can reach
-      (``solver._readout_cone``), when the noise certifies that no path
-      localizes: bitwise the prices of the full grid;
-    * else Euler stepping on the full grid.
+    * the discrete mild form (``solver._mild_readouts``), for a state-free
+      volatility whose mild form costs no more than stepping: no curve is
+      stepped, and D differs from stepping's only by rounding;
+    * else Euler on the nodes the integrals reach (``solver._readout_cone``),
+      bitwise the full grid's prices;
+    * else, or when ``solver._no_path_localizes`` cannot certify that no
+      path localizes, as both shortcuts need, Euler on the full grid.
 
-    A certified route that fails on some path, through a non-finite mild
-    integral or a path that exits on the cut grid, falls back to the full
-    grid for every path.  A part cannot see the other parts' paths, so it
-    then returns None, unless ``rows`` covers every path.  Each row of D
-    depends only on that row's noise, so the rows of any split are bitwise
-    those of pricing every path at once.
+    A shortcut on which a path exits anyway (a non-finite mild integral, an
+    exit on the cut grid) falls back to the full grid for every path, or
+    gives None for a part, which cannot see the other parts' paths.  Each
+    row of D depends only on that row's noise, so the rows of any split are
+    bitwise those of pricing every path at once.
     """
     _require_paths(cfg.n_paths, "bond")
     grid = model.grid
@@ -576,22 +574,29 @@ def bond_prices(
         + [_partial_weights(grid, float(cfg.dt))]
         for t_j in cfg.times
     ])
+    u0 = _initial_curve(u0, cfg, grid)
     dM = increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
     part = dM[:, rows]
     own = replace(cfg, n_paths=part.shape[1])
     D = np.empty((own.n_paths, cfg.n_steps + 1, len(maturities)))
     n_bad = np.zeros(cfg.n_steps, dtype=int)
-    readouts = _mild_readouts(model, u0, cfg, weights, dM)
-    cone = None if readouts is not None else _readout_cone(model, u0, cfg, weights, dM)
-    if readouts is not None and _mild_prices(D, readouts, part, grid.n_nodes):
-        return D, 0, n_bad
-    if cone is not None and _read_states(D, *cone, own, weights, part, n_bad) == 0:
-        return D, 0, n_bad
-    if readouts is not None or cone is not None:
+    mild = model.vol.state_free and (
+        model.driver.dim * weights.shape[1] * cfg.n_steps <= 2 * grid.n_nodes
+    )
+    cone = None if mild else _readout_cone(model, u0, cfg, weights)
+    gain = grid.sup_gain if cone is None else max(grid.sup_gain, cone[0].grid.sup_gain)
+    if (mild or cone is not None) and _no_path_localizes(model, u0, cfg, dM, gain):
+        if mild:
+            route = _mild_integrals(_mild_readouts(model, u0, cfg, weights), part, grid.n_nodes)
+        else:
+            route = _stepped_integrals(*cone, own, weights, part, n_bad)
+        if _fill_prices(D, route, cfg.n_steps) == 0:
+            return D, 0, n_bad
         if own.n_paths < cfg.n_paths:
             return None
         n_bad[:] = 0  # the full grid counts its own exits
-    return D, _read_states(D, model, u0, own, weights, part, n_bad), n_bad
+    full = _stepped_integrals(model, u0, own, weights, part, n_bad)
+    return D, _fill_prices(D, full, cfg.n_steps), n_bad
 
 
 def bond_join(model: HjmModel, u0, maturities, cfg: SolverConfig, parts) -> list[CheckReport]:

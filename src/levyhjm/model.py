@@ -94,6 +94,10 @@ class VolatilitySpec:
     r_budget: float = math.inf
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.gamma_seq is not None and not np.all(np.asarray(self.gamma_seq, float) >= 0):
+            raise ValueError(f"gamma_seq must be nonnegative, got {self.gamma_seq}")
+
     @property
     def state_free(self) -> bool:
         """``gamma_seq`` declared all zero: sigma ignores u (audited by check_hypotheses)."""
@@ -217,8 +221,8 @@ _TANH_UU_MAX = 4.0 / (3.0 * math.sqrt(3.0))
 def tanh_volatility(scales, decays) -> VolatilitySpec:
     """sigma^k(t, x, u) = scales_k * tanh(u) * exp(-decays_k * x).
 
-    Bounded with bounded u-derivatives: |sigma_u| <= scales_k,
-    |sigma_uu| <= 0.7698 * scales_k, and sigma_x is u-Lipschitz with
+    Bounded with bounded u-derivatives: |sigma_u| <= |scales_k|,
+    |sigma_uu| <= 0.7698 |scales_k|, and sigma_x is u-Lipschitz with
     dominating curve decays_k * scales_k * exp(-decays_k x).
     """
     scales, decays = _envelope_params(scales, decays)
@@ -250,7 +254,7 @@ def tanh_volatility(scales, decays) -> VolatilitySpec:
         sigma_u=sig_u,
         sigma_uu=sig_uu,
         beta_curve=lambda x: decays * envelope(x),
-        gamma_seq=(1.0 + _TANH_UU_MAX) * scales,
+        gamma_seq=(1.0 + _TANH_UU_MAX) * np.abs(scales),
         r_budget=float(np.sqrt(np.square(scales / decays).sum())),
         params={"scales": scales.tolist(), "decays": decays.tolist()},
     )

@@ -50,23 +50,19 @@ so u_j = c_j + sum_{i<j} S^{j-1-i} sigma_i dM_i, c_j the zero-noise
 recursion, for every path that stays unlocalized.  ``_mild_readouts`` gives
 the coefficients of any per-step linear readout of u_j in this discrete mild
 form, so a caller that only reads such functionals (the bond check) needs no
-stepping.  It returns them only when the run's own noise certifies that no
-path can localize: every ball flag holds, and each path's bound |c_j|_H +
-sum_{i<j,d} |dM_{i,d}| max_a |S^a sigma_{i,d}|_H stays within ``r_local``,
-and only when its d K n_steps^2 / 2 products per path for K readouts per
-step do not exceed stepping's n_steps n_nodes; otherwise the caller steps.
+stepping.
 
-A caller that steps only to read such functionals need not step every node.
-The shift moves a curve to the left, and sigma and the drift at x read u
-only at and left of x, so a readout of u_j on the first L_j + 1 nodes
-depends on the first L_j + 1 + j reach nodes of u0 only, reach the nodes one
-shift reads to the right.  ``_readout_cone`` gives the model on the first
-n' = max_j (L_j + 1 + j reach) nodes, whose states are bitwise those of the
-full grid on the nodes read.  It returns it only when the run's own noise
-certifies that no path localizes on either grid: a per-path bound on max|u_j|
-from the declared ``gamma_seq`` keeps every running integral inside the
-cumulant ball and the sup-norm bound K max|u_j| within ``r_local``, whatever
-sigma depends on.
+A caller that steps only to read such functionals need not step every node:
+the shift moves a curve to the left, and sigma and the drift at x read u
+only at and left of x.  ``_readout_cone`` gives the model on the first nodes
+the readouts can reach, whose states are bitwise those of the full grid on
+the nodes read.
+
+Both shortcuts hold only while no path localizes, and one certificate,
+``_no_path_localizes``, proves that from the run's own noise for either: a
+per-path bound on max|u_j| from the declared ``gamma_seq`` keeps every
+running integral inside the cumulant ball and the sup-norm bound
+K max|u_j| within ``r_local``, whatever sigma depends on.
 
 When dt is an integer number of grid cells, every shift is an exact index
 rotation: with zero volatility both schemes reproduce pure transport
@@ -84,13 +80,14 @@ import numpy as np
 
 from .curvespace import (
     WeightGrid,
+    cumulative_integral,
     norm_H,
     _aligned_cells,
     _shift_reach,
     _shift_values,
     _values,
 )
-from .levy import _component_value, increment_table
+from .levy import _stacked, increment_table
 from .model import HjmModel, drift_functional
 
 __all__ = [
@@ -272,12 +269,10 @@ def _step_kernel(model: HjmModel, times: np.ndarray):
 # r_local, so that rounding can never let a skipped norm exceed r_local.  The
 # exact bound leaves out only rounding.  The sup-norm bound K max|u| rounds
 # only in K and in the computed norm it must cover, each a sum of n terms:
-# about n eps = 7e-14 relative on the 321-node bundled grid.  The mild form's
-# bound (``_mild_readouts``) sums norms of computed curves: an error e of a
-# few ulps per node in a curve's values moves its norm by at most |e|_inf
-# sqrt(n lambda_max(A)), A the norm's Gram matrix, and |u|_inf <= |u|_H max
-# sqrt(diag A^-1): about 520 eps = 1.2e-13 relative per rounding on that
-# grid.  Over a run's roundings both stay far below 1e-6.
+# about n eps = 7e-14 relative on the 321-node bundled grid.  The bond
+# check's certificate (``_no_path_localizes``) applies K to a bound M_j >=
+# max|u_j| that rounds, like the states, a few eps per step.  Over a run's
+# roundings both stay far below 1e-6.
 _BOUND_SLACK = 1.0 + 1e-6
 
 
@@ -383,10 +378,47 @@ def euler_transitions(
         _warn_nonfinite(n_bad)
 
 
+def _no_path_localizes(
+    model: HjmModel, u0_vals: np.ndarray, cfg: SolverConfig, dM: np.ndarray, gain: float
+) -> bool:
+    """Whether the noise ``dM`` certifies that Euler stepping localizes no path.
+
+    The bond check's one certificate, and the one place its routes read the
+    declared ``gamma_seq`` (none declared certifies nothing).  A per-path
+    bound M_j >= max|u_j|: s_k = max_x |sigma_k(t_j, x, 0)| + gamma_k M_j
+    bounds |sigma_k|, and M_{j+1} = M_j + dt sum_k max|psi_k'(+-r_ball)| s_k
+    + sum_k s_k |dM_{j,k}|, as psi_k is convex and no shift raises max|u|.
+    Each bound must be finite, sqrt(sum_k (A_k + gamma_k M_j x_max)^2) at
+    most r_ball (1 - 1e-9), A_k the trapezoid integral of |sigma_k(t_j, .,
+    0)|, so no ball flag fails on this grid or its first nodes, and ``gain``
+    M_j, with its slack, at most ``r_local``, ``gain`` the largest
+    ``sup_gain`` of the grids stepped.
+    """
+    if model.vol.gamma_seq is None:
+        return False
+    grid, r_ball = model.grid, model.driver.r_ball
+    edges = np.outer([-r_ball, r_ball], np.ones(model.driver.dim))
+    slopes = np.abs(_stacked(model.cumulant, edges, 1)).max(axis=0)  # max|psi_k'(+-r_ball)|
+    gamma = np.asarray(model.vol.gamma_seq, dtype=float)
+    zero = np.zeros(grid.n_nodes)
+    bound = np.full(cfg.n_paths, np.abs(u0_vals).max())
+    for j in range(cfg.n_steps):
+        level = np.abs(model.vol.sigma_at(float(cfg.times[j]), grid.nodes, zero))
+        area = cumulative_integral(level, grid, axis=0)[-1]
+        worst = bound.max()  # both tests grow with M_j, and M_j with j
+        if not np.sqrt(np.square(area + gamma * worst * grid.x_max).sum()) <= r_ball * (1.0 - 1e-9):
+            return False
+        # M_{j+1} = M_j + sum_k s_k w_k, s_k = max_x |sigma_k(t_j, x, 0)| + gamma_k M_j
+        w = cfg.dt * slopes + np.abs(dM[j])
+        kick, growth = np.einsum("pd,kd->kp", w, [level.max(axis=0), gamma])
+        bound = bound + kick + bound * growth
+    return bool(gain * _BOUND_SLACK * bound.max() <= cfg.r_local)
+
+
 def _mild_readouts(
-    model: HjmModel, u0, cfg: SolverConfig, weights: np.ndarray, increments=None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Linear readouts of Euler's states in the discrete mild form, or None.
+    model: HjmModel, u0, cfg: SolverConfig, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear readouts of Euler's states in the discrete mild form.
 
     With a state-free sigma the Euler step is affine in the noise:
     u_j = c_j + sum_{i<j} S^{j-1-i} sigma_i dM_i, with c_0 = u0 and
@@ -396,50 +428,27 @@ def _mild_readouts(
     (zero for j <= i), so that each path p reads w_{j,k} . u_j =
     a0[j, k] + sum_{i<j,d} dM[i, p, d] coef[i, d, j, k] up to rounding.
 
-    The form holds only while no path localizes, so this returns None,
-    and the caller must step, unless the noise certifies that stepping
-    would freeze no path: every step's ball flag holds, and for every path
-    and j >= 1 the bound |c_j|_H + sum_{i<j,d} |dM_{i,d}| max_a
-    |S^a sigma_{i,d}|_H >= |u_j|_H is finite and, with its slack, within
-    ``r_local``.  A state-dependent sigma always returns None, and so does
-    a readout whose mild form costs more than stepping: per path the mild
-    form takes about d K n_steps^2 / 2 products, for K readouts per step,
-    and stepping n_steps n_nodes, so the caller steps when d K n_steps / 2
-    exceeds n_nodes.  A caller that steps can still step only the nodes its
-    readouts reach (``_readout_cone``).
+    The form holds for a state-free sigma while no path localizes
+    (``_no_path_localizes``), at about d K n_steps^2 / 2 products per path.
     """
     grid, dt, m = model.grid, cfg.dt, cfg.n_steps
-    if not model.vol.state_free or model.driver.dim * weights.shape[1] * m > 2 * grid.n_nodes:
-        return None
-    dM = _noise(model, cfg, increments)
     c = np.empty((m + 1, grid.n_nodes))
-    c[0] = _initial_curve(u0, cfg, grid)
+    c[0] = _values(u0)
     kernel = _step_kernel(model, cfg.times[:-1])
     zero = np.zeros((1, grid.n_nodes))
     kicks = np.empty((m, model.driver.dim, grid.n_nodes))  # row i: sigma_i
     for j in range(m):
-        sig, f, ok = kernel(j, zero)
-        if not ok.all():
-            return None
+        sig, f, _ok = kernel(j, zero)
         kicks[j] = sig[0].T
         _shift_values(c[j], dt, grid, out=c[j + 1])
         c[j + 1] += f[0] * dt
     # at a, row i of kicks is S^a sigma_i for i < m - a: it enters the
-    # readouts at j = i + 1 + a, and its norm the bound's running maximum
+    # readouts at j = i + 1 + a
     coef = np.zeros((m, model.driver.dim, m + 1, weights.shape[1]))
-    gains = np.zeros(kicks.shape[:2])
     for a in range(m):
         i = np.arange(m - a)
         coef[i, :, i + 1 + a] = np.einsum("idn,ikn->idk", kicks, weights[a + 1 :])
-        np.maximum(gains[: m - a], norm_H(kicks, grid), out=gains[: m - a])
         kicks = _shift_values(kicks[:-1], dt, grid)
-    drift_norms = norm_H(c, grid)
-    noise_bound = np.zeros(cfg.n_paths)
-    for j in range(m):
-        noise_bound += np.einsum("pd,d->p", np.abs(dM[j]), gains[j])
-        bound = drift_norms[j + 1] + noise_bound
-        if not np.all(np.isfinite(bound) & (bound * _BOUND_SLACK <= cfg.r_local)):
-            return None
     return np.einsum("jn,jkn->jk", c, weights), coef
 
 
@@ -454,69 +463,30 @@ def _cut_grid(grid: WeightGrid, width: int) -> WeightGrid:
 
 
 def _readout_cone(
-    model: HjmModel, u0, cfg: SolverConfig, weights: np.ndarray, increments=None
+    model: HjmModel, u0, cfg: SolverConfig, weights: np.ndarray
 ) -> tuple[HjmModel, np.ndarray] | None:
     """The model and initial curve of Euler's first n' nodes, or None.
 
-    The readouts of ``weights``, of shape (n_steps + 1, K, n_nodes), are
-    bitwise the same when Euler steps only the first n' nodes, n' = max_j
-    (L_j + 1 + j reach) with L_j the last node that step j's weights touch
-    and ``reach`` how far one shift reads to the right (``_shift_reach``).
-    sigma is pointwise, the running integral and so the drift are causal
-    from the left, and the cut grid's flat tail and interpolation corrupt
-    only nodes within one reach of its end; so its error moves left by at
-    most one reach per step, and u_j stays exact on its first n' - j reach
-    nodes.  The caller reads each cut state through a zero-padded
-    full-width buffer, so every readout sums the same terms in the same order.
-
-    This holds only while no path localizes on either grid, so this returns
-    None unless the run's noise certifies that, with a per-path bound M_j >=
-    max|u_j| from the declared constants: s_k = max_x |sigma_k(t_j, x, 0)| +
-    gamma_k M_j bounds |sigma_k| (``gamma_seq``, as ``state_free`` trusts it),
-    and M_{j+1} = M_j + dt sum_k max|psi_k'(+-r_ball)| s_k + sum_k s_k
-    |dM_{j,k}|, since psi_k is convex and neither the shift nor interpolation
-    raises max|u|.  Every bound must be finite, every step's sqrt(sum_k (s_k
-    x_max)^2) at most r_ball (1 - 1e-9), so each ball flag holds and nothing
-    is clamped, and K M_j, with its slack and K the larger ``sup_gain`` of
-    the two grids, at most ``r_local``, so no norm exceeds it.  It also
-    returns None when the cut grid would not be narrower, or would shift
-    otherwise than the full one (aligned on one, interpolating on the other).
+    n' = max_j (L_j + 1 + j reach), L_j the last node step j's ``weights``
+    (n_steps + 1, K, n_nodes) touch and ``reach`` how far one shift reads to
+    the right (``_shift_reach``).  The cut grid's flat tail and
+    interpolation corrupt only nodes within one reach of its end, so u_j
+    stays bitwise exact on its first n' - j reach nodes while no path
+    localizes on either grid (``_no_path_localizes`` with the larger
+    ``sup_gain``), and so do the readouts of u_j.  None when the cut grid
+    would not be narrower, or would shift otherwise than the full one
+    (aligned on one, interpolating on the other).
     """
     grid, dt, m = model.grid, cfg.dt, cfg.n_steps
     touched = weights.any(axis=1)[:, ::-1]  # (n_steps + 1, n_nodes), last node first
     last = grid.n_nodes - 1 - touched.argmax(axis=1)
     width = int((last + 1 + _shift_reach(grid, dt) * np.arange(m + 1)).max())
-    if not 3 <= width < grid.n_nodes or model.vol.gamma_seq is None:
+    if not 3 <= width < grid.n_nodes:
         return None
     cone = _cut_grid(grid, width)
     if _aligned_cells(cone, dt) != _aligned_cells(grid, dt):
         return None
-    dM = _noise(model, cfg, increments)
-    u0_vals = _initial_curve(u0, cfg, grid)
-    r_ball = model.driver.r_ball
-    slopes = np.array([
-        np.abs(_component_value(model.cumulant, k, np.array([-r_ball, r_ball]), 1)).max()
-        for k in range(model.driver.dim)
-    ])
-    gamma = np.asarray(model.vol.gamma_seq, dtype=float)
-    gain = max(grid.sup_gain, cone.sup_gain) * _BOUND_SLACK
-    zero = np.zeros(grid.n_nodes)
-
-    def within(bound):
-        return np.isfinite(bound).all() and (gain * bound <= cfg.r_local).all()
-
-    bound = np.full(cfg.n_paths, np.abs(u0_vals).max())
-    for j in range(m):
-        if not within(bound):
-            return None
-        level = np.abs(model.vol.sigma_at(float(cfg.times[j]), grid.nodes, zero)).max(axis=0)
-        s = level + np.multiply.outer(bound, gamma)  # (n_paths, d): s_k >= max_x |sigma_k|
-        if not (np.sqrt(np.square(s).sum(axis=-1)) * grid.x_max <= r_ball * (1.0 - 1e-9)).all():
-            return None
-        bound = bound + dt * (s @ slopes) + (s * np.abs(dM[j])).sum(axis=-1)
-    if not within(bound):
-        return None
-    return replace(model, grid=cone), u0_vals[:width]
+    return replace(model, grid=cone), _values(u0)[:width]
 
 
 def _collect(

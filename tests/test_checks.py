@@ -432,20 +432,31 @@ class TestMartingaleBonds:
 
 
 def _bond_route(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
-    """The bond check's reports, the arguments and results of its mild
-    readouts and readout cone, how many times it stepped, and on how many
-    nodes each time."""
-    seen = {"steps": 0, "widths": []}
-    readouts, cone, transitions = (
-        checks._mild_readouts, checks._readout_cone, checks.euler_transitions
+    """The bond check's reports and its route: the weights and noise it read,
+    the certificate's arguments and verdict (None when no shortcut was
+    offered), the mild readouts it priced from (None when it did not), the
+    readout cone it was offered, the prices of every path, how many times
+    it stepped, and on how many nodes each time."""
+    seen = {"steps": 0, "widths": [], "certified": None, "readouts": None}
+    table, certify, readouts, cone, transitions, prices = (
+        checks.increment_table, checks._no_path_localizes, checks._mild_readouts,
+        checks._readout_cone, checks.euler_transitions, checks.bond_prices,
     )
 
+    def spy_table(*args):
+        seen["dM"] = table(*args)
+        return seen["dM"]
+
+    def spy_certify(*args):
+        seen["certify_args"], seen["certified"] = args, certify(*args)
+        return seen["certified"]
+
     def spy_readouts(*args):
-        seen["args"], seen["readouts"] = args, readouts(*args)
+        seen["weights"], seen["readouts"] = args[3], readouts(*args)
         return seen["readouts"]
 
     def spy_cone(*args):
-        seen["cone_args"], seen["cone"] = args, cone(*args)
+        seen["weights"], seen["cone"] = args[3], cone(*args)
         return seen["cone"]
 
     def spy_transitions(*args, **kwargs):
@@ -453,32 +464,48 @@ def _bond_route(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
         seen["widths"].append(args[0].grid.n_nodes)
         return transitions(*args, **kwargs)
 
+    def spy_prices(*args):
+        seen["priced"] = prices(*args)
+        return seen["priced"]
+
     with monkeypatch.context() as patch:
+        patch.setattr(checks, "increment_table", spy_table)
+        patch.setattr(checks, "_no_path_localizes", spy_certify)
         patch.setattr(checks, "_mild_readouts", spy_readouts)
         patch.setattr(checks, "_readout_cone", spy_cone)
         patch.setattr(checks, "euler_transitions", spy_transitions)
+        patch.setattr(checks, "bond_prices", spy_prices)
         reports = lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
     return reports, seen
 
 
 def _stepped_reports(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
-    """The bond check's reports with the mild and cone routes turned off:
-    every path steps the full grid."""
+    """The bond check's reports with its certificate refused: every path
+    steps the full grid."""
     with monkeypatch.context() as patch:
-        patch.setattr(checks, "_mild_readouts", lambda *args: None)
-        patch.setattr(checks, "_readout_cone", lambda *args: None)
+        patch.setattr(checks, "_no_path_localizes", lambda *args: False)
         return lh.verify_martingale_bonds(model, u0, list(maturities), cfg)
 
 
-def _stepped_prices(monkeypatch, model, u0, cfg, maturities=(2.0, 5.0)):
-    """``bond_prices`` of every path with the mild route turned off: the
-    paths step on the readout cone when it certifies, else on the full grid."""
-    with monkeypatch.context() as patch:
-        patch.setattr(checks, "_mild_readouts", lambda *args: None)
-        return checks.bond_prices(model, u0, list(maturities), cfg, slice(None))
+class _Routed(Exception):
+    """The route a bond check took: ("mild",), or ("stepped", n) on n nodes."""
 
 
-def _bond_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0):
+def _stop_at_the_route(monkeypatch):
+    """Make the bond check raise _Routed when it has chosen its route,
+    before it prices any path."""
+
+    def mild(*args):
+        raise _Routed("mild")
+
+    def stepped(model, *args):
+        raise _Routed("stepped", model.grid.n_nodes)
+
+    monkeypatch.setattr(checks, "_mild_readouts", mild)
+    monkeypatch.setattr(checks, "_stepped_integrals", stepped)
+
+
+def _bond_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0, r_ball=1.0):
     levels = [level, 0.5 * level][:dim]
     if vol_kind == "constant":
         vol = lh.constant_volatility(levels)
@@ -490,9 +517,19 @@ def _bond_model(grid, vol_kind, dim, driver_kind, level=0.1, sign=-1.0):
         comps = [lh.WienerComponent(1.0) for _ in range(dim)]
     else:
         comps = [lh.GammaComponent(1.0, 2.0) for _ in range(dim)]
-    driver = lh.build_driver(comps, r_ball=1.0, delta=1.5)
+    driver = lh.build_driver(comps, r_ball=r_ball, delta=1.5)
     return lh.HjmModel(
         grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=vol, drift_sign=sign
+    )
+
+
+def _ball_flags_hold(model, cfg):
+    """Every step's ball flag of a state-free sigma: where they all hold,
+    stepping at the default radius localizes no path."""
+    zero = np.zeros(model.grid.n_nodes)
+    return all(
+        lh.drift_functional(model, model.vol.sigma_at(t, model.grid.nodes, zero))[1].all()
+        for t in cfg.times[:-1]
     )
 
 
@@ -516,33 +553,65 @@ class TestMildBondRoute:
             reports, seen = _bond_route(monkeypatch, model, u0, cfg)
             assert seen["readouts"] is not None and seen["steps"] == 0
             # the stepped D is the reference, on the check's own weights and noise
-            _model, _u0, _cfg, weights, dM = seen["args"]
-            mild = np.empty((cfg.n_paths, cfg.n_steps + 1, 2))
-            assert checks._mild_prices(mild, seen["readouts"], dM, bond_grid.n_nodes)
-            step, n_step, _n_bad = _stepped_prices(monkeypatch, model, u0, cfg)
-            assert n_step == 0
+            mild, n_mild, _n_bad = seen["priced"]
+            step, n_step = _stepped_prices(model, u0, cfg, seen["weights"], seen["dM"])
+            assert n_mild == n_step == 0
             np.testing.assert_allclose(mild, step, rtol=1e-12, atol=0.0)
             assert [r.passed for r in reports] == [r.passed for r in stepped]
             for r, s in zip(reports, stepped):
                 assert r.lhs == pytest.approx(s.lhs, rel=1e-9, abs=1e-15)
             # the integrals are accumulated elementwise: bitwise in the block
-            rows_out = [report_row(r) for r in reports]
-            assert first is None or rows_out == first
-            first = rows_out
+            assert first is None or mild.tobytes() == first
+            first = mild.tobytes()
 
-    def test_fallback_at_a_reached_radius_is_bitwise_stepping(self, monkeypatch, bond_grid, u0):
-        model = _bond_model(bond_grid, "constant", 1, "wiener")
-        cfg = lh.SolverConfig(horizon=1.0, n_steps=20, n_paths=400, seed=3)
+    @pytest.mark.parametrize("n_steps", [10, 7], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("driver_kind", ["wiener", "gamma"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("vol_kind", ["constant", "exp_decay"])
+    def test_certified_wherever_every_ball_flag_holds(
+        self, monkeypatch, bond_grid, u0, vol_kind, dim, driver_kind, n_steps
+    ):
+        model = _bond_model(bond_grid, vol_kind, dim, driver_kind)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=200, seed=9)
+        assert _ball_flags_hold(model, cfg)
+        _stop_at_the_route(monkeypatch)
+        with pytest.raises(_Routed) as routed:
+            lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
+        assert routed.value.args == ("mild",)
+
+    @pytest.mark.parametrize(
+        "driver_kind, level, r_ball", [("gamma", 0.45, 1.0), ("wiener", 0.9, 2.0)]
+    )
+    def test_decaying_sigma_certified_by_its_integral(
+        self, monkeypatch, bond_grid, u0, driver_kind, level, r_ball
+    ):
+        # int_0^6 level e^{-x/2} dx = 1.9 level stays inside the ball, while
+        # x_max max|sigma| = 6 level does not: a ball test on the latter
+        # would step this check
+        model = _bond_model(bond_grid, "exp_decay", 1, driver_kind, level=level, r_ball=r_ball)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=200, seed=9)
+        assert _ball_flags_hold(model, cfg)
+        assert bond_grid.x_max * level > r_ball
+        _stop_at_the_route(monkeypatch)
+        with pytest.raises(_Routed) as routed:
+            lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
+        assert routed.value.args == ("mild",)
+
+    def test_fallback_at_a_reached_radius_is_bitwise_stepping(self, monkeypatch):
+        # on 7 nodes (sup_gain 3.7) the drift alone keeps the certificate's
+        # bound inside the radius that 1 % of the free paths reach, so a
+        # bound without its noise term would certify every path
+        grid = lh.make_grid(6.0, 7, BETA)
+        u0 = 0.002 + 0.0015 * (1.0 - np.exp(-0.4 * grid.nodes))
+        model = _bond_model(grid, "constant", 1, "wiener", level=0.05, r_ball=0.4)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=400, seed=3)
         free = lh.euler_solve(model, u0, cfg)
-        r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
-        # the zero-noise curves c_j stay well inside the radius, so a bound
-        # without its noise term would certify every path
-        zero = np.zeros((cfg.n_steps, 1, 1))
-        drift_only = lh.euler_solve(model, u0, dataclasses.replace(cfg, n_paths=1), zero)
-        assert lh.norm_H(drift_only.curves[0], bond_grid).max() < 0.5 * r_local
+        r_local = float(np.quantile(lh.norm_H(free.curves, grid).max(axis=1), 0.99))
         tight = dataclasses.replace(cfg, r_local=r_local)
+        zero = np.zeros_like(free.increments)
+        assert solver._no_path_localizes(model, u0, tight, zero, grid.sup_gain)
         reports, seen = _bond_route(monkeypatch, model, u0, tight)
-        assert seen["readouts"] is None and seen["steps"] == 1
+        assert seen["certified"] is False and seen["readouts"] is None and seen["steps"] == 1
         assert 0 < reports[0].config["n_localized"] < cfg.n_paths
         assert reports == _stepped_reports(monkeypatch, model, u0, tight)
 
@@ -551,21 +620,21 @@ class TestMildBondRoute:
         model = _bond_model(bond_grid, "constant", 1, "gamma", level=0.5)
         cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=50, seed=3)
         reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        assert seen["readouts"] is None and seen["steps"] == 1
+        assert seen["certified"] is False and seen["readouts"] is None and seen["steps"] == 1
         assert reports[0].config["n_localized"] == cfg.n_paths
         assert [report_row(r) for r in reports] == [
             report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)
         ]
 
-    def test_state_dependent_volatility_steps(self, bond_grid, u0):
+    def test_state_dependent_volatility_steps(self, monkeypatch, bond_grid, u0):
         driver = lh.build_driver([lh.GammaComponent(1.0, 2.0)], r_ball=1.0, delta=1.5)
         model = lh.HjmModel(
             grid=bond_grid, driver=driver, cumulant=lh.CumulantModel(driver),
             vol=lh.tanh_volatility([0.12], [1.0]),
         )
         cfg = lh.SolverConfig(horizon=1.0, n_steps=4, n_paths=3, seed=1)
-        weights = np.ones((cfg.n_steps + 1, 2, bond_grid.n_nodes))
-        assert solver._mild_readouts(model, u0, cfg, weights) is None
+        _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        assert seen["readouts"] is None and seen["steps"] == 1
 
     def test_mild_form_costlier_than_stepping_steps(self, monkeypatch):
         # d K n_steps / 2 = 1 * 5 * 40 / 2 = 100 readout products per path and
@@ -608,42 +677,38 @@ class TestMildBondRoute:
         )
         n_paths = 10_000 if shape.startswith("bond_arbiter") else 100_000
         cfg = lh.SolverConfig(horizon=1.0, n_steps=20, n_paths=n_paths, seed=401)
-
-        class Routed(Exception):
-            pass
-
-        readouts = checks._mild_readouts
-
-        def decide(*args):
-            raise Routed(readouts(*args) is not None)
-
-        monkeypatch.setattr(checks, "_mild_readouts", decide)
-        with pytest.raises(Routed) as routed:
+        _stop_at_the_route(monkeypatch)
+        with pytest.raises(_Routed) as routed:
             lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
-        assert routed.value.args == (True,)
+        assert routed.value.args == ("mild",)
 
     def test_nonfinite_integral_refuses_the_mild_prices(self, bond_grid, u0):
         model = _bond_model(bond_grid, "constant", 1, "wiener")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=5, n_paths=6, seed=1)
         weights = np.ones((cfg.n_steps + 1, 2, bond_grid.n_nodes))
         dM = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
-        readouts = solver._mild_readouts(model, u0, cfg, weights, dM)
-        assert readouts is not None
+        readouts = solver._mild_readouts(model, u0, cfg, weights)
         D = np.empty((cfg.n_paths, cfg.n_steps + 1, 1))
-        assert checks._mild_prices(D, readouts, dM, bond_grid.n_nodes)
+
+        def n_exited():
+            integrals = checks._mild_integrals(readouts, dM, bond_grid.n_nodes)
+            return checks._fill_prices(D, integrals, cfg.n_steps)
+
+        assert n_exited() == 0
         dM[2, 4, 0] = np.inf
-        assert not checks._mild_prices(D, readouts, dM, bond_grid.n_nodes)
+        assert n_exited() == 1
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _full_grid_prices(model, u0, cfg, weights, dM):
-    """D and the localized count from stepping every path on the full grid,
-    with a warning per step of its non-finite exits."""
+def _stepped_prices(model, u0, cfg, weights, dM):
+    """D and the localized count from stepping every path on ``model``'s
+    grid, with a warning per step of its non-finite exits."""
     D = np.empty((cfg.n_paths, cfg.n_steps + 1, weights.shape[1] - 1))
     n_bad = np.zeros(cfg.n_steps, dtype=int)
-    n_localized = checks._read_states(D, model, u0, cfg, weights, dM, n_bad)
+    integrals = checks._stepped_integrals(model, u0, cfg, weights, dM, n_bad)
+    n_localized = checks._fill_prices(D, integrals, cfg.n_steps)
     solver._warn_nonfinite(n_bad)
     return D, n_localized
 
@@ -672,14 +737,13 @@ class TestConeBondRoute:
                     solver, "_BLOCK_VALUES", default_block if rows is None else rows * width
                 )
             reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-            assert seen["readouts"] is None and seen["cone"] is not None
+            assert seen["readouts"] is None and seen["certified"] is True
             width = seen["cone"][0].grid.n_nodes
             assert width < bond_grid.n_nodes and seen["widths"] == [width]
             assert [report_row(r) for r in reports] == full
             # D itself, on the check's own weights and noise
-            _model, _u0, _cfg, weights, dM = seen["cone_args"]
-            reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
-            D, n_localized, _n_bad = _stepped_prices(monkeypatch, model, u0, cfg)
+            reference, n_full = _stepped_prices(model, u0, cfg, seen["weights"], seen["dM"])
+            D, n_localized, _n_bad = seen["priced"]
             assert n_localized == n_full == 0
             assert D.tobytes() == reference.tobytes()
 
@@ -690,21 +754,11 @@ class TestConeBondRoute:
         # check stops there
         sc = cli.load_scenario(CONFIG_DIR / "gamma_hjm.yaml")
         bundle = cli.build_bundle(sc)
-
-        class Routed(Exception):
-            pass
-
-        cone = checks._readout_cone
-
-        def decide(*args):
-            routed = cone(*args)
-            raise Routed(None if routed is None else routed[0].grid.n_nodes)
-
-        monkeypatch.setattr(checks, "_readout_cone", decide)
-        with pytest.raises(Routed) as routed:
+        _stop_at_the_route(monkeypatch)
+        with pytest.raises(_Routed) as routed:
             cli._run_martingale_bonds(sc, bundle, sc.seed if seed is None else seed)
         # maturity 5 reaches node 160 of 321, one node less per one-cell step
-        assert routed.value.args == (161,)
+        assert routed.value.args == ("stepped", 161)
 
     @pytest.mark.parametrize("n_steps", [20, 10, 7], ids=["one_cell", "two_cells", "interpolating"])
     def test_width_one_reach_short_changes_a_bond_integral(self, monkeypatch, bond_grid, u0, n_steps):
@@ -712,14 +766,13 @@ class TestConeBondRoute:
         model = _bond_model(bond_grid, "tanh", 1, "gamma")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=40, seed=9)
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        _model, _u0, _cfg, weights, dM = seen["cone_args"]
-        reference, _ = _full_grid_prices(model, u0, cfg, weights, dM)
+        weights, dM = seen["weights"], seen["dM"]
+        reference, _ = _stepped_prices(model, u0, cfg, weights, dM)
         width = seen["cone"][0].grid.n_nodes
         for cut, same in ((width, True), (width - _shift_reach(bond_grid, cfg.dt), False)):
             narrow = dataclasses.replace(model, grid=solver._cut_grid(bond_grid, cut))
-            D = np.empty_like(reference)
-            n_bad = np.zeros(cfg.n_steps, dtype=int)
-            assert checks._read_states(D, narrow, u0[:cut], cfg, weights, dM, n_bad) == 0
+            D, n_localized = _stepped_prices(narrow, u0[:cut], cfg, weights, dM)
+            assert n_localized == 0
             assert (D.tobytes() == reference.tobytes()) is same
 
     def test_localizing_radius_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
@@ -730,17 +783,17 @@ class TestConeBondRoute:
         tight = dataclasses.replace(cfg, r_local=r_local)
         expected = [report_row(r) for r in _stepped_reports(monkeypatch, model, u0, tight)]
         reports, seen = _bond_route(monkeypatch, model, u0, tight)
-        assert seen["cone"] is None and seen["widths"] == [bond_grid.n_nodes]
+        assert seen["certified"] is False and seen["widths"] == [bond_grid.n_nodes]
         assert 0 < reports[0].config["n_localized"] < cfg.n_paths
         assert [report_row(r) for r in reports] == expected
         # the cone certified at the default radius, stepped at the tight one,
         # localizes paths, and the check then steps the full grid as well
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        cone = seen["cone"]
-        assert cone is not None
-        monkeypatch.setattr(checks, "_readout_cone", lambda *args: cone)
+        assert seen["certified"] is True
+        width = seen["cone"][0].grid.n_nodes
+        monkeypatch.setattr(checks, "_no_path_localizes", lambda *args: True)
         reports, seen = _bond_route(monkeypatch, model, u0, tight)
-        assert seen["widths"] == [cone[0].grid.n_nodes, bond_grid.n_nodes]
+        assert seen["widths"] == [width, bond_grid.n_nodes]
         assert [report_row(r) for r in reports] == expected
 
     def test_ball_bound_beyond_the_ball_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
@@ -753,14 +806,13 @@ class TestConeBondRoute:
         )
         cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=50, seed=3)
         reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        assert seen["cone"] is None and seen["widths"] == [bond_grid.n_nodes]
+        assert seen["certified"] is False and seen["widths"] == [bond_grid.n_nodes]
         assert reports[0].config["n_localized"] == 0
         assert [report_row(r) for r in reports] == [
             report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)
         ]
-        _model, _u0, _cfg, weights, dM = seen["cone_args"]
-        reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
-        D, n_localized, _n_bad = _stepped_prices(monkeypatch, model, u0, cfg)
+        reference, n_full = _stepped_prices(model, u0, cfg, seen["weights"], seen["dM"])
+        D, n_localized, _n_bad = seen["priced"]
         assert n_localized == n_full == 0
         assert D.tobytes() == reference.tobytes()
 
@@ -779,29 +831,28 @@ class TestConeBondRoute:
         assert [report_row(r) for r in reports] == [
             report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg, (2.0,))
         ]
-        _model, _u0, _cfg, weights, dM = seen["cone_args"]
-        reference, _ = _full_grid_prices(model, u0, cfg, weights, dM)
+        weights, dM = seen["weights"], seen["dM"]
+        reference, _ = _stepped_prices(model, u0, cfg, weights, dM)
         narrow = dataclasses.replace(model, grid=solver._cut_grid(grid, 60))
-        D = np.empty_like(reference)
-        n_bad = np.zeros(cfg.n_steps, dtype=int)
-        assert checks._read_states(D, narrow, u0[:60], cfg, weights, dM, n_bad) == 0
+        D, n_localized = _stepped_prices(narrow, u0[:60], cfg, weights, dM)
+        assert n_localized == 0
         assert D.tobytes() != reference.tobytes()
 
     def test_infinite_increment_falls_back_to_full_stepping(self, monkeypatch, bond_grid, u0):
         model = _bond_model(bond_grid, "tanh", 1, "gamma")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=40, seed=9)
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        assert seen["cone"] is not None
-        _model, _u0, _cfg, weights, dM = seen["cone_args"]
-        dM = dM.copy()
+        assert seen["certified"] is True
+        weights, dM = seen["weights"], seen["dM"].copy()
         dM[4, 6, 0] = np.inf
-        assert solver._readout_cone(model, u0, cfg, weights, dM) is None
         with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
-            reference, n_full = _full_grid_prices(model, u0, cfg, weights, dM)
+            reference, n_full = _stepped_prices(model, u0, cfg, weights, dM)
         # the check's own noise table, with the infinity
         monkeypatch.setattr(checks, "increment_table", lambda *args: dM)
-        priced = _stepped_prices(monkeypatch, model, u0, cfg)
-        D, n_localized, n_bad = priced
+        with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
+            _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
+        assert seen["certified"] is False and seen["widths"] == [bond_grid.n_nodes]
+        D, n_localized, n_bad = priced = seen["priced"]
         assert n_localized == n_full == 1
         assert n_bad.tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
         assert D.tobytes() == reference.tobytes()
@@ -841,7 +892,11 @@ class TestBondPriceRows:
             r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.95))
             cfg = dataclasses.replace(cfg, r_local=r_local)
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        taken = "mild" if seen["readouts"] is not None else "cone" if seen["cone"] else "full"
+        taken = (
+            "mild" if seen["readouts"] is not None
+            else "cone" if seen["widths"] == [seen["cone"][0].grid.n_nodes]
+            else "full"
+        )
         assert taken == route
         whole, n_whole, _n_bad = checks.bond_prices(model, u0, [2.0, 5.0], cfg, slice(None))
         assert (n_whole > 0) == (route == "full")
@@ -885,8 +940,8 @@ class TestBondPriceRows:
         free = lh.euler_solve(model, u0, cfg)
         r_local = float(np.quantile(lh.norm_H(free.curves, bond_grid).max(axis=1), 0.99))
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        cone = seen["cone"]
-        monkeypatch.setattr(checks, "_readout_cone", lambda *args: cone)
+        assert seen["certified"] is True
+        monkeypatch.setattr(checks, "_no_path_localizes", lambda *args: True)
         tight = dataclasses.replace(cfg, r_local=r_local)
         parts = [
             checks.bond_prices(model, u0, [2.0, 5.0], tight, rows)
@@ -895,16 +950,15 @@ class TestBondPriceRows:
         assert None in parts and any(part is not None for part in parts)
         # every path at once steps the full grid, as the check does
         whole, n_whole, _n_bad = checks.bond_prices(model, u0, [2.0, 5.0], tight, slice(None))
-        reference, n_full = _full_grid_prices(model, u0, tight, *seen["cone_args"][3:])
+        reference, n_full = _stepped_prices(model, u0, tight, seen["weights"], seen["dM"])
         assert n_whole == n_full > 0 and whole.tobytes() == reference.tobytes()
 
     def test_non_finite_mild_integral_gives_none_for_the_part(self, monkeypatch, bond_grid, u0):
-        # readouts certified on finite noise, priced on noise with an infinity
+        # the certificate as on finite noise, the prices on noise with an infinity
         model = _bond_model(bond_grid, "constant", 1, "wiener")
         cfg = lh.SolverConfig(horizon=1.0, n_steps=5, n_paths=6, seed=1)
         _reports, seen = _bond_route(monkeypatch, model, u0, cfg)
-        readouts = seen["readouts"]
-        assert readouts is not None
+        assert seen["readouts"] is not None
         table = checks.increment_table
 
         def with_infinity(*args):
@@ -912,7 +966,7 @@ class TestBondPriceRows:
             dM[2, 4, 0] = np.inf
             return dM
 
-        monkeypatch.setattr(checks, "_mild_readouts", lambda *args: readouts)
+        monkeypatch.setattr(checks, "_no_path_localizes", lambda *args: True)
         monkeypatch.setattr(checks, "increment_table", with_infinity)
         first, last = _bond_parts(cfg.n_paths, 2)
         assert checks.bond_prices(model, u0, [2.0, 5.0], cfg, first) is not None
@@ -920,7 +974,7 @@ class TestBondPriceRows:
         # every path at once falls back to the full grid, where path 4 exits
         dM = checks.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, cfg.seed)
         with pytest.warns(RuntimeWarning, match="non-finite curves at step 2"):
-            reference, n_full = _full_grid_prices(model, u0, cfg, seen["args"][3], dM)
+            reference, n_full = _stepped_prices(model, u0, cfg, seen["weights"], dM)
         whole, n_whole, n_bad = checks.bond_prices(model, u0, [2.0, 5.0], cfg, slice(None))
         assert n_whole == n_full == 1 and n_bad.tolist() == [0, 0, 1, 0, 0]
         assert whole.tobytes() == reference.tobytes()

@@ -799,13 +799,13 @@ class TestSplitBondCheck:
         bundle = build_bundle(sc)
         maturities = BOND_CHECK["maturities"]
         seen = {}
-        cone = lh.checks._readout_cone
+        certify = lh.checks._no_path_localizes
         monkeypatch.setattr(
-            lh.checks, "_readout_cone", lambda *args: seen.setdefault("cone", cone(*args))
+            lh.checks, "_no_path_localizes", lambda *args: seen.setdefault("certified", certify(*args))
         )
         cfg = cli._bond_config(sc, sc.seed)
         lh.checks.bond_prices(bundle.model, bundle.u0, maturities, cfg, slice(None))
-        assert seen["cone"] is not None
+        assert seen["certified"] is True
         tight = load_scenario(
             write_config(tmp_path, {"verify": BOND_CHECK, "solver.r_local": 0.02495})
         )

@@ -96,6 +96,12 @@ class TestVolatilityBuiltins:
         bare = _custom_spec("bare", 1, lambda t, x, u: np.zeros(_shape(x, u) + (1,)))
         assert not bare.state_free  # undeclared gamma_seq
 
+    @pytest.mark.parametrize("gamma", [[-0.1], [0.2, math.nan]], ids=["negative", "nan"])
+    def test_gamma_seq_must_be_nonnegative(self, gamma):
+        sig = lambda t, x, u: np.zeros(_shape(x, u) + (len(gamma),))
+        with pytest.raises(ValueError, match="gamma_seq must be nonnegative"):
+            lh.VolatilitySpec(name="bad", dim=len(gamma), sigma=sig, gamma_seq=np.array(gamma))
+
 
 class TestApplyB:
     def test_zero_vector_gives_zero_curve(self, wiener_model, grid):
@@ -461,25 +467,38 @@ _BUILTIN_PARAMS = {
 
 
 class TestDeclaredConstantsAudit:
-    """The bond check's readout-cone certificate trusts each volatility's
-    declared ``gamma_seq``; every volatility a config can build must pass
-    the audit of it (the false tanh declaration above must fail it)."""
+    """The bond check's certificate (``solver._no_path_localizes``) trusts
+    each volatility's declared ``gamma_seq``; every volatility a config can
+    build must pass the audit of it (the false tanh declaration above must
+    fail it)."""
 
     def test_every_builtin_has_a_case(self):
         assert set(_BUILTIN_PARAMS) == set(lh.VOLATILITY_BUILTINS)
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("name", sorted(lh.VOLATILITY_BUILTINS))
-    def test_declared_gamma_seq_passes_the_audit(self, name, dim):
+    @staticmethod
+    def _audit(name, params, dim):
         grid = lh.make_grid(10.0, 321, BETA)  # the bundled grid
-        params = {k: v[:dim] for k, v in _BUILTIN_PARAMS[name].items()}
+        params = {k: v[:dim] for k, v in params.items()}
         vol = lh.volatility_from_config(name, params)
         driver = lh.build_driver(
             [lh.GammaComponent(1.0, 2.0)] * dim, r_ball=0.4, delta=1.5
         )
         m = lh.HjmModel(grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=vol)
-        check = lh.check_hypotheses(m, 2000, seed=3)["u_derivatives_bounded"]
+        return lh.check_hypotheses(m, 2000, seed=3)["u_derivatives_bounded"]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", sorted(lh.VOLATILITY_BUILTINS))
+    def test_declared_gamma_seq_passes_the_audit(self, name, dim):
+        check = self._audit(name, _BUILTIN_PARAMS[name], dim)
         assert check.passed, (name, check.worst_margin)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_negative_tanh_scale_passes_the_audit(self, dim):
+        # a config may give a tanh volatility a negative scale: its gamma_seq
+        # bounds |sigma_u| + |sigma_uu| by the scale's magnitude
+        params = {"scales": [-0.05, 0.02], "decays": [1.0, 0.5]}
+        check = self._audit("tanh_bounded", params, dim)
+        assert check.passed, check.worst_margin
 
 
 class TestLipschitzEstimates:

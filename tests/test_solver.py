@@ -1310,14 +1310,17 @@ flat = lh.HjmModel(
     vol=lh.constant_volatility([0.05]),
 )
 flat_cfg = lh.SolverConfig(horizon=1.0, n_steps=10, n_paths=1500, seed=5)
-weights = np.ones((flat_cfg.n_steps + 1, 1, grid.n_nodes))
-mild = lh.solver._mild_readouts(flat, u0, flat_cfg, weights) is not None
+mild_route, widths = lh.checks._mild_readouts, []
+lh.checks._mild_readouts = lambda *args: widths.append(0) or mild_route(*args)
+stepped = lh.checks._stepped_integrals
+lh.checks._stepped_integrals = (
+    lambda model, *args: widths.append(model.grid.n_nodes) or stepped(model, *args)
+)
 rows += [report_row(r) for r in lh.verify_martingale_bonds(flat, u0, [2.0, 5.0], flat_cfg)]
+mild = widths == [0]
 # the tanh sigma's bond check at the default radius steps its readout cone
-cone_route, cones = lh.checks._readout_cone, []
-lh.checks._readout_cone = lambda *args: cones.append(cone_route(*args)) or cones[-1]
 rows += [report_row(r) for r in lh.verify_martingale_bonds(model, u0, [2.0, 5.0], flat_cfg)]
-cone = len(cones) == 1 and cones[0] is not None
+cone = len(widths) == 2 and 0 < widths[1] < grid.n_nodes
 big = lh.make_grid(10.0, 321, 0.1)
 curves = lh.random_curves(big, 2003, np.random.default_rng(3))
 h = hashlib.sha256()
