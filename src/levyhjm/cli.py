@@ -26,16 +26,11 @@ import argparse
 import contextlib
 import copy
 import csv
-import ctypes
 import hashlib
 import json
 import math
 import operator
-import os
-import pickle
-import signal
 import sys
-import warnings
 import zlib
 from dataclasses import dataclass
 from functools import partial
@@ -61,6 +56,7 @@ from .checks import (
     verify_isometry,
     verify_martingale_bonds,
 )
+from ._children import _forked
 from .curvespace import WeightGrid, make_grid
 from .levy import (
     CompoundPoissonComponent,
@@ -77,7 +73,7 @@ from .solver import (
     SolverConfig,
     _initial_curve,
     _norm_moments,
-    _row_blocks,
+    _shares,
     euler_solve,
     picard_solve,
 )
@@ -563,155 +559,13 @@ CHECK_REGISTRY = {
 }
 
 
-# OpenBLAS's thread-count getter and setter under each build's symbol names:
-# plain, 64-bit integers, and the scipy-openblas builds that numpy's wheels ship
-_OPENBLAS_THREADS = [
-    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("", "scipy_")
-    for suffix in ("", "64_")
-]
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the OpenBLAS this process has loaded on one thread in the block,
-    and restore the caller's setting when it ends.
-
-    A process forked in the block runs on one thread without a call of its
-    own.  The checks and the simulation already fill the cores, and a second
-    OpenBLAS thread spins while it waits for work: on two cores, with two
-    OpenBLAS threads, the six checks of ``gamma_hjm.yaml`` took 1.8-2.2 s of
-    CPU in their processes against 0.9-1.0 s with one, and the run was no
-    faster than running them one after another.  Setting the count in a
-    freshly forked child instead starts a pool thread, which spins about
-    0.13 s before it sleeps.  OpenBLAS splits a product over its outputs,
-    so the reports are the same bits on one thread.  Loaded libraries are
-    read from /proc/self/maps; without that file, or under another BLAS,
-    this does nothing.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        libs = []
-    restore = []  # (setter, the caller's thread count) of each library
-    for lib in libs:
-        for get_name, set_name in _OPENBLAS_THREADS:
-            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                restore.append((setter, getter()))
-                setter(1)
-                break
-    try:
-        yield
-    finally:
-        for setter, n_threads in restore:
-            setter(n_threads)
-
-
-def _usable_cores() -> int:
-    """How many cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _bond_shards(sc: Scenario, bundle: ModelBundle, seed: int) -> list[slice]:
     """Contiguous rows of the bond check's paths, one slice per process.
 
     One per core this process may use, but no more than the row blocks in
-    which the full grid steps the paths (``solver._row_blocks``).
+    which the full grid steps the paths (``solver._shares``).
     """
-    n_paths = _bond_config(sc, seed).n_paths
-    k = min(_usable_cores(), len(list(_row_blocks(n_paths, bundle.grid.n_nodes))))
-    return [slice(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
-
-
-def _sendable(caught: warnings.WarningMessage) -> tuple:
-    """A warning a child issued as it sends it: (category, message, file,
-    line).  A category that pickle cannot find by name, such as a class
-    defined in a function, is sent as UserWarning, with its qualified name
-    before the message."""
-    category, message = caught.category, str(caught.message)
-    try:
-        pickle.dumps(category)
-    except (AttributeError, pickle.PicklingError):
-        category, message = UserWarning, f"{category.__qualname__}: {message}"
-    return category, message, caught.filename, caught.lineno
-
-
-def _fork(job):
-    """Fork a process that runs ``job()``, writes the pickled (value, error,
-    warnings) to a pipe, and exits.
-
-    The error is None, or the type name and message of the exception the
-    job raised; the warnings are those it issued, as ``_sendable`` makes
-    them.  The output is pickled whole before any of it is written.
-    Returns the child's pid and the pipe's read end.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child: it leaves only through os._exit
-        status = 1
-        try:
-            os.close(read_fd)
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    value, error = job(), None
-                except Exception as exc:  # noqa: BLE001 - re-raised by the parent
-                    value, error = None, (type(exc).__name__, str(exc))
-            issued = [_sendable(w) for w in caught]
-            payload = pickle.dumps((value, error, issued), protocol=pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _read_child(pipe):
-    """The pickled output a child wrote, read to the pipe's end, or None
-    when it stops short, as it does when the child died."""
-    try:
-        output = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        output = None
-    pipe.read()
-    return output
-
-
-def _check_result(name: str, status: int, output):
-    """The value of a child of check ``name``, from its wait status and output.
-
-    The child's warnings are issued again here.  A check that raised is
-    raised again under its exception's type name and message; a child that
-    died or exited otherwise raises a RuntimeError that names the check.
-    """
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        raise RuntimeError(f"check {name!r} died from signal {signal.Signals(-code).name}")
-    if code:
-        raise RuntimeError(f"check {name!r} exited with code {code}")
-    if output is None:
-        raise RuntimeError(f"check {name!r} wrote a short result")
-    value, error, issued = output
-    for category, message, filename, lineno in issued:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if error is not None:
-        type_name, message = error
-        raise type(type_name, (RuntimeError,), {})(message)
-    return value
+    return _shares(_bond_config(sc, seed).n_paths, bundle.grid.n_nodes)
 
 
 @contextlib.contextmanager
@@ -727,51 +581,37 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
     shard's prices) and the warnings it issued; the bond reports are the
     ``checks.bond_join`` of the shards' prices, in this process.
 
-    The join returns the reports merged sorted by name.  It reads each
-    child's pipe to the end before it waits for the child, so a large output
-    cannot block a child on a full pipe.  In the order of ``names`` it issues
-    each child's warnings again and raises the error of a check that failed.
-    Each check draws from its own seed stream, so the reports are those of
-    running the checks one after another.  However the block is left, every
-    child not yet joined is killed and reaped.
+    The join returns the reports merged sorted by name.  In the order of
+    ``names`` it issues each child's warnings again and raises the error of
+    a check that failed (``_children._forked``).  Each check draws from its
+    own seed stream, so the reports are those of running the checks one
+    after another.  However the block is left, every child not yet joined is
+    killed and reaped.
     """
-    children = []  # (name, pid, pipe) of each child not yet reaped
+    jobs = []  # (name, job) of each child
+    for name in names:
+        if name == "martingale_bonds":
+            bond = _bond_check(sc, bundle, seed)
+            jobs += [(name, partial(bond_prices, *bond, r)) for r in _bond_shards(sc, bundle, seed)]
+        else:
+            jobs.append((name, partial(CHECK_REGISTRY[name], sc, bundle, seed)))
 
-    def join() -> list[CheckReport]:
-        reports: list[CheckReport] = []
-        priced = []  # the bond shards' values, in row order
-        while children:
-            name, pid, pipe = children[0]
-            output = _read_child(pipe)
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            pipe.close()
-            value = _check_result(name, status, output)
-            if name == "martingale_bonds":
-                priced.append(value)
-            else:
-                reports += value
-        if priced:
-            reports += bond_join(*_bond_check(sc, bundle, seed), priced)
-        return sorted(reports, key=lambda r: r.name)
+    # every child runs OpenBLAS on one thread; the simulation on the caller's
+    with _forked([(f"check {name!r}", job) for name, job in jobs]) as join_children:
 
-    try:
-        # every child runs OpenBLAS on one thread; the simulation on the caller's
-        with _one_blas_thread():
-            for name in names:
+        def join() -> list[CheckReport]:
+            reports: list[CheckReport] = []
+            priced = []  # the bond shards' values, in row order
+            for (name, _job), value in zip(jobs, join_children()):
                 if name == "martingale_bonds":
-                    bond = _bond_check(sc, bundle, seed)
-                    jobs = [partial(bond_prices, *bond, r) for r in _bond_shards(sc, bundle, seed)]
+                    priced.append(value)
                 else:
-                    jobs = [partial(CHECK_REGISTRY[name], sc, bundle, seed)]
-                for job in jobs:
-                    children.append((name, *_fork(job)))
+                    reports += value
+            if priced:
+                reports += bond_join(*_bond_check(sc, bundle, seed), priced)
+            return sorted(reports, key=lambda r: r.name)
+
         yield join
-    finally:
-        for _name, pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,19 @@ Paths are independent, so the loop runs them in blocks of consecutive rows
 sized to stay in cache, each block through every time step before the next,
 and so does the certificate.  No buffer holds the whole ensemble's state at
 one time: the loop alternates two block-sized states, which ``euler_solve``
-and ``picard_solve`` copy into their curves at every step.  Curves, exit
-indices and Picard residuals are bitwise those of stepping the whole
-ensemble at once: every operation is per path, and a residual's mean over
-paths is one reduction over all of them.
+and ``picard_solve`` copy into their curves at every step.  The solvers also
+split the paths into contiguous shares, one per usable core but no more
+than the row blocks (``_shares``): a solve of at least two row blocks on at
+least two cores steps the first share in this process and each other one in
+a forked child, which for Picard also certifies its own rows.  Every process
+writes its rows of the curves, exit indices and certificate distances into
+one shared anonymous mapping allocated before the fork, so the curves are
+never pickled.  One row block, as in the bundled scenario's 48-path solve,
+never forks.  Curves, exit indices and Picard residuals are bitwise those
+of stepping the whole ensemble at once in one process: every operation is
+per path, and a residual's mean over paths is one reduction, which this
+process makes over all of them.  perfbench's spans, recorded in the process
+that runs them, see only this process's share.
 
 With a state-free volatility the Euler scheme is linear with additive noise,
 so u_j = c_j + sum_{i<j} S^{j-1-i} sigma_i dM_i, c_j the zero-noise
@@ -74,10 +83,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
+from . import _children
+from ._children import _run_shares, _shared_arrays
 from .curvespace import (
     WeightGrid,
     cumulative_integral,
@@ -242,6 +254,16 @@ def _row_blocks(n_paths: int, n_nodes: int) -> Iterator[slice]:
     rows = max(1, _BLOCK_VALUES // n_nodes)
     for start in range(0, n_paths, rows):
         yield slice(start, min(start + rows, n_paths))
+
+
+def _shares(n_paths: int, n_nodes: int) -> list[slice]:
+    """Contiguous, nearly equal slices of the path axis, one per process.
+
+    One per core this process may use, but no more than the row blocks
+    (``_row_blocks``) in which the paths are stepped.
+    """
+    k = min(_children._usable_cores(), len(list(_row_blocks(n_paths, n_nodes))))
+    return [slice(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
 
 
 def _step_kernel(model: HjmModel, times: np.ndarray):
@@ -489,20 +511,64 @@ def _readout_cone(
     return replace(model, grid=cone), _values(u0)[:width]
 
 
+def _solve_rows(
+    model: HjmModel, u0, cfg: SolverConfig, dM: np.ndarray, rows: slice,
+    curves: np.ndarray, exit_index: np.ndarray, n_bad: np.ndarray, gaps: np.ndarray | None,
+) -> None:
+    """Step the paths ``rows`` into ``curves`` and ``exit_index``, the whole
+    ensemble's, and certify them into ``gaps`` when it is given.
+
+    With ``gaps`` the loop steps the exponential-Euler recursion, as
+    ``picard_solve`` does.  ``n_bad`` gathers the non-finite exits of these
+    paths per step.
+    """
+    share = replace(cfg, n_paths=rows.stop - rows.start)
+    dM, curves, exit_index = dM[:, rows], curves[rows], exit_index[rows]
+    for j, block, states, exits in euler_transitions(
+        model, u0, share, increments=dM, _exponential=gaps is not None, _n_bad=n_bad
+    ):
+        curves[block, j] = states
+        if j == cfg.n_steps:
+            exit_index[block] = exits
+    if gaps is not None:
+        _certify(model, share, curves, exit_index, dM, gaps[:, rows])
+
+
 def _collect(
     model: HjmModel, u0, cfg: SolverConfig, increments, exponential: bool = False
-) -> SolutionEnsemble:
-    """Every state of ``euler_transitions``, copied into the curves a block at a time."""
+) -> tuple[SolutionEnsemble, np.ndarray | None]:
+    """Every state of ``euler_transitions`` in the curves; with
+    ``exponential``, of the exponential-Euler recursion, with the gaps of
+    its certificate.
+
+    The paths are split into contiguous shares, one per core this process
+    may use and at most one per row block (``_shares``).  This process runs
+    the first share and a forked child each other one
+    (``_children._run_shares``), each through ``_solve_rows``, into arrays
+    of one shared anonymous mapping made before the fork: the curves, the
+    exit indices, each share's non-finite counts and, for Picard, the (2,
+    n_paths, n_steps + 1) certificate gaps.  The counts are summed over the
+    shares and warned about once per step.  Returns the ensemble and the
+    gaps (None without ``exponential``).
+    """
     dM = _noise(model, cfg, increments)
-    curves = np.empty((cfg.n_paths, cfg.n_steps + 1, model.grid.n_nodes))
-    exit_index = np.empty(cfg.n_paths, dtype=int)
-    for j, rows, states, exits in euler_transitions(
-        model, u0, cfg, increments=dM, _exponential=exponential
-    ):
-        curves[rows, j] = states
-        if j == cfg.n_steps:
-            exit_index[rows] = exits
-    return SolutionEnsemble(
+    m, n = cfg.n_steps, model.grid.n_nodes
+    shares = _shares(cfg.n_paths, n)
+    layout = [((cfg.n_paths, m + 1, n), float), ((cfg.n_paths,), int), ((len(shares), m), int)]
+    if exponential:
+        layout.append(((2, cfg.n_paths, m + 1), float))
+    curves, exit_index, n_bad, *gaps = _shared_arrays(layout)
+    gaps = gaps[0] if gaps else None
+    jobs = [
+        (
+            f"solver rows {rows.start}:{rows.stop}",
+            partial(_solve_rows, model, u0, cfg, dM, rows, curves, exit_index, n_bad[i], gaps),
+        )
+        for i, rows in enumerate(shares)
+    ]
+    _run_shares(jobs)
+    _warn_nonfinite(n_bad.sum(axis=0))
+    ensemble = SolutionEnsemble(
         grid=model.grid,
         times=cfg.times,
         curves=curves,
@@ -511,40 +577,42 @@ def _collect(
         seed=cfg.seed,
         p_order=cfg.p,
     )
+    return ensemble, gaps
 
 
 def euler_solve(
     model: HjmModel, u0, cfg: SolverConfig, increments=None
 ) -> SolutionEnsemble:
     """Explicit scheme over the full path ensemble; see the module docstring."""
-    return _collect(model, u0, cfg, increments)
+    return _collect(model, u0, cfg, increments)[0]
 
 
 def _certify(
-    model: HjmModel, cfg: SolverConfig, ens: SolutionEnsemble
-) -> tuple[float, float]:
-    """Residuals of the curves u: to S^j u0, and to F(u) up to each exit index.
+    model: HjmModel, cfg: SolverConfig, curves: np.ndarray, exit_index: np.ndarray,
+    dM: np.ndarray, gaps: np.ndarray,
+) -> None:
+    """Distances of the curves u of some paths: to S^j u0 into ``gaps[0]``,
+    and to F(u) up to each exit index into ``gaps[1]``, by path and time.
 
     F is applied once, in its convolution form S^j u0 + sum_{i<j} S^{j-i}
-    G_i(u(t_i)), on the ensemble's noise, a block of paths at a time.  G_i is
-    zero from a path's exit index on, before its noise enters, so no step
-    computes with a path that has exited.  Each residual is the sup over
-    time nodes of the root mean square curve-norm distance over all paths.
+    G_i(u(t_i)), on the paths' noise ``dM``, a block of paths at a time.
+    G_i is zero from a path's exit index on, before its noise enters, so no
+    step computes with a path that has exited.  Both distances vanish at
+    t_0, where ``gaps`` must hold zeros.
     """
     grid, dt, m = model.grid, cfg.dt, cfg.n_steps
     kernel = _step_kernel(model, cfg.times[:-1])
     transported = np.empty((m + 1, grid.n_nodes))
-    transported[0] = ens.curves[0, 0]  # every path starts at u0
+    transported[0] = curves[0, 0]  # every path starts at u0
     for j in range(m):
         _shift_values(transported[j], dt, grid, out=transported[j + 1])
-    gaps = np.zeros((2, ens.n_paths, m + 1))  # both vanish at t_0
-    for rows in _row_blocks(ens.n_paths, grid.n_nodes):
-        u, exits, dM = ens.curves[rows], ens.exit_index[rows], ens.increments[:, rows]
+    for rows in _row_blocks(len(curves), grid.n_nodes):
+        u, exits, noise = curves[rows], exit_index[rows], dM[:, rows]
         conv = np.zeros((len(u), grid.n_nodes))
         for j in range(1, m + 1):
             live = exits >= j  # step j - 1 is before the exit index
             sig, f, _ok = kernel(j - 1, u[:, j - 1])
-            G = np.einsum("pnd,pd->pn", sig, np.where(live[:, None], dM[j - 1], 0.0))
+            G = np.einsum("pnd,pd->pn", sig, np.where(live[:, None], noise[j - 1], 0.0))
             G += f * dt
             G[~live] = 0.0
             G += conv
@@ -553,7 +621,6 @@ def _certify(
             gaps[0, rows, j] = norm_H(gap, grid)
             gap -= conv  # u(t_j) - (F u)(t_j)
             gaps[1, rows, j] = np.where(live, norm_H(gap, grid), 0.0)
-    return tuple(float(np.sqrt(np.square(g).mean(axis=0).max())) for g in gaps)
 
 
 def picard_solve(
@@ -567,8 +634,9 @@ def picard_solve(
     certifies u* on the same noise record.  u* is returned; a certificate
     residual not below ``picard_tol`` raises ``PicardDivergenceError``.
     """
-    ensemble = _collect(model, u0, cfg, increments, exponential=True)
-    residuals = _certify(model, cfg, ensemble)
+    ensemble, gaps = _collect(model, u0, cfg, increments, exponential=True)
+    # the sup over time nodes of the root mean square over all paths
+    residuals = tuple(float(np.sqrt(np.square(g).mean(axis=0).max())) for g in gaps)
     if not residuals[1] < cfg.picard_tol:
         raise PicardDivergenceError(
             f"certificate residual {residuals[1]:.3g} is not below picard_tol "

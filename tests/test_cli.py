@@ -21,7 +21,7 @@ import pytest
 import yaml
 
 import levyhjm as lh
-from levyhjm import cli
+from levyhjm import _children, cli
 from levyhjm.checks import CheckReport, report_row
 from levyhjm.cli import (
     CHECK_REGISTRY,
@@ -669,8 +669,9 @@ class TestForkedChecks:
         monkeypatch.setattr(cli, "CHECK_REGISTRY", registry)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            # the second check's warning is issued before its error is raised
-            with pytest.raises(RuntimeError, match="^boom$"):
+            # the second check's warning is issued before its error is raised,
+            # which comes back as the exception the check raised
+            with pytest.raises(ValueError, match="^boom$"):
                 with run_verify_suite(sc, build_bundle(sc), sc.seed, list(registry)) as join:
                     join()
         forwarded = [w for w in seen if w.category is ForkedCheckWarning]
@@ -678,6 +679,23 @@ class TestForkedChecks:
         assert {(w.filename, w.lineno) for w in forwarded} == {
             (__file__, warns.__code__.co_firstlineno + 2)
         }
+
+    def test_error_of_a_class_pickle_cannot_find_comes_back_by_name(self, tmp_path, monkeypatch):
+        # the check's own exception comes back when it pickles (above); a
+        # class defined in a function does not, and comes back as a
+        # RuntimeError of its name and message
+        class LocalError(ValueError):
+            pass
+
+        def boom(*args):
+            raise LocalError("boom")
+
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        monkeypatch.setattr(cli, "CHECK_REGISTRY", {"local": boom})
+        with pytest.raises(RuntimeError, match="^boom$") as raised:
+            with run_verify_suite(sc, build_bundle(sc), sc.seed, ["local"]) as join:
+                join()
+        assert type(raised.value).__name__ == "LocalError"
 
     def test_warning_of_a_category_pickle_cannot_find_reaches_the_caller(
         self, tmp_path, monkeypatch
@@ -742,7 +760,7 @@ def bond_reports_both_ways(sc, bundle):
 def split_bond_check(monkeypatch, n_shards, n_nodes):
     """Let the suite split the bond check over ``n_shards`` cores, with the
     paths stepped one row per block on the full grid."""
-    monkeypatch.setattr(cli, "_usable_cores", lambda: n_shards)
+    monkeypatch.setattr(_children, "_usable_cores", lambda: n_shards)
     monkeypatch.setattr(lh.solver, "_BLOCK_VALUES", n_nodes)
 
 
@@ -825,7 +843,7 @@ class TestSplitBondCheck:
         # a platform without sched_getaffinity counts every cpu
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert cli._usable_cores() == cores
+        assert _children._usable_cores() == cores
 
     @staticmethod
     def _fail_after_the_first_shard(monkeypatch, failure):

@@ -1,10 +1,13 @@
 """Solver schemes: transport exactness, oracles, localization, norms."""
 
+import contextlib
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 
 import levyhjm as lh
-from levyhjm.solver import PicardDivergenceError, _step_kernel
+from levyhjm import _children
+from levyhjm.solver import PicardDivergenceError, _shares, _step_kernel
 
 BETA = 0.1
 
@@ -197,52 +201,79 @@ class TestPicardIteration:
         expected = lh.increment_table(gamma_model.driver, cfg.dt, 8, 8, seed=6)
         np.testing.assert_array_equal(res.ensemble.increments, expected)
 
-    def test_euler_curves_fail_certification(self, gamma_model, monkeypatch):
+    # the negative controls below split the paths over two processes, and
+    # corrupt the curves of one process's share only: the certificate rows
+    # that process computes must be the ones that raise
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_euler_curves_fail_certification(self, gamma_model, monkeypatch, where):
         # negative control: Euler's curves on the same noise are not the fixed
         # point of F, and the certificate must reject them
         from levyhjm import solver
 
         u0 = initial_curve(gamma_model.grid)
         cfg = lh.SolverConfig(horizon=0.5, n_steps=16, n_paths=32, seed=5)
-        transitions = solver.euler_transitions
+        _set_block_rows(monkeypatch, 8, cfg.n_paths, gamma_model.grid.n_nodes)
+        _pin_processes(monkeypatch, 2)
+        caller, child = _shares(cfg.n_paths, gamma_model.grid.n_nodes)
+        fixed_point = lh.picard_solve(gamma_model, u0, cfg).ensemble
+        transitions, parent = solver.euler_transitions, os.getpid()
 
         def euler_order(*args, **kwargs):
-            return transitions(*args, **{**kwargs, "_exponential": False})
+            if (os.getpid() == parent) == (where == "caller"):
+                kwargs["_exponential"] = False
+            return transitions(*args, **kwargs)
 
         monkeypatch.setattr(solver, "euler_transitions", euler_order)
         with pytest.raises(PicardDivergenceError, match="certificate residual"):
             lh.picard_solve(gamma_model, u0, cfg)
-        # the certificate saw exactly Euler's curves, and misses them by far
-        # more than rounding
+        # the certificate saw exactly Euler's curves on that process's share,
+        # the fixed point on the other's, and misses them by far more than
+        # rounding
         loose = lh.picard_solve(gamma_model, u0, dataclasses.replace(cfg, picard_tol=1.0))
         euler = lh.euler_solve(gamma_model, u0, cfg, increments=loose.ensemble.increments)
-        assert np.array_equal(loose.ensemble.curves, euler.curves)
+        stepped, exact = (caller, child) if where == "caller" else (child, caller)
+        assert np.array_equal(loose.ensemble.curves[stepped], euler.curves[stepped])
+        assert np.array_equal(loose.ensemble.curves[exact], fixed_point.curves[exact])
+        assert not np.array_equal(euler.curves[exact], fixed_point.curves[exact])
         assert loose.residuals[1] > 100 * cfg.picard_tol
 
-    def test_certificate_reads_the_exit_index(self, gamma_model, monkeypatch):
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_certificate_reads_the_exit_index(self, gamma_model, monkeypatch, where):
         # negative control: a path whose curve froze one step before its exit
         # index differs from F of it only at and after that index
         from levyhjm import solver
 
-        u0 = initial_curve(gamma_model.grid)
+        grid = gamma_model.grid
+        u0 = initial_curve(grid)
         cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=10, seed=7)
+        _set_block_rows(monkeypatch, 5, cfg.n_paths, grid.n_nodes)
+        _pin_processes(monkeypatch, 2)
+        shares = _shares(cfg.n_paths, grid.n_nodes)
         free = lh.picard_solve(gamma_model, u0, cfg).ensemble
-        r_local = _radius_for_exit_at(lh.norm_H(free.curves, gamma_model.grid), 4)
+        r_local = _radius_for_exit_at(lh.norm_H(free.curves, grid), 4)
         cfg = dataclasses.replace(cfg, r_local=r_local)
-        collect = solver._collect
+        localized = lh.picard_solve(gamma_model, u0, cfg)
+        assert localized.converged
+        # the path that freezes early: the first to exit in that process's share
+        rows = shares[where == "child"]
+        exits = localized.ensemble.exit_index[rows]
+        assert len(shares) == 2 and 1 < exits.min() <= cfg.n_steps
+        certify, parent = solver._certify, os.getpid()
+        certified_here = []  # the share sizes this process certified
 
-        def frozen_early(*args, **kwargs):
-            ens = collect(*args, **kwargs)
-            p = int(np.argmin(ens.exit_index))
-            e = ens.exit_index[p]
-            assert 1 < e <= cfg.n_steps
-            ens.curves[p, e:] = ens.curves[p, e - 1]
-            return ens
+        def frozen_early(model, share, curves, exit_index, dM, gaps):
+            certified_here.append(len(curves))
+            if (os.getpid() == parent) == (where == "caller"):
+                p = int(np.argmin(exit_index))
+                e = exit_index[p]
+                curves[p, e:] = curves[p, e - 1]
+            return certify(model, share, curves, exit_index, dM, gaps)
 
-        assert lh.picard_solve(gamma_model, u0, cfg).converged
-        monkeypatch.setattr(solver, "_collect", frozen_early)
+        monkeypatch.setattr(solver, "_certify", frozen_early)
         with pytest.raises(PicardDivergenceError, match="certificate residual"):
             lh.picard_solve(gamma_model, u0, cfg)
+        # this process certified its own share alone; the child the other
+        assert certified_here == [shares[0].stop - shares[0].start]
 
 
 class TestOneSteppingLoop:
@@ -698,6 +729,13 @@ _BLOCK_ROWS = pytest.mark.parametrize(
 )
 
 
+def _pin_processes(monkeypatch, k):
+    """Let a solve split its paths over at most ``k`` processes, whatever the
+    cores; a test that counts calls through a spy pins one, so that every
+    call runs in this process."""
+    monkeypatch.setattr(_children, "_usable_cores", lambda: k)
+
+
 def _set_block_rows(monkeypatch, rows, n_paths, n_nodes):
     from levyhjm import solver
 
@@ -747,17 +785,22 @@ class TestBlockInvariance:
         model, u0, cfg, inc, bad = self._setup(vol_name)
         n = model.grid.n_nodes
         runs = []
-        for rows in (1, 7, cfg.n_paths + 5):
+        for rows, processes in ((1, (1, 2)), (7, (1, 2)), (cfg.n_paths + 5, (2,))):
             monkeypatch.setattr(solver, "_BLOCK_VALUES", rows * n)
-            with np.errstate(invalid="ignore"), warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "[0-9]+ path.s. produced non-finite")
-                euler = lh.euler_solve(model, u0, cfg, increments=inc)
-                picard = lh.picard_solve(model, u0, cfg, increments=inc)
-            bonds = lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg)
-            runs.append((euler, picard, bonds))
+            for k in processes:
+                _pin_processes(monkeypatch, k)
+                # one row block is never split
+                assert len(_shares(cfg.n_paths, n)) == (1 if rows > cfg.n_paths else k)
+                with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "[0-9]+ path.s. produced non-finite")
+                    euler = lh.euler_solve(model, u0, cfg, increments=inc)
+                    picard = lh.picard_solve(model, u0, cfg, increments=inc)
+                runs.append((euler, picard))
+            runs[-1] += (lh.verify_martingale_bonds(model, u0, [2.0, 5.0], cfg),)
 
-        # norm, ball and non-finite exits fall in different 7-row blocks
-        euler, picard, _ = runs[0]
+        # norm, ball and non-finite exits fall in different 7-row blocks, and
+        # norm and non-finite exits in both processes' shares
+        euler, picard = runs[0]
         exits = euler.exit_index
         sig = model.vol.sigma_at(0.0, model.grid.nodes, euler.curves)
         _, ok = lh.drift_functional(model, sig)
@@ -769,16 +812,18 @@ class TestBlockInvariance:
         np.testing.assert_array_equal(picard.ensemble.exit_index[bad], self.STEP)
         assert len({p // 7 for p in over}) > 1
         assert (len({p // 7 for p in ball}) > 1) == (vol_name == "linear")
+        half = cfg.n_paths // 2  # where the second process's share starts
+        assert {p >= half for p in bad} == {p >= half for p in over} == {False, True}
 
         e1, p1, b1 = runs[-1]
         assert not any(r.passed for r in b1)  # half the paths exited: above the cap
-        for e2, p2, b2 in runs[:-1]:
+        for e2, p2, *b2 in runs[:-1]:
             assert np.array_equal(e1.curves, e2.curves)
             assert np.array_equal(e1.exit_index, e2.exit_index)
             assert np.array_equal(p1.ensemble.curves, p2.ensemble.curves)
             assert np.array_equal(p1.ensemble.exit_index, p2.ensemble.exit_index)
             assert p1.residuals == p2.residuals
-            assert b1 == b2
+            assert b2 in ([], [b1])
 
     @pytest.mark.parametrize("rows", [1, 7], ids=["rows_1", "rows_7"])
     @pytest.mark.parametrize("solver_name", ["euler", "picard"])
@@ -811,12 +856,109 @@ class TestBlockInvariance:
             messages = [str(w.message) for w in seen]
         assert n_items == -(-cfg.n_paths // rows) * (cfg.n_steps + 1)
         assert messages == expected
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            ens = _solve(solver_name, model, u0, cfg, increments=inc)
-        assert [str(w.message) for w in seen] == expected
-        np.testing.assert_array_equal(ens.exit_index[bad], step)
-        assert ens.exit_index[late] == step + 2
+        # in one process, and split over two, where the step's two paths
+        # fall one in each share: one warning, with the total of both
+        for k in (1, 2):
+            _pin_processes(monkeypatch, k)
+            shares = _shares(cfg.n_paths, model.grid.n_nodes)
+            assert len(shares) == k
+            assert [sum(b in range(r.start, r.stop) for b in bad) for r in shares] == [2 // k] * k
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                ens = _solve(solver_name, model, u0, cfg, increments=inc)
+            assert [str(w.message) for w in seen] == expected
+            np.testing.assert_array_equal(ens.exit_index[bad], step)
+            assert ens.exit_index[late] == step + 2
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(*args):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSplitSolveFailures:
+    """A solve split over two processes fails as one process does, and
+    leaves no child behind (the autouse ``no_child_left`` checks)."""
+
+    N_PATHS = 30
+
+    @classmethod
+    def _setup(cls, monkeypatch, trip, marked):
+        """A model whose sigma calls ``trip()`` on any block that holds a
+        curve above 1, and noise that lifts each ``marked`` path above it at
+        t_2; the paths run in 7-row blocks over two processes."""
+
+        def sig(t, x, u):
+            if np.abs(u).max() > 1.0:
+                trip()
+            return (0.01 * np.asarray(u, float))[..., None]
+
+        grid = aligned_grid(10.0, 1.0 / 16.0)
+        model = _model(grid, lh.VolatilitySpec(name="tripwire", dim=1, sigma=sig,
+                                               gamma_seq=np.array([0.01])))
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=cls.N_PATHS, seed=3)
+        inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=3)
+        inc[1, marked, 0] = 1e4
+        _set_block_rows(monkeypatch, 7, cfg.n_paths, grid.n_nodes)
+        _pin_processes(monkeypatch, 2)
+        shares = _shares(cfg.n_paths, grid.n_nodes)
+        assert shares == [slice(0, 15), slice(15, 30)]
+        return model, initial_curve(grid), cfg, inc, shares
+
+    @pytest.mark.parametrize("solver_name", ["euler", "picard"])
+    def test_error_in_the_childs_share_is_raised_as_in_one_process(
+        self, monkeypatch, solver_name
+    ):
+        def trip():
+            raise ValueError("a curve above 1")
+
+        model, u0, cfg, inc, (_, child) = self._setup(monkeypatch, trip, marked=[25])
+        assert 25 in range(child.start, child.stop)
+        errors = []
+        for k in (2, 1):
+            _pin_processes(monkeypatch, k)
+            with pytest.raises(Exception) as raised:
+                _solve(solver_name, model, u0, cfg, increments=inc)
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors == [(ValueError, "a curve above 1")] * 2
+
+    def test_child_killed_by_a_signal_raises_naming_the_solver(self, monkeypatch):
+        parent = os.getpid()
+
+        def trip():
+            if os.getpid() != parent:  # never this process
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        model, u0, cfg, inc, (_, child) = self._setup(monkeypatch, trip, marked=[25])
+        assert 25 in range(child.start, child.stop)
+        with pytest.raises(RuntimeError) as raised:
+            lh.euler_solve(model, u0, cfg, increments=inc)
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == "solver rows 15:30 died from signal SIGKILL"
+
+    def test_interrupt_in_this_process_kills_the_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def trip():
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(600)
+
+        model, u0, cfg, inc, _ = self._setup(monkeypatch, trip, marked=[5, 25])
+        # the child's share hangs, and is killed, not waited for
+        with _deadline(60), pytest.raises(KeyboardInterrupt):
+            lh.picard_solve(model, u0, cfg, increments=inc)
 
 
 class TestBlockMajorOrder:
@@ -901,11 +1043,15 @@ class TestPeakMemory:
         assert all(r.passed for r in reports)
         assert peak < state_bytes, (peak, state_bytes)
 
-    def test_euler_peak_above_its_curves_by_less_than_one_ensemble_state(self):
+    def test_euler_peak_above_its_curves_by_less_than_one_ensemble_state(self, monkeypatch):
+        # in one process, so that every step's allocations are traced; the
+        # curves live in a shared mapping, which tracemalloc does not see,
+        # so the whole traced peak is above them
+        _pin_processes(monkeypatch, 1)
         model, u0, cfg, state_bytes = self._run()
         ens, peak = self._peak(lambda: lh.euler_solve(model, u0, cfg))
         assert ens.curves.nbytes == state_bytes * (cfg.n_steps + 1)
-        assert peak - ens.curves.nbytes < state_bytes, (peak, ens.curves.nbytes, state_bytes)
+        assert peak < state_bytes, (peak, state_bytes)
 
 
 def _step_every_norm(model, u0, cfg, dM, exponential=False):
@@ -958,6 +1104,12 @@ class TestCertifiedNormSkip:
     """Both schemes skip norms their bound certifies, with exits and curves unchanged."""
 
     N_STEPS = 8
+
+    @pytest.fixture(autouse=True)
+    def one_process(self, monkeypatch):
+        # the spies below count and check calls in this process, and
+        # TestBlockInvariance covers the split
+        _pin_processes(monkeypatch, 1)
 
     @staticmethod
     def _setup(vol_name, aligned, u0_kind):
