@@ -1,25 +1,34 @@
 """One protocol for the package's forked processes.
 
-The verify suite runs each check (and each share of the bond check's paths)
-in a forked child, and a solve of several row blocks steps all but the first
-share of its paths (``solver._shares``) in forked children.  Both go through
-``_forked``: a child runs one zero-argument job and sends back one pickled
-(value, error, warnings), which the caller reads, in order, as if the job
-had run in it.  Large arrays a child computes are written into
-``_shared_arrays`` instead, which the caller allocates before the fork, so
-they are never pickled.  A run therefore needs ``os.fork`` (POSIX only).
+``_pool`` runs a list of zero-argument jobs in forked worker processes and
+gives the caller their values, warnings and errors in the jobs' order, as if
+each had run in it.  The job indices wait in one queue, a pipe written whole
+before any fork; each worker takes one index at a time until the queue is
+empty, and writes each job's index and then its pickled (value, error,
+warnings) to a temporary file of its own.  The verify suite forks one worker
+per usable core but one while it simulates, and the last when it joins; a
+solve of several row blocks steps all but the first share of its paths
+(``solver._shares``) in workers of one job each (``_run_shares``).  Large
+arrays a worker computes are written into ``_shared_arrays`` instead, which
+the caller allocates before the fork, so they are never pickled.  A worker
+dies with the process that forked it (``_die_with_parent``).  A run
+therefore needs ``os.fork`` (POSIX only).
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import math
 import mmap
 import os
 import pickle
 import signal
+import struct
+import tempfile
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +39,13 @@ _OPENBLAS_THREADS = [
     for prefix in ("", "scipy_")
     for suffix in ("", "64_")
 ]
+
+# One job index as the queue holds it.  The whole queue is written in one
+# call before any worker is forked, and a read of one record from a pipe is
+# never split, so each read takes one job.
+_INDEX = struct.Struct("i")
+# prctl's option that sets the signal a process gets when its parent ends
+_PR_SET_PDEATHSIG = 1
 
 
 @contextlib.contextmanager
@@ -120,69 +136,88 @@ def _sendable_error(exc: Exception):
     return exc
 
 
-def _fork(job):
-    """Fork a process that runs ``job()``, writes the pickled (value, error,
-    warnings) to a pipe, and exits.
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel kill this forked process when ``parent``, the
+    process that forked it, ends, and end it at once if that has happened.
 
+    A caller stopped by SIGTERM runs no ``finally`` that could kill its
+    workers.  Where ``prctl`` is missing (outside Linux) this does nothing.
+    """
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is None:
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _taken(queue: int):
+    """The job indices read from the pipe ``queue``, one record at a time,
+    until it is empty."""
+    records = iter(partial(os.read, queue, _INDEX.size), b"")
+    return (_INDEX.unpack(record)[0] for record in records)
+
+
+def _serve(jobs: list, indices, out) -> None:
+    """Run the jobs of ``jobs`` at ``indices``, one after another.
+
+    Of each job it writes to ``out`` its pickled index before running it,
+    so a worker that dies is seen with the job it died in, then the pickled
+    (value, error, warnings), pickled whole before any of it is written.
     The error is None or the exception the job raised, as
     ``_sendable_error`` makes it; the warnings are those it issued, as
-    ``_sendable`` makes them.  The output is pickled whole before any of it
-    is written.  Returns the child's pid and the pipe's read end.
+    ``_sendable`` makes them.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child: it leaves only through os._exit
-        status = 1
+    for i in indices:
+        out.write(pickle.dumps(i))
+        out.flush()
+        # a fresh record per job: it also resets the warning registries, so
+        # a warning is shown as if the job were the worker's only one
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, error = jobs[i][1](), None
+            except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+                value, error = None, _sendable_error(exc)
+        issued = [_sendable(w) for w in caught]
+        out.write(pickle.dumps((value, error, issued), protocol=pickle.HIGHEST_PROTOCOL))
+        out.flush()
+
+
+def _outputs(out) -> tuple[dict, int | None]:
+    """What an ended worker wrote to ``out``: each whole output by job
+    index, and the index of a job it took but wrote no whole output of
+    (the job it ended in), or None."""
+    out.seek(0)
+    outputs = {}
+    while True:
         try:
-            os.close(read_fd)
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    value, error = job(), None
-                except Exception as exc:  # noqa: BLE001 - re-raised by the parent
-                    value, error = None, _sendable_error(exc)
-            issued = [_sendable(w) for w in caught]
-            payload = pickle.dumps((value, error, issued), protocol=pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+            i = pickle.load(out)
+        except EOFError:
+            return outputs, None
+        try:
+            outputs[i] = pickle.load(out)
+        except (EOFError, pickle.UnpicklingError):
+            return outputs, i
 
 
-def _read_child(pipe):
-    """The pickled output a child wrote, read to the pipe's end, or None
-    when it stops short, as it does when the child died."""
-    try:
-        output = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        output = None
-    pipe.read()
-    return output
-
-
-def _child_value(label: str, status: int, output):
-    """The value of the child that ``label`` names, from its wait status and
-    output.
-
-    The child's warnings are issued again here.  The error of a job that
-    raised is raised again: the exception itself, or one of its type name
-    and message that derives from RuntimeError.  A child that died or exited
-    otherwise raises a RuntimeError that names ``label``.
-    """
+def _failure(label: str, status: int) -> RuntimeError:
+    """The error that names ``label`` for a worker's wait status."""
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
-        raise RuntimeError(f"{label} died from signal {signal.Signals(-code).name}")
+        return RuntimeError(f"{label} died from signal {signal.Signals(-code).name}")
     if code:
-        raise RuntimeError(f"{label} exited with code {code}")
-    if output is None:
-        raise RuntimeError(f"{label} wrote a short result")
+        return RuntimeError(f"{label} exited with code {code}")
+    return RuntimeError(f"{label} wrote a short result")
+
+
+def _value(output):
+    """The value of one job's output (value, error, warnings).
+
+    The job's warnings are issued again here.  Its error is raised again:
+    the exception itself, or one of its type name and message that derives
+    from RuntimeError.
+    """
     value, error, issued = output
     for category, message, filename, lineno in issued:
         warnings.warn_explicit(message, category, filename, lineno)
@@ -194,55 +229,121 @@ def _child_value(label: str, status: int, output):
     return value
 
 
-@contextlib.contextmanager
-def _forked(jobs: list):
-    """Fork one child per (label, job) of ``jobs``, each running OpenBLAS on
-    one thread, and yield a join that returns their values in order.
+def _values(jobs: list, ended: list) -> list:
+    """The values of the (label, job) pairs of ``jobs``, in order, from the
+    (wait status, outputs, job ended in) of every worker.
 
-    The caller keeps its own OpenBLAS setting in the block.  The join reads
-    each child's pipe to the end before it waits for the child, so a large
-    output cannot block a child on a full pipe.  In order, it issues each
-    child's warnings again and raises the error of the first child that
-    failed (``_child_value``).  However the block is left, every child not
-    yet joined is killed and reaped.
+    In the order of ``jobs`` each value is read by ``_value``, which issues
+    the job's warnings and raises its error, and a job a worker ended in
+    raises a RuntimeError naming it (``_failure``).  A job that no worker
+    took, since every worker ended early, is skipped; if no other job
+    raised, the first such job is named with the status of a worker that
+    ended early.
     """
-    children = []  # (label, pid, pipe) of each child not yet reaped
+    outputs, ended_in = {}, {}
+    for status, done, taken in ended:
+        outputs.update(done)
+        if taken is not None:
+            ended_in[taken] = status
+    values, untaken = [], []
+    for i, (label, _job) in enumerate(jobs):
+        if i in ended_in:
+            raise _failure(label, ended_in[i])
+        if i in outputs:
+            values.append(_value(outputs[i]))
+        else:
+            untaken.append(label)
+    if untaken:
+        raise _failure(untaken[0], next((s for s, _, _ in ended if s), 0))
+    return values
+
+
+@contextlib.contextmanager
+def _pool(jobs: list, order, early: int, late: bool):
+    """Run the (label, job) pairs of ``jobs`` in forked workers, which take
+    them from one queue in ``order``, and yield a join that returns their
+    values in the order of ``jobs``.
+
+    The queue is a pipe of job indices, written whole before any fork.
+    ``early`` workers, but no more than the jobs, are forked at once.  With
+    ``late``, the join takes the next job from the queue, if one is left,
+    and forks one more worker that runs it first.  Each worker runs
+    OpenBLAS on one thread.  The caller keeps its own setting in the block;
+    after a late fork, the join restores it only once every worker has
+    ended, so no OpenBLAS thread it starts spins beside them.
+    Each worker writes to a temporary file of its own, which a large output
+    cannot fill, so no worker waits for the join (``_serve``).
+
+    The join waits for every worker, then reads the values in order
+    (``_values``).  However the block is left, every worker not yet joined
+    is killed and reaped.
+    """
+    parent = os.getpid()
+    workers = []  # (pid, output file) of each worker not yet reaped
+    queue = None  # the read end of the queue
+
+    def fork_worker(first=()):
+        out = tempfile.TemporaryFile()
+        try:
+            pid = os.fork()
+        except BaseException:
+            out.close()
+            raise
+        if pid == 0:  # the worker: it leaves only through os._exit
+            status = 1
+            try:
+                _die_with_parent(parent)
+                _serve(jobs, itertools.chain(first, _taken(queue)), out)
+                status = 0
+            finally:
+                os._exit(status)
+        workers.append((pid, out))
 
     def join() -> list:
-        values = []
-        while children:
-            label, pid, pipe = children[0]
-            output = _read_child(pipe)
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            pipe.close()
-            values.append(_child_value(label, status, output))
-        return values
+        # the queue's write end is closed, so an empty queue reads as ended at once
+        first = list(itertools.islice(_taken(queue), 1)) if late and queue is not None else []
+        ended = []  # (wait status, outputs, job ended in) of each worker
+        with _one_blas_thread() if first else contextlib.nullcontext():
+            if first:
+                fork_worker(first)
+            while workers:
+                pid, out = workers[0]
+                _, status = os.waitpid(pid, 0)
+                workers.pop(0)
+                with out:
+                    ended.append((status, *_outputs(out)))
+        return _values(jobs, ended)
 
     try:
         if jobs:
+            queue, write_end = os.pipe()
+            # at most a pipe's capacity, so the write cannot wait for a reader
+            with open(write_end, "wb") as fh:
+                fh.write(b"".join(_INDEX.pack(i) for i in order))
             with _one_blas_thread():
-                for label, job in jobs:
-                    children.append((label, *_fork(job)))
+                for _ in range(min(early, len(jobs))):
+                    fork_worker()
         yield join
     finally:
-        for _label, pid, pipe in children:
+        for pid, out in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pipe.close()
+            out.close()
+        if queue is not None:
+            os.close(queue)
 
 
 def _run_shares(jobs: list) -> list:
     """Run the first (label, job) of ``jobs`` in this process and each later
-    one in a forked child (``_forked``); returns their values in order.
+    one in a forked worker of its own (``_pool``); returns their values in
+    order.
 
-    With a child, this process runs its job on one OpenBLAS thread too: the
-    children fill the other cores, and an idle OpenBLAS thread spins on
+    With a worker, this process runs its job on one OpenBLAS thread too:
+    the workers fill the other cores, and an idle OpenBLAS thread spins on
     them.  A single job runs as it is, on the caller's setting.
     """
     (_label, here), *rest = jobs
     if not rest:
         return [here()]
-    with _one_blas_thread(), _forked(rest) as join:
+    with _one_blas_thread(), _pool(rest, range(len(rest)), len(rest), late=False) as join:
         return [here(), *join()]
-

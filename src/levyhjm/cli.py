@@ -5,7 +5,7 @@ Subcommands
 ``simulate --config FILE [--seed N] [--out DIR]``
     Run the configured solver, write curves.csv / summary.csv / checks.csv /
     manifest.json.  When the scenario has a ``verify`` section its checks run
-    too, each in its own forked process while the simulation runs (so a run
+    too, in forked worker processes while the simulation runs (so a run
     needs ``os.fork``, POSIX only), and the exit code reflects them.
 ``verify --config FILE [--seed N] [--out DIR]``
     Run only the verification suite; emits checks.csv and manifest.json.
@@ -56,7 +56,7 @@ from .checks import (
     verify_isometry,
     verify_martingale_bonds,
 )
-from ._children import _forked
+from . import _children
 from .curvespace import WeightGrid, make_grid
 from .levy import (
     CompoundPoissonComponent,
@@ -568,41 +568,57 @@ def _bond_shards(sc: Scenario, bundle: ModelBundle, seed: int) -> list[slice]:
     return _shares(_bond_config(sc, seed).n_paths, bundle.grid.n_nodes)
 
 
+# The order in which the suite's workers take the checks: the longest first,
+# so that the last job to end is a short one.  A name not listed follows
+# them, in the order of the suite's names.
+_LONGEST_FIRST = [
+    "martingale_bonds", "convolution", "bichteler_jacod",
+    "exponential_moment", "cumulant_derivatives", "isometry",
+]
+
+
 @contextlib.contextmanager
 def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[str]):
-    """Run the checks of ``names`` in forked processes, concurrently with the
-    body of the ``with`` block; yields a join that waits for them.
+    """Run the checks of ``names`` in forked worker processes, concurrently
+    with the body of the ``with`` block; yields a join that waits for them.
 
-    Each check runs in its own process, except the bond check, whose paths
-    are split into contiguous rows, one shard per core this process may use
-    and at most one per row block (``_bond_shards``): on one core, one
-    process prices every path.  Each shard is ``checks.bond_prices`` of its
-    rows.  Every child sends back one pickled value (a check's reports, or a
-    shard's prices) and the warnings it issued; the bond reports are the
+    Each check is one job, except the bond check, whose paths are split
+    into contiguous rows, one shard per core this process may use and at
+    most one per row block (``_bond_shards``).  Each shard is
+    ``checks.bond_prices`` of its rows.  The jobs wait in one queue, longest
+    first (``_LONGEST_FIRST``), served by one worker per usable core
+    (``_children._pool``): all but one are forked at once, and the join
+    forks the last, once the body has simulated, if a job is still queued.
+    On one core that worker runs every check.  No check runs in this
+    process.  Each job sends back one pickled value (a check's reports, or
+    a shard's prices) and the warnings it issued; the bond reports are the
     ``checks.bond_join`` of the shards' prices, in this process.
 
     The join returns the reports merged sorted by name.  In the order of
-    ``names`` it issues each child's warnings again and raises the error of
-    a check that failed (``_children._forked``).  Each check draws from its
-    own seed stream, so the reports are those of running the checks one
-    after another.  However the block is left, every child not yet joined is
-    killed and reaped.
+    ``names`` it issues each check's warnings again and raises the error of
+    a check that failed, or names the check a worker died in.  Each check
+    draws from its own seed stream, so the reports are those of running the
+    checks one after another.  However the block is left, every worker not
+    yet joined is killed and reaped.
     """
-    jobs = []  # (name, job) of each child
+    jobs = []  # (name, job) of each job, in the order of names
     for name in names:
         if name == "martingale_bonds":
             bond = _bond_check(sc, bundle, seed)
             jobs += [(name, partial(bond_prices, *bond, r)) for r in _bond_shards(sc, bundle, seed)]
         else:
             jobs.append((name, partial(CHECK_REGISTRY[name], sc, bundle, seed)))
+    rank = {name: k for k, name in enumerate(_LONGEST_FIRST)}
+    order = sorted(range(len(jobs)), key=lambda i: rank.get(jobs[i][0], len(rank)))
+    labelled = [(f"check {name!r}", job) for name, job in jobs]
 
-    # every child runs OpenBLAS on one thread; the simulation on the caller's
-    with _forked([(f"check {name!r}", job) for name, job in jobs]) as join_children:
+    # every worker runs OpenBLAS on one thread; the simulation on the caller's
+    with _children._pool(labelled, order, _children._usable_cores() - 1, late=True) as join_jobs:
 
         def join() -> list[CheckReport]:
             reports: list[CheckReport] = []
             priced = []  # the bond shards' values, in row order
-            for (name, _job), value in zip(jobs, join_children()):
+            for (name, _job), value in zip(jobs, join_jobs()):
                 if name == "martingale_bonds":
                     priced.append(value)
                 else:

@@ -552,7 +552,7 @@ class ForkedCheckWarning(UserWarning):
 
 
 class TestForkedChecks:
-    """Each configured check runs in its own forked process."""
+    """Each configured check runs in a forked worker process."""
 
     @pytest.mark.parametrize("scenario", ["gamma_hjm", "all_checks"])
     def test_reports_equal_those_run_in_process(self, tmp_path, scenario):
@@ -719,6 +719,177 @@ class TestForkedChecks:
         ]
 
 
+def pin_cores(monkeypatch, cores):
+    """Let the suite use ``cores`` cores, whatever the host has; returns the
+    list that a spy on ``os.fork`` appends one entry to per fork made in
+    this process."""
+    monkeypatch.setattr(_children, "_usable_cores", lambda: cores)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def is_running(pid):
+    """Whether ``pid`` is a process that has not ended; an ended one that
+    no process has reaped yet (a zombie) counts as ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+class TestCheckPool:
+    """The suite's jobs wait in one queue, longest first, served by one
+    worker per usable core; the last is forked by the join."""
+
+    @staticmethod
+    def log_each_job(monkeypatch, log):
+        """Have each check, and each bond shard, append its pid and name to
+        ``log`` before it runs."""
+        def logged(name, run):
+            def job(*args):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {name}\n")
+                return run(*args)
+            return job
+
+        for name, run in list(CHECK_REGISTRY.items()):
+            monkeypatch.setitem(CHECK_REGISTRY, name, logged(name, run))
+        monkeypatch.setattr(cli, "bond_prices", logged("martingale_bonds", cli.bond_prices))
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_one_worker_per_core_and_none_in_this_process(self, tmp_path, monkeypatch, cores):
+        sc = load_scenario(write_config(tmp_path, {"verify": ALL_CHECKS}))
+        bundle = build_bundle(sc)
+        expected = sorted(
+            (r for name in sc.verify["checks"] for r in CHECK_REGISTRY[name](sc, bundle, sc.seed)),
+            key=lambda r: r.name,
+        )
+        log = tmp_path / "jobs.log"
+        self.log_each_job(monkeypatch, log)
+        forks = pin_cores(monkeypatch, cores)
+        with deadline(60), run_verify_suite(sc, bundle, sc.seed, sc.verify["checks"]) as join:
+            reports = join()
+        assert [repr(r) for r in reports] == [repr(r) for r in expected]
+        assert len(forks) <= cores
+        pids, names = zip(*(line.split() for line in log.read_text().splitlines()))
+        assert sorted(names) == sorted(sc.verify["checks"])  # one bond shard
+        assert os.getpid() not in {int(pid) for pid in pids}
+        assert len(set(pids)) <= cores
+        if cores == 1:
+            # one worker takes every job, longest first
+            assert list(names) == [
+                "martingale_bonds", "convolution", "bichteler_jacod",
+                "exponential_moment", "cumulant_derivatives", "isometry",
+            ]
+
+    @pytest.mark.parametrize("raises", [["convolution"], ["isometry", "convolution"]])
+    def test_one_workers_checks_replay_in_names_order(self, tmp_path, monkeypatch, raises):
+        # the worker runs convolution before isometry; the caller still
+        # issues isometry's warning first, and raises the first error in
+        # the order of the names
+        def warns(name):
+            def run(*args):
+                warnings.warn(f"from {name}", ForkedCheckWarning)
+                if name in raises:
+                    raise ValueError(f"{name} failed")
+                return []
+            return run
+
+        names = ["isometry", "convolution"]
+        for name in names:
+            monkeypatch.setitem(CHECK_REGISTRY, name, warns(name))
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": names}}))
+        bundle = build_bundle(sc)
+        forks = pin_cores(monkeypatch, 1)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{raises[0]} failed$"):
+                with run_verify_suite(sc, bundle, sc.seed, names) as join:
+                    join()
+        assert len(forks) == 1
+        replayed = [str(w.message) for w in seen if w.category is ForkedCheckWarning]
+        assert replayed == [f"from {name}" for name in names[: names.index(raises[0]) + 1]]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_worker_killed_during_a_job_names_it(self, tmp_path, capsys, monkeypatch, cores):
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(CHECK_REGISTRY, "exponential_moment", killed)
+        pin_cores(monkeypatch, cores)
+        path = write_config(tmp_path, {"verify": ALL_CHECKS})
+        with deadline(60):
+            assert run_scenario(path, out_dir=tmp_path / "out") == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == (
+            "runtime error: RuntimeError: check 'exponential_moment' died from signal SIGKILL\n"
+        )
+
+    def test_late_worker_runs_on_one_blas_thread(self, tmp_path, monkeypatch):
+        # on one core the join forks the only worker; the caller gets its
+        # own setting back once the join returns
+        def threads_report(*args):
+            return [CheckReport("t", "identity", openblas_threads(), 1.0, 0.0, 1, 0.0, 0.0, True)]
+
+        if openblas_threads() is None:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        before = openblas_threads()
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        monkeypatch.setitem(CHECK_REGISTRY, "isometry", threads_report)
+        forks = pin_cores(monkeypatch, 1)
+        with run_verify_suite(sc, build_bundle(sc), sc.seed, ["isometry"]) as join:
+            assert forks == []
+            (report,) = join()
+        assert forks == [None]
+        assert report.lhs == 1
+        assert openblas_threads() == before
+
+    def test_workers_die_with_a_caller_stopped_by_sigterm(self, tmp_path):
+        # SIGTERM ends the caller without running its finally blocks
+        config = write_config(tmp_path, {"verify": {"checks": ["isometry"]}})
+        pid_file = tmp_path / "worker.pid"
+        script = (
+            "import os, sys, time\n"
+            "from levyhjm import cli\n"
+            "def sleeps(*args):\n"
+            f"    with open({str(pid_file)!r} + '.part', 'w') as fh:\n"
+            "        fh.write(str(os.getpid()))\n"
+            f"    os.replace({str(pid_file)!r} + '.part', {str(pid_file)!r})\n"
+            "    time.sleep(600)\n"
+            "cli.CHECK_REGISTRY['isometry'] = sleeps\n"
+            f"sc = cli.load_scenario({str(config)!r})\n"
+            "with cli.run_verify_suite(sc, cli.build_bundle(sc), sc.seed, ['isometry']) as join:\n"
+            "    join()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(lh.__file__).resolve().parents[1])}
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env)
+        worker = None
+        try:
+            start = time.monotonic()
+            while not pid_file.exists():
+                assert caller.poll() is None, "the caller ended before its check ran"
+                assert time.monotonic() - start < 60, "the check never ran"
+                time.sleep(0.01)
+            worker = int(pid_file.read_text())
+            caller.send_signal(signal.SIGTERM)
+            assert caller.wait(timeout=60) == -signal.SIGTERM
+            start = time.monotonic()
+            while is_running(worker) and time.monotonic() - start < 10:
+                time.sleep(0.01)
+            assert not is_running(worker)
+        finally:
+            caller.kill()
+            caller.wait()
+            if worker is not None and is_running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
 # the bond check alone, on few paths, which the tests below split over
 # processes; at its defaults it takes the readout cone
 BOND_CHECK = {"checks": ["martingale_bonds"], "n_paths": 41, "n_steps": 5, "maturities": [2.0, 3.0]}
@@ -766,7 +937,7 @@ def split_bond_check(monkeypatch, n_shards, n_nodes):
 
 class TestSplitBondCheck:
     """The suite splits the bond check's paths into contiguous rows, one
-    process per core, and gets bitwise the reports of one process."""
+    shard per core, and gets bitwise the reports of one process."""
 
     @pytest.mark.parametrize("case", list(BOND_CASES))
     @pytest.mark.parametrize("n_shards", [1, 2, 3])
