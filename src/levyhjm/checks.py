@@ -474,29 +474,21 @@ def _discount(step: np.ndarray, disc: np.ndarray, out: np.ndarray) -> None:
     disc += step[-1]
 
 
-# Float64 values of the zero-padded buffer through which a stepped state's
-# readouts go, 128 KiB or a quarter of a row block: reading a block in
-# chunks of rows this size is as fast as padding the whole block at once,
-# which on the bundled check would take 1 MiB beyond the stepping's memory.
-_PADDED_VALUES = 1 << 14
-
-
 def _stepped_integrals(model, u0, cfg, weights, dM, n_bad):
     """(j, rows, I, exits) of Euler on ``model``'s grid, I the live (K + 1, rows)
     integrals of ``weights[j]``; ``n_bad`` is ``euler_transitions``'s ``_n_bad``.
-    States are read through a zero-padded full-width buffer, a chunk of rows
-    at a time, so a cut grid's readouts sum the terms of the full grid's in
-    the same order."""
-    width, n_nodes = model.grid.n_nodes, weights.shape[-1]
-    padded = np.zeros((max(1, _PADDED_VALUES // n_nodes), n_nodes))
+    The integrals read the states on the nodes up to the last any weight
+    touches, or the grid's last, as if the states were zero beyond it: the
+    readout cone (``_readout_cone``) keeps every touched node, so its
+    readouts sum the same terms as the full grid's, in the same order."""
+    touched = weights.any(axis=(0, 1))[::-1]
+    width = min(len(touched) - int(touched.argmax()), model.grid.n_nodes)
+    narrow = weights[..., :width]
     for j, rows, U, exits in euler_transitions(model, u0, cfg, increments=dM, _n_bad=n_bad):
         if j == 0:  # a new block of rows
             step = np.empty((weights.shape[1], len(U)))
         # partial_integral's one pass over U, on this step's weights
-        for start in range(0, len(U), len(padded)):
-            chunk = padded[: len(U) - start]
-            chunk[:, :width] = U[start : start + len(chunk)]
-            step[:, start : start + len(chunk)] = np.einsum("...n,kn->...k", chunk, weights[j]).T
+        step[...] = np.einsum("...n,kn->...k", U[:, :width], narrow[j]).T
         yield j, rows, step, exits
 
 

@@ -11,11 +11,14 @@ G_j = f(t_j, u_j) dt + B(t_j, u_j) dM_j the step increment:
   Euler only in that S acts after the increment is added.
 
 Both schemes step through one loop, ``euler_transitions``.  ``picard_solve``
-then certifies the curves it collected with one pass of F in its
-convolution form on the same noise record: F(u*)(t_j) must reproduce
+certifies each state inside that loop, as soon as it is stored, with F in
+its convolution form on the same noise record: F(u*)(t_j) must reproduce
 u*(t_j) up to each path's exit index, and a sup-in-time root mean square
 residual not below ``picard_tol`` raises.  The two forms agree to rounding
-on the fixed point; Euler's curves miss it by the schemes' distance.
+on the fixed point; Euler's curves miss it by the schemes' distance.  The
+certificate takes sigma and the drift from the loop's own kernel call, under
+a guard that the call was made at the previous time on the stored state
+(``_certificate``), and evaluates neither a second time.
 
 Integrands are evaluated at the left endpoint of each step (predictable
 convention; anything else biases jump terms), and the drift time integral
@@ -38,21 +41,22 @@ drift once per step for all paths, bitwise as the per-path evaluation would.
 
 Paths are independent, so the loop runs them in blocks of consecutive rows
 sized to stay in cache, each block through every time step before the next,
-and so does the certificate.  No buffer holds the whole ensemble's state at
+with the certificate in step.  No buffer holds the whole ensemble's state at
 one time: the loop alternates two block-sized states, which ``euler_solve``
 and ``picard_solve`` copy into their curves at every step.  The solvers also
 split the paths into contiguous shares, one per usable core but no more
 than the row blocks (``_shares``): a solve of at least two row blocks on at
 least two cores steps the first share in this process and each other one in
-a forked child, which for Picard also certifies its own rows.  Every process
-writes its rows of the curves, exit indices and certificate distances into
-one shared anonymous mapping allocated before the fork, so the curves are
-never pickled.  One row block, as in the bundled scenario's 48-path solve,
-never forks.  Curves, exit indices and Picard residuals are bitwise those
-of stepping the whole ensemble at once in one process: every operation is
-per path, and a residual's mean over paths is one reduction, which this
-process makes over all of them.  perfbench's spans, recorded in the process
-that runs them, see only this process's share.
+a forked child, which for Picard also certifies its own rows in its own
+loop.  Every process writes its rows of the curves, exit indices and
+certificate distances into one shared anonymous mapping allocated before
+the fork, so the curves are never pickled.  One row block, as in the
+bundled scenario's 48-path solve, never forks.  Curves, exit indices and
+Picard residuals are bitwise those of stepping the whole ensemble at once
+in one process: every operation is per path, and a residual's mean over
+paths is one reduction, which this process makes over all of them.
+perfbench's spans, recorded in the process that runs them, see only this
+process's share.
 
 With a state-free volatility the Euler scheme is linear with additive noise,
 so u_j = c_j + sum_{i<j} S^{j-1-i} sigma_i dM_i, c_j the zero-noise
@@ -207,9 +211,10 @@ class PicardResult:
     """The fixed point u* and the residuals that describe it.
 
     ``residuals`` holds u*'s distance to the transported initial curve
-    S^j u0 and the certificate's distance between F(u*) and u*.  ``sweeps``
-    counts the stepping loop and the certificate, always 2; ``converged`` is
-    always True, since a failed certificate raises.
+    S^j u0 and the certificate's distance between F(u*) and u*, which the
+    stepping loop certified as it went.  ``sweeps`` is always 2, the loop
+    and its certificate, kept so that manifest.json's bytes do not change;
+    ``converged`` is always True, since a failed certificate raises.
     """
 
     ensemble: SolutionEnsemble
@@ -343,7 +348,8 @@ def _warn_nonfinite(n_bad: np.ndarray) -> None:
 
 
 def euler_transitions(
-    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False, _n_bad=None
+    model: HjmModel, u0, cfg: SolverConfig, increments=None, *, _exponential=False, _n_bad=None,
+    _watch=None,
 ) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
     """Yield (j, rows, states, exits) for each block of rows and j = 0 .. n_steps.
 
@@ -358,13 +364,17 @@ def euler_transitions(
     ``_exponential``, set only by ``picard_solve``, shifts after the step
     increment is added.  ``_n_bad``, an (n_steps,) integer array, gathers
     those counts instead, and nothing is warned about: a caller that steps
-    the paths in parts warns once for the totals.
+    the paths in parts warns once for the totals.  ``_watch``, set only by
+    ``picard_solve``'s certificate, wraps the step kernel (``_step_kernel``)
+    that every step calls.
     """
     grid = model.grid
     dM = _noise(model, cfg, increments)
     u0_vals = _initial_curve(u0, cfg, grid)
     sentinel = cfg.n_steps + 1
     kernel = _step_kernel(model, cfg.times[:-1])
+    if _watch is not None:
+        kernel = _watch(kernel)
     n_bad = np.zeros(cfg.n_steps, dtype=int) if _n_bad is None else _n_bad
     blocks = list(_row_blocks(cfg.n_paths, grid.n_nodes))
     # the noise term, then the two states that the steps alternate
@@ -519,19 +529,24 @@ def _solve_rows(
     ensemble's, and certify them into ``gaps`` when it is given.
 
     With ``gaps`` the loop steps the exponential-Euler recursion, as
-    ``picard_solve`` does.  ``n_bad`` gathers the non-finite exits of these
-    paths per step.
+    ``picard_solve`` does, and each stored state is certified as soon as it
+    is stored (``_certificate``).  ``n_bad`` gathers the non-finite exits of
+    these paths per step.
     """
     share = replace(cfg, n_paths=rows.stop - rows.start)
     dM, curves, exit_index = dM[:, rows], curves[rows], exit_index[rows]
+    watch = certify = None
+    if gaps is not None:
+        watch, certify = _certificate(model, u0, share, curves, dM, gaps[:, rows])
     for j, block, states, exits in euler_transitions(
-        model, u0, share, increments=dM, _exponential=gaps is not None, _n_bad=n_bad
+        model, u0, share, increments=dM, _exponential=gaps is not None, _n_bad=n_bad,
+        _watch=watch,
     ):
         curves[block, j] = states
+        if certify is not None:
+            certify(j, block, exits)
         if j == cfg.n_steps:
             exit_index[block] = exits
-    if gaps is not None:
-        _certify(model, share, curves, exit_index, dM, gaps[:, rows])
 
 
 def _collect(
@@ -587,40 +602,64 @@ def euler_solve(
     return _collect(model, u0, cfg, increments)[0]
 
 
-def _certify(
-    model: HjmModel, cfg: SolverConfig, curves: np.ndarray, exit_index: np.ndarray,
-    dM: np.ndarray, gaps: np.ndarray,
-) -> None:
-    """Distances of the curves u of some paths: to S^j u0 into ``gaps[0]``,
-    and to F(u) up to each exit index into ``gaps[1]``, by path and time.
+def _certificate(
+    model: HjmModel, u0, cfg: SolverConfig, curves: np.ndarray, dM: np.ndarray,
+    gaps: np.ndarray,
+):
+    """The in-loop certificate of some paths, as (watch, certify).
 
-    F is applied once, in its convolution form S^j u0 + sum_{i<j} S^{j-i}
-    G_i(u(t_i)), on the paths' noise ``dM``, a block of paths at a time.
-    G_i is zero from a path's exit index on, before its noise enters, so no
-    step computes with a path that has exited.  Both distances vanish at
-    t_0, where ``gaps`` must hold zeros.
+    ``watch`` wraps the stepping loop's kernel (``euler_transitions``'s
+    ``_watch``) to record its last call: time index, input, sigma and drift.
+    ``certify(j, rows, exits)``, called once the loop's state of the paths
+    ``rows`` at t_j is stored in ``curves``, writes its distances to S^j u0
+    into ``gaps[0]`` and to F(u) into ``gaps[1]``.  F is applied in its
+    convolution form S^j u0 + sum_{i<j} S^{j-i} G_i(u(t_i)) on the paths'
+    noise ``dM``, the sum carried from step to step.  G_{j-1} is built from
+    the recorded sigma and drift and is zero from a path's exit index on,
+    so no step computes with an exited path.  A guard checks that the
+    recorded call is the one G_{j-1} needs: made at time index j - 1, on
+    rows bitwise equal to the stored u(t_{j-1}).  It compares them when it
+    certifies t_j, so it also sees a stored row changed after the call; the
+    loop keeps that input, its state at t_{j-1}, intact until its next step.
+    A live row that fails the guard gets an infinite distance to F(u).  Both
+    distances vanish at t_0, where ``gaps`` must hold zeros.
     """
     grid, dt, m = model.grid, cfg.dt, cfg.n_steps
-    kernel = _step_kernel(model, cfg.times[:-1])
     transported = np.empty((m + 1, grid.n_nodes))
-    transported[0] = curves[0, 0]  # every path starts at u0
+    transported[0] = _values(u0)
     for j in range(m):
         _shift_values(transported[j], dt, grid, out=transported[j + 1])
-    for rows in _row_blocks(len(curves), grid.n_nodes):
-        u, exits, noise = curves[rows], exit_index[rows], dM[:, rows]
-        conv = np.zeros((len(u), grid.n_nodes))
-        for j in range(1, m + 1):
-            live = exits >= j  # step j - 1 is before the exit index
-            sig, f, _ok = kernel(j - 1, u[:, j - 1])
-            G = np.einsum("pnd,pd->pn", sig, np.where(live[:, None], noise[j - 1], 0.0))
-            G += f * dt
-            G[~live] = 0.0
-            G += conv
-            _shift_values(G, dt, grid, out=conv)
-            gap = u[:, j] - transported[j]
-            gaps[0, rows, j] = norm_H(gap, grid)
-            gap -= conv  # u(t_j) - (F u)(t_j)
-            gaps[1, rows, j] = np.where(live, norm_H(gap, grid), 0.0)
+    last = []  # the kernel's last call: time index, input, sigma and drift
+    conv = None  # the block's sum_{i<j} S^{j-i} G_i
+
+    def watch(kernel):
+        def recorded(j, U):
+            out = kernel(j, U)
+            last[:] = j, U, *out[:2]
+            return out
+
+        return recorded
+
+    def certify(j: int, rows: slice, exits: np.ndarray) -> None:
+        nonlocal conv
+        if j == 0:  # a new block of rows
+            conv = np.zeros((rows.stop - rows.start, grid.n_nodes))
+            return
+        i, U, sig, f = last
+        u = curves[rows]
+        live = exits >= j  # step j - 1 is before the exit index
+        G = np.einsum("pnd,pd->pn", sig, np.where(live[:, None], dM[j - 1, rows], 0.0))
+        G += f * dt
+        G[~live] = 0.0
+        G += conv
+        _shift_values(G, dt, grid, out=conv)
+        gap = u[:, j] - transported[j]
+        gaps[0, rows, j] = norm_H(gap, grid)
+        gap -= conv  # u(t_j) - (F u)(t_j)
+        guarded = (i == j - 1) & (U.view(np.int64) == u[:, j - 1].view(np.int64)).all(axis=-1)
+        gaps[1, rows, j] = np.where(live, np.where(guarded, norm_H(gap, grid), np.inf), 0.0)
+
+    return watch, certify
 
 
 def picard_solve(
@@ -630,9 +669,11 @@ def picard_solve(
 
     The stepping loop runs the exponential-Euler recursion, which is the
     fixed point u* of the discrete map F, into an (n_paths, n_steps + 1,
-    n_nodes) curves buffer.  One pass of F in its convolution form then
-    certifies u* on the same noise record.  u* is returned; a certificate
-    residual not below ``picard_tol`` raises ``PicardDivergenceError``.
+    n_nodes) curves buffer, and certifies each stored state with F in its
+    convolution form on the same noise record, from the loop's own sigma
+    and drift under a bitwise guard (``_certificate``).  u* is returned; a
+    certificate residual not below ``picard_tol`` raises
+    ``PicardDivergenceError``.
     """
     ensemble, gaps = _collect(model, u0, cfg, increments, exponential=True)
     # the sup over time nodes of the root mean square over all paths

@@ -726,7 +726,6 @@ class TestConeBondRoute:
         self, monkeypatch, bond_grid, u0, dim, driver_kind, n_steps, sign
     ):
         model = _bond_model(bond_grid, "tanh", dim, driver_kind, sign=sign)
-        # 300 paths: the default block reads its states in three padded chunks
         cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=300, seed=9)
         full = [report_row(r) for r in _stepped_reports(monkeypatch, model, u0, cfg)]
         default_block = solver._BLOCK_VALUES
@@ -858,6 +857,66 @@ class TestConeBondRoute:
         assert D.tobytes() == reference.tobytes()
         with pytest.warns(RuntimeWarning, match="non-finite curves at step 4"):
             checks.bond_join(model, u0, [2.0, 5.0], cfg, [priced])
+
+
+def _padded_integrals(model, u0, cfg, weights, dM, n_bad):
+    """Test-side ``_stepped_integrals`` that reads every state through a
+    zero-padded copy as wide as the weights, 51 rows at a time, and sums
+    every node's term."""
+    width, n_nodes = model.grid.n_nodes, weights.shape[-1]
+    padded = np.zeros((51, n_nodes))
+    for j, rows, U, exits in checks.euler_transitions(model, u0, cfg, increments=dM, _n_bad=n_bad):
+        step = np.empty((weights.shape[1], len(U)))
+        for start in range(0, len(U), len(padded)):
+            chunk = padded[: len(U) - start]
+            chunk[:, :width] = U[start : start + len(chunk)]
+            step[:, start : start + len(chunk)] = np.einsum("...n,kn->...k", chunk, weights[j]).T
+        yield j, rows, step, exits
+
+
+class TestNarrowReadouts:
+    """The stepped routes read each step's integrals on the nodes up to the
+    last that any weight touches, bitwise as summing every node of a
+    zero-padded full-width copy."""
+
+    @staticmethod
+    def _both(monkeypatch, model, u0, cfg, maturities, route):
+        prices = []
+        for integrals in (checks._stepped_integrals, _padded_integrals):
+            with monkeypatch.context() as patch:
+                patch.setattr(checks, "_stepped_integrals", integrals)
+                if route == "full_grid":
+                    patch.setattr(checks, "_no_path_localizes", lambda *args: False)
+                _reports, seen = _bond_route(monkeypatch, model, u0, cfg, maturities)
+            prices.append(seen["priced"])
+        assert seen["readouts"] is None
+        (D, n_localized, n_bad), (reference, n_ref, bad_ref) = prices
+        assert n_localized == n_ref and np.array_equal(n_bad, bad_ref)
+        assert D.tobytes() == reference.tobytes()
+        return seen
+
+    @pytest.mark.parametrize("route", ["cone", "full_grid"])
+    @pytest.mark.parametrize("n_steps", [10, 7], ids=["aligned", "interpolating"])
+    @pytest.mark.parametrize("driver_kind", ["wiener", "gamma"])
+    def test_prices_bitwise_the_padded_readouts(
+        self, monkeypatch, bond_grid, u0, driver_kind, n_steps, route
+    ):
+        model = _bond_model(bond_grid, "tanh", 2, driver_kind)
+        cfg = lh.SolverConfig(horizon=1.0, n_steps=n_steps, n_paths=300, seed=9)
+        seen = self._both(monkeypatch, model, u0, cfg, (2.0, 3.3), route)
+        # the full grid's states are wider than the nodes the weights touch;
+        # the cone's, aligned, are as wide
+        width = bond_grid.n_nodes if route == "full_grid" else seen["cone"][0].grid.n_nodes
+        assert seen["widths"] == [width]
+        read = np.flatnonzero(seen["weights"].any(axis=(0, 1)))[-1] + 1
+        assert read < width if route == "full_grid" or n_steps == 7 else read == width
+
+    @pytest.mark.parametrize("route", ["cone", "full_grid"])
+    def test_shipped_gamma_prices_bitwise_the_padded_readouts(self, monkeypatch, route):
+        sc = cli.load_scenario(CONFIG_DIR / "gamma_hjm.yaml")
+        bundle = cli.build_bundle(sc)
+        cfg = lh.SolverConfig(horizon=sc.solver["horizon"], n_steps=16, n_paths=600, seed=sc.seed)
+        self._both(monkeypatch, bundle.model, bundle.u0, cfg, (2.0, 5.0), route)
 
 
 def _bond_parts(n_paths, n_parts):

@@ -258,18 +258,29 @@ class TestPicardIteration:
         rows = shares[where == "child"]
         exits = localized.ensemble.exit_index[rows]
         assert len(shares) == 2 and 1 < exits.min() <= cfg.n_steps
-        certify, parent = solver._certify, os.getpid()
+        p = int(np.argmin(exits))
+        e = exits[p]
+        transitions, parent = solver.euler_transitions, os.getpid()
         certified_here = []  # the share sizes this process certified
 
-        def frozen_early(model, share, curves, exit_index, dM, gaps):
-            certified_here.append(len(curves))
-            if (os.getpid() == parent) == (where == "caller"):
-                p = int(np.argmin(exit_index))
-                e = exit_index[p]
-                curves[p, e:] = curves[p, e - 1]
-            return certify(model, share, curves, exit_index, dM, gaps)
+        def frozen_early(model, u0, share, increments=None, *, _watch=None, **kwargs):
+            # the certified loop is the one whose kernel is watched
+            if _watch is not None:
+                certified_here.append(share.n_paths)
+            items = transitions(model, u0, share, increments, _watch=_watch, **kwargs)
+            if _watch is None or (os.getpid() == parent) != (where == "caller"):
+                yield from items
+                return
+            for j, block, states, block_exits in items:
+                if block.start <= p < block.stop:
+                    if j == e - 1:
+                        held = states[p - block.start].copy()
+                    elif j >= e:  # stored as frozen from e on, the loop unchanged
+                        states = states.copy()
+                        states[p - block.start] = held
+                yield j, block, states, block_exits
 
-        monkeypatch.setattr(solver, "_certify", frozen_early)
+        monkeypatch.setattr(solver, "euler_transitions", frozen_early)
         with pytest.raises(PicardDivergenceError, match="certificate residual"):
             lh.picard_solve(gamma_model, u0, cfg)
         # this process certified its own share alone; the child the other
@@ -340,6 +351,222 @@ class TestOnePassSolve:
                 conv = lh.shift(conv + f * dt + sig @ ens.increments[j - 1, p], dt, grid)
                 u = lh.shift(u0, float(cfg.times[j]), grid) + conv
                 np.testing.assert_allclose(ens.curves[p, j], u, rtol=0, atol=1e-14)
+
+
+def _two_pass_gaps(model, cfg, curves, exit_index, dM):
+    """Test-side certificate of stored curves, the one picard_solve made in a
+    second pass: sigma and the drift evaluated again on the stored states, a
+    block of rows at a time.  Returns the (2, n_paths, n_steps + 1)
+    distances to S^j u0 and to F(u), up to each exit index."""
+    from levyhjm.solver import _row_blocks, _shift_values
+
+    grid, dt, m = model.grid, cfg.dt, cfg.n_steps
+    gaps = np.zeros((2, len(curves), m + 1))
+    kernel = _step_kernel(model, cfg.times[:-1])
+    transported = np.empty((m + 1, grid.n_nodes))
+    transported[0] = curves[0, 0]
+    for j in range(m):
+        _shift_values(transported[j], dt, grid, out=transported[j + 1])
+    for rows in _row_blocks(len(curves), grid.n_nodes):
+        u, exits, noise = curves[rows], exit_index[rows], dM[:, rows]
+        conv = np.zeros((len(u), grid.n_nodes))
+        for j in range(1, m + 1):
+            live = exits >= j
+            sig, f, _ok = kernel(j - 1, u[:, j - 1])
+            G = np.einsum("pnd,pd->pn", sig, np.where(live[:, None], noise[j - 1], 0.0))
+            G += f * dt
+            G[~live] = 0.0
+            G += conv
+            _shift_values(G, dt, grid, out=conv)
+            gap = u[:, j] - transported[j]
+            gaps[0, rows, j] = lh.norm_H(gap, grid)
+            gap -= conv
+            gaps[1, rows, j] = np.where(live, lh.norm_H(gap, grid), 0.0)
+    return gaps
+
+
+def _certified(monkeypatch, model, u0, cfg, increments=None):
+    """picard_solve's result, or the error it raised, and its certificate gaps."""
+    from levyhjm import solver
+
+    collect, seen = solver._collect, {}
+
+    def spy(*args, **kwargs):
+        seen["ensemble"], seen["gaps"] = collect(*args, **kwargs)
+        return seen["ensemble"], seen["gaps"]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_collect", spy)
+        try:
+            out = lh.picard_solve(model, u0, cfg, increments=increments)
+        except PicardDivergenceError as exc:
+            out = exc
+    return out, seen["gaps"]
+
+
+def _watched_in(monkeypatch, where, wrap):
+    """Make the certified loop of one process, the caller's or the child's,
+    call ``wrap(kernel)`` in place of the kernel its certificate watches."""
+    from levyhjm import solver
+
+    transitions, parent = solver.euler_transitions, os.getpid()
+
+    def mutated(*args, _watch=None, **kwargs):
+        if _watch is not None and (os.getpid() == parent) == (where == "caller"):
+            return transitions(*args, _watch=lambda kernel: wrap(_watch(kernel)), **kwargs)
+        return transitions(*args, _watch=_watch, **kwargs)
+
+    monkeypatch.setattr(solver, "euler_transitions", mutated)
+
+
+class TestInLoopCertificate:
+    """picard_solve certifies each stored state inside the stepping loop,
+    from the sigma and drift the loop evaluated, under a guard that the
+    loop evaluated them at the right time on the stored state."""
+
+    N_PATHS = 30
+
+    @staticmethod
+    def _model(vol_name, driver_kind):
+        grid = aligned_grid(10.0, 1.0 / 16.0)
+        vol = {
+            "tanh": lh.tanh_volatility([0.05], [1.0]),
+            "exp_decay": lh.exp_decay_volatility([0.05], [0.5]),
+            "constant": lh.constant_volatility([0.02]),
+            "ramp": _ramp_vol(0.02, 1.0),
+        }[vol_name]
+        comp = lh.WienerComponent(1.0) if driver_kind == "wiener" else lh.GammaComponent(1.0, 2.0)
+        driver = lh.build_driver([comp], r_ball=1.0, delta=1.5)
+        return lh.HjmModel(grid=grid, driver=driver, cumulant=lh.CumulantModel(driver), vol=vol)
+
+    @classmethod
+    def _split(cls, monkeypatch, model, k=2):
+        """Step 7-row blocks over ``k`` processes; the shares."""
+        _set_block_rows(monkeypatch, 7, cls.N_PATHS, model.grid.n_nodes)
+        _pin_processes(monkeypatch, k)
+        return _shares(cls.N_PATHS, model.grid.n_nodes)
+
+    @pytest.mark.parametrize("driver_kind", ["wiener", "gamma"])
+    @pytest.mark.parametrize("vol_name", ["tanh", "exp_decay", "constant"])
+    def test_gaps_bitwise_those_of_the_two_pass_certificate(
+        self, monkeypatch, vol_name, driver_kind
+    ):
+        model = self._model(vol_name, driver_kind)
+        u0 = initial_curve(model.grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=self.N_PATHS, seed=3)
+        inc = lh.increment_table(model.driver, cfg.dt, cfg.n_steps, cfg.n_paths, seed=3)
+        free = lh.picard_solve(model, u0, cfg, increments=inc).ensemble
+        cfg = dataclasses.replace(
+            cfg, r_local=_radius_for_exit_at(lh.norm_H(free.curves, model.grid), 4)
+        )
+        # a non-finite exit at t_2 in each share, on a path alive there
+        alive = lh.picard_solve(model, u0, cfg, increments=inc).ensemble.exit_index > 2
+        bad = [int(np.argmax(alive)), 15 + int(np.argmax(alive[15:]))]
+        assert alive[bad].all()
+        inc[2, bad, 0] = np.inf
+        runs = []
+        for k in (1, 2):
+            shares = self._split(monkeypatch, model, k)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "[0-9]+ path.s. produced non-finite")
+                res, gaps = _certified(monkeypatch, model, u0, cfg, increments=inc)
+            ens = res.ensemble
+            exits = ens.exit_index
+            assert len(shares) == k
+            assert (exits[bad] == 2).all()
+            assert ((exits > 2) & (exits <= cfg.n_steps)).any()
+            expected = _two_pass_gaps(model, cfg, ens.curves, exits, ens.increments)
+            assert gaps.tobytes() == expected.tobytes()
+            assert res.residuals == tuple(
+                float(np.sqrt(np.square(g).mean(axis=0).max())) for g in expected
+            )
+            runs.append(gaps.tobytes())
+        assert runs[0] == runs[1]
+
+    def test_kernel_called_once_per_block_and_step(self, monkeypatch):
+        from levyhjm import solver
+
+        model = self._model("tanh", "gamma")
+        u0 = initial_curve(model.grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=self.N_PATHS, seed=3)
+        self._split(monkeypatch, model, 1)
+        calls, drifts = [], []
+        make, drift = solver._step_kernel, solver.drift_functional
+
+        def counted(*args):
+            kernel = make(*args)
+            return lambda j, U: calls.append((j, len(U))) or kernel(j, U)
+
+        monkeypatch.setattr(solver, "_step_kernel", counted)
+        monkeypatch.setattr(solver, "drift_functional", lambda *a: drifts.append(1) or drift(*a))
+        lh.picard_solve(model, u0, cfg)
+        # blocks of 7, 7, 7, 7 and 2 rows, each through every step once
+        sizes = [7, 7, 7, 7, 2]
+        assert calls == [(j, n) for n in sizes for j in range(cfg.n_steps)]
+        assert len(drifts) == len(sizes) * cfg.n_steps
+
+    # negative controls: each corrupts the loop of one process only, and
+    # only the guard can see it, since the certificate's G reuses what the
+    # loop evaluated; the rows that process certifies must be the ones that
+    # raise
+    def _raises_in(self, monkeypatch, model, where):
+        u0 = initial_curve(model.grid)
+        cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=self.N_PATHS, seed=3)
+        shares = self._split(monkeypatch, model)
+        err, gaps = _certified(monkeypatch, model, u0, cfg)
+        assert isinstance(err, PicardDivergenceError)
+        assert "certificate residual inf" in str(err)
+        hit, other = (shares[0], shares[1]) if where == "caller" else (shares[1], shares[0])
+        assert np.isinf(gaps[1, hit]).any()
+        assert np.isfinite(gaps[1, other]).all() and gaps[1, other].max() <= 1e-14
+
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_kernel_fed_the_previous_state_raises(self, monkeypatch, where):
+        def fed_previous(kernel):
+            held = []
+
+            def stale(j, U):
+                state = held[0] if j > 0 else U
+                held[:] = [U.copy()]
+                return kernel(j, state)
+
+            return stale
+
+        _watched_in(monkeypatch, where, fed_previous)
+        self._raises_in(monkeypatch, self._model("tanh", "gamma"), where)
+
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    @pytest.mark.parametrize("vol_name", ["tanh", "ramp"], ids=["builtin", "time_dependent"])
+    def test_kernel_at_a_wrong_time_index_raises(self, monkeypatch, vol_name, where):
+        # tanh ignores t, so its sigma and drift at any time are the loop's:
+        # only the recorded index tells the call apart
+        n_steps = 8
+        _watched_in(monkeypatch, where, lambda kernel: lambda j, U: kernel((j + 1) % n_steps, U))
+        self._raises_in(monkeypatch, self._model(vol_name, "gamma"), where)
+
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_stored_row_corrupted_after_its_kernel_call_raises(self, monkeypatch, where):
+        from levyhjm import solver
+
+        arrays, shared = [], solver._shared_arrays  # the curves are arrays[-1][0]
+        monkeypatch.setattr(
+            solver, "_shared_arrays", lambda layout: arrays.append(shared(layout)) or arrays[-1]
+        )
+
+        def corrupt_after(kernel):
+            def call(j, U):
+                out = kernel(j, U)
+                if j == 3:  # the stored state of the block's first row at t_3
+                    curves = arrays[-1][0]
+                    row = np.flatnonzero((curves[:, j] == U[0]).all(axis=-1))
+                    assert len(row) == 1
+                    curves[row, j, 5] += 1e-12
+                return out
+
+            return call
+
+        _watched_in(monkeypatch, where, corrupt_after)
+        self._raises_in(monkeypatch, self._model("tanh", "gamma"), where)
 
 
 class TestLocalization:
