@@ -54,18 +54,18 @@ def _one_blas_thread():
     and restore the caller's setting when it ends.
 
     A process forked in the block runs on one thread without a call of its
-    own.  The checks and the simulation already fill the cores, and a second
+    own.  The workers and the caller already fill the cores, and a second
     OpenBLAS thread spins while it waits for work: on two cores, with two
     OpenBLAS threads, the six checks of ``gamma_hjm.yaml`` took 1.8-2.2 s of
     CPU in their processes against 0.9-1.0 s with one, and the run was no
-    faster than running them one after another.  Setting the count in a
-    freshly forked child instead starts a pool thread, which spins about
-    0.13 s before it sleeps.  So does any call of the setter in a process
-    whose pool a fork has shut down, even one that keeps the count, so a
-    library already on one thread is left alone.  OpenBLAS splits a product
-    over its outputs, so the reports are the same bits on one thread.
-    Loaded libraries are read from /proc/self/maps; without that file, or
-    under another BLAS, this does nothing.
+    faster than running them one after another.  Any call of the setter in
+    a process whose pool a fork has shut down, even one that keeps the
+    count, starts a pool thread that spins about 0.13 s before it sleeps.
+    So ``_pool``, the only caller, holds one pin from before its first fork
+    until its last reap, and a library already on one thread is left alone.
+    OpenBLAS splits a product over its outputs, so the results are the same
+    bits on one thread.  Loaded libraries are read from /proc/self/maps;
+    without that file, or under another BLAS, this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -267,10 +267,12 @@ def _pool(jobs: list, order, early: int, late: bool):
     The queue is a pipe of job indices, written whole before any fork.
     ``early`` workers, but no more than the jobs, are forked at once.  With
     ``late``, the join takes the next job from the queue, if one is left,
-    and forks one more worker that runs it first.  Each worker runs
-    OpenBLAS on one thread.  The caller keeps its own setting in the block;
-    after a late fork, the join restores it only once every worker has
-    ended, so no OpenBLAS thread it starts spins beside them.
+    and forks one more worker that runs it first.  With jobs, the pool runs
+    OpenBLAS on one thread (``_one_blas_thread``) from before its first
+    fork until every worker is reaped, so the workers, the block and the
+    join all run on one thread, and the caller's setting is restored once,
+    when the pool ends.  A pool with no jobs forks nothing and leaves
+    OpenBLAS alone.
     Each worker writes to a temporary file of its own, which a large output
     cannot fill, so no worker waits for the join (``_serve``).
 
@@ -302,35 +304,34 @@ def _pool(jobs: list, order, early: int, late: bool):
     def join() -> list:
         # the queue's write end is closed, so an empty queue reads as ended at once
         first = list(itertools.islice(_taken(queue), 1)) if late and queue is not None else []
+        if first:
+            fork_worker(first)
         ended = []  # (wait status, outputs, job ended in) of each worker
-        with _one_blas_thread() if first else contextlib.nullcontext():
-            if first:
-                fork_worker(first)
-            while workers:
-                pid, out = workers[0]
-                _, status = os.waitpid(pid, 0)
-                workers.pop(0)
-                with out:
-                    ended.append((status, *_outputs(out)))
+        while workers:
+            pid, out = workers[0]
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            with out:
+                ended.append((status, *_outputs(out)))
         return _values(jobs, ended)
 
-    try:
-        if jobs:
-            queue, write_end = os.pipe()
-            # at most a pipe's capacity, so the write cannot wait for a reader
-            with open(write_end, "wb") as fh:
-                fh.write(b"".join(_INDEX.pack(i) for i in order))
-            with _one_blas_thread():
+    with _one_blas_thread() if jobs else contextlib.nullcontext():
+        try:
+            if jobs:
+                queue, write_end = os.pipe()
+                # at most a pipe's capacity, so the write cannot wait for a reader
+                with open(write_end, "wb") as fh:
+                    fh.write(b"".join(_INDEX.pack(i) for i in order))
                 for _ in range(min(early, len(jobs))):
                     fork_worker()
-        yield join
-    finally:
-        for pid, out in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            out.close()
-        if queue is not None:
-            os.close(queue)
+            yield join
+        finally:
+            for pid, out in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                out.close()
+            if queue is not None:
+                os.close(queue)
 
 
 def _run_shares(jobs: list) -> list:
@@ -338,12 +339,10 @@ def _run_shares(jobs: list) -> list:
     one in a forked worker of its own (``_pool``); returns their values in
     order.
 
-    With a worker, this process runs its job on one OpenBLAS thread too:
-    the workers fill the other cores, and an idle OpenBLAS thread spins on
-    them.  A single job runs as it is, on the caller's setting.
+    This process runs its job in the pool's block, so on one OpenBLAS
+    thread when there are workers, and on the caller's setting when there
+    are none.
     """
     (_label, here), *rest = jobs
-    if not rest:
-        return [here()]
-    with _one_blas_thread(), _pool(rest, range(len(rest)), len(rest), late=False) as join:
+    with _pool(rest, range(len(rest)), len(rest), late=False) as join:
         return [here(), *join()]

@@ -612,7 +612,7 @@ def run_verify_suite(sc: Scenario, bundle: ModelBundle, seed: int, names: list[s
     order = sorted(range(len(jobs)), key=lambda i: rank.get(jobs[i][0], len(rank)))
     labelled = [(f"check {name!r}", job) for name, job in jobs]
 
-    # every worker runs OpenBLAS on one thread; the simulation on the caller's
+    # the workers and the simulation run OpenBLAS on one thread until the block ends
     with _children._pool(labelled, order, _children._usable_cores() - 1, late=True) as join_jobs:
 
         def join() -> list[CheckReport]:

@@ -70,8 +70,6 @@ class WienerComponent:
 
     variance: float
 
-    kind = "wiener"
-
     def validate(self) -> None:
         if self.variance < 0:
             raise DriverConfigError(f"wiener variance must be >= 0, got {self.variance}")
@@ -103,9 +101,6 @@ class WienerComponent:
     def sample(self, rng: np.random.Generator, dt: float, size) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(self.variance * dt), size=size)
 
-    def params(self) -> dict:
-        return {"kind": self.kind, "variance": self.variance}
-
 
 @dataclass(frozen=True)
 class GammaComponent:
@@ -113,8 +108,6 @@ class GammaComponent:
 
     c: float
     rate: float
-
-    kind = "gamma"
 
     def validate(self) -> None:
         if not (0 < self.c < math.inf and 0 < self.rate < math.inf):
@@ -166,9 +159,6 @@ class GammaComponent:
         raw = rng.gamma(shape=self.c * dt, scale=1.0 / self.rate, size=size)
         return raw - self.compensator_drift * dt
 
-    def params(self) -> dict:
-        return {"kind": self.kind, "c": self.c, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class CompoundPoissonComponent:
@@ -176,8 +166,6 @@ class CompoundPoissonComponent:
 
     intensity: float
     jump_std: float
-
-    kind = "compound_poisson"
 
     def validate(self) -> None:
         if self.intensity <= 0 or self.jump_std <= 0:
@@ -231,9 +219,6 @@ class CompoundPoissonComponent:
         counts = rng.poisson(self.intensity * dt, size=size)
         # sum of N iid N(0, s^2) jumps given N = counts
         return rng.normal(0.0, 1.0, size=size) * self.jump_std * np.sqrt(counts)
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "intensity": self.intensity, "jump_std": self.jump_std}
 
 
 LevyComponent = WienerComponent | GammaComponent | CompoundPoissonComponent

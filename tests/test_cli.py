@@ -618,8 +618,9 @@ class TestForkedChecks:
                 assert capsys.readouterr().err == "runtime error: RuntimeError: solver failed\n"
 
     def test_checks_run_on_one_blas_thread(self, tmp_path, monkeypatch):
-        # a second OpenBLAS thread in each check process spins on the cores
-        # the other checks need; this process keeps its own setting
+        # a second OpenBLAS thread spins on the cores the checks need, in
+        # each check process and in this one while it simulates; the caller
+        # gets its own setting back when the block ends
         def threads_report(*args):
             return [CheckReport("t", "identity", openblas_threads(), 1.0, 0.0, 1, 0.0, 0.0, True)]
 
@@ -629,9 +630,10 @@ class TestForkedChecks:
         sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
         monkeypatch.setitem(CHECK_REGISTRY, "isometry", threads_report)
         with run_verify_suite(sc, build_bundle(sc), sc.seed, ["isometry"]) as join:
-            # the simulation runs on the caller's setting
-            assert openblas_threads() == before
+            # the simulation runs on one thread too
+            assert openblas_threads() == 1
             (report,) = join()
+            assert openblas_threads() == 1
         assert report.lhs == 1
         assert openblas_threads() == before
 
@@ -831,9 +833,9 @@ class TestCheckPool:
             "runtime error: RuntimeError: check 'exponential_moment' died from signal SIGKILL\n"
         )
 
-    def test_late_worker_runs_on_one_blas_thread(self, tmp_path, monkeypatch):
-        # on one core the join forks the only worker; the caller gets its
-        # own setting back once the join returns
+    def test_late_worker_runs_on_one_blas_thread(self, tmp_path, monkeypatch, blas_pins):
+        # on one core the join forks the only worker, under the pool's one
+        # pin; the caller gets its own setting back once the block ends
         def threads_report(*args):
             return [CheckReport("t", "identity", openblas_threads(), 1.0, 0.0, 1, 0.0, 0.0, True)]
 
@@ -847,8 +849,65 @@ class TestCheckPool:
             assert forks == []
             (report,) = join()
         assert forks == [None]
+        assert len(blas_pins) == 1
         assert report.lhs == 1
         assert openblas_threads() == before
+
+    def test_one_blas_pin_spans_the_early_and_the_late_fork(self, tmp_path, monkeypatch, blas_pins):
+        # the early worker holds one job until the late worker has run the
+        # other, so the join always forks
+        ran = tmp_path / "frees.ran"
+
+        def holds(*args):
+            while not ran.exists():
+                time.sleep(0.01)
+            return []
+
+        def frees(*args):
+            ran.touch()
+            return []
+
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        monkeypatch.setattr(cli, "CHECK_REGISTRY", {"holds": holds, "frees": frees})
+        forks = pin_cores(monkeypatch, 2)
+        bundle = build_bundle(sc)
+        with deadline(60), run_verify_suite(sc, bundle, sc.seed, ["holds", "frees"]) as join:
+            assert join() == []
+        assert forks == [None, None]
+        assert len(blas_pins) == 1
+
+    def test_a_suite_without_checks_leaves_openblas_alone(self, tmp_path, monkeypatch, blas_pins):
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        forks = pin_cores(monkeypatch, 2)
+        with run_verify_suite(sc, build_bundle(sc), sc.seed, []) as join:
+            assert join() == []
+        assert forks == []
+        assert blas_pins == []
+
+    def test_a_body_that_raises_restores_the_count_and_kills_the_workers(
+        self, tmp_path, monkeypatch
+    ):
+        pid_file = tmp_path / "worker.pid"
+
+        def sleeps(*args):
+            pid_file.with_suffix(".part").write_text(str(os.getpid()))
+            os.replace(pid_file.with_suffix(".part"), pid_file)
+            time.sleep(600)
+
+        if openblas_threads() is None:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        before = openblas_threads()
+        sc = load_scenario(write_config(tmp_path, {"verify": {"checks": ["isometry"]}}))
+        monkeypatch.setattr(cli, "CHECK_REGISTRY", {"sleeps": sleeps})
+        pin_cores(monkeypatch, 2)
+        with deadline(60), pytest.raises(ValueError, match="^the body failed$"):
+            with run_verify_suite(sc, build_bundle(sc), sc.seed, ["sleeps"]):
+                while not pid_file.exists():
+                    time.sleep(0.01)
+                assert openblas_threads() == 1
+                raise ValueError("the body failed")
+        assert openblas_threads() == before
+        assert not is_running(int(pid_file.read_text()))
 
     def test_workers_die_with_a_caller_stopped_by_sigterm(self, tmp_path):
         # SIGTERM ends the caller without running its finally blocks

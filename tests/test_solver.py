@@ -1188,6 +1188,19 @@ class TestSplitSolveFailures:
             lh.picard_solve(model, u0, cfg, increments=inc)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_split_solve_pins_openblas_once(monkeypatch, blas_pins, k):
+    # the pin spans the child's fork and this process's share; a solve in
+    # one process leaves OpenBLAS alone
+    grid = aligned_grid(10.0, 1.0 / 16.0)
+    model = _model(grid, lh.tanh_volatility([0.05], [1.0]))
+    cfg = lh.SolverConfig(horizon=0.5, n_steps=8, n_paths=30, seed=3)
+    _set_block_rows(monkeypatch, 7, cfg.n_paths, grid.n_nodes)
+    _pin_processes(monkeypatch, k)
+    lh.euler_solve(model, initial_curve(grid), cfg)
+    assert len(blas_pins) == k - 1
+
+
 class TestBlockMajorOrder:
     """``euler_transitions`` steps one block of rows through every time step before the next."""
 
